@@ -23,16 +23,22 @@
 //!   eviction, idle expiry, and a hard cap: when every slot is
 //!   mid-request the server answers [`ServeError::Busy`] with a retry
 //!   hint instead of queueing forever.
-//! - **Slice cache** ([`cache::SliceCache`]) — slices are cached by
-//!   (pinball digest, criterion, options fingerprint), so the second
-//!   debug iteration that asks "why is this value wrong" gets its answer
-//!   without re-collecting the trace. Entries are canonical
-//!   ([`WireSlice`]): byte-identical to a local computation.
-//! - **Index cache** ([`cache::IndexCache`]) — dependence indexes
-//!   ([`slicer::DepIndex`]) are cached by (pinball digest, options
-//!   fingerprint) with single-flight builds, so *distinct* criteria on
-//!   one pinball — which all miss the slice cache — still share a single
-//!   index build and answer in time proportional to the slice.
+//! - **Shard caches** — each shard keeps three content-addressed LRU
+//!   caches of one generic `Cache` type, keyed by (pinball digest,
+//!   criterion, options fingerprint):
+//!   - *slices*, so the second debug iteration that asks "why is this
+//!     value wrong" gets its answer without re-collecting the trace.
+//!     Entries are canonical ([`WireSlice`]): byte-identical to a local
+//!     computation;
+//!   - *dependence indexes* ([`slicer::DepIndex`]), keyed without the
+//!     criterion, so *distinct* criteria on one pinball — which all miss
+//!     the slice cache — still share a single index build and answer in
+//!     time proportional to the slice;
+//!   - *relog outcomes*, so a repeat relog names the slice pinball
+//!     already in the store instead of relogging again.
+//!
+//!   A shard's caches are only touched by its one worker thread, so one
+//!   build per key needs no extra locking (see [`service`]).
 //! - **Wire protocol** ([`proto`]) — length-prefixed, CRC-checked frames
 //!   reusing the pinball container's own [`pinzip::frame`] encoding.
 //!   Malformed input yields a typed error or a clean disconnect, never a
@@ -81,7 +87,7 @@
 
 #![warn(missing_docs)]
 
-pub mod cache;
+mod cache;
 pub mod client;
 pub mod cluster;
 pub mod loopback;
@@ -92,7 +98,6 @@ pub mod server;
 pub mod service;
 pub mod store;
 
-pub use cache::RelogOutcome;
 pub use client::{
     Client, ClientError, PeerMapReply, RelogReply, RetryPolicy, SliceReply, StreamAck, TailReply,
     Uploaded, WireStats,

@@ -84,6 +84,15 @@ impl LoopbackStream {
         self.nonblocking.store(nonblocking, Ordering::Relaxed);
         Ok(())
     }
+
+    /// Half-closes the write direction, mirroring
+    /// [`std::net::TcpStream::shutdown`] with [`std::net::Shutdown::Write`]:
+    /// the peer drains what was written and then reads EOF, while this
+    /// endpoint can still read the peer's replies. Later writes fail with
+    /// [`io::ErrorKind::BrokenPipe`].
+    pub fn shutdown_write(&self) {
+        self.tx.close();
+    }
 }
 
 impl Read for LoopbackStream {
@@ -186,6 +195,22 @@ mod tests {
         b.read_to_end(&mut buf).unwrap();
         assert_eq!(buf, b"tail");
         assert!(b.write_all(b"x").is_err(), "write to hung-up peer fails");
+    }
+
+    #[test]
+    fn shutdown_write_is_a_half_close() {
+        let (mut a, mut b) = pipe();
+        a.write_all(b"last").unwrap();
+        a.shutdown_write();
+        assert!(a.write_all(b"x").is_err(), "writes after shutdown fail");
+        let mut buf = Vec::new();
+        b.read_to_end(&mut buf).unwrap();
+        assert_eq!(buf, b"last", "peer drains, then reads EOF");
+        b.write_all(b"reply").unwrap();
+        drop(b);
+        let mut got = Vec::new();
+        a.read_to_end(&mut got).unwrap();
+        assert_eq!(got, b"reply", "the read direction stays open");
     }
 
     #[test]

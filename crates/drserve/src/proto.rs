@@ -29,6 +29,8 @@
 //! ([`ServeError::UnknownSession`]) from damage
 //! ([`ServeError::Pinball`], naming the damaged chunk).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::fmt;
 use std::io::{Read, Write};
 
@@ -104,7 +106,7 @@ pub enum Request {
     /// The result is stored server-side under its own content digest —
     /// downloadable with [`Request::FetchPinball`] and sliceable like any
     /// upload — and cached by (pinball digest, criterion, options
-    /// fingerprint) with single-flight dedup.
+    /// fingerprint), so a repeat relog is answered without relogging.
     Relog {
         /// The session whose pinball is relogged.
         session: SessionId,

@@ -16,9 +16,7 @@
 //! in-process loopback pipe ([`Server::loopback_client`] /
 //! [`Server::loopback_connect`]) — feed the same dispatchers through the
 //! `NonblockStream` trait, so tests and benchmarks exercise the real
-//! multiplexing without sockets. [`Server::serve_stream`] remains a
-//! blocking one-connection loop over the same service for callers that
-//! bring their own thread.
+//! multiplexing without sockets.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -442,45 +440,6 @@ impl Server {
     /// the cross-shard rollup with the per-shard breakdown attached.
     pub fn stats(&self) -> ServeStats {
         self.service.stats()
-    }
-
-    /// Serves one connection on the calling thread until the peer
-    /// disconnects, the stream fails, or a malformed frame forces a close.
-    /// Frame errors are answered with [`ServeError::Malformed`] and then
-    /// the connection is dropped, because framing may be out of sync.
-    pub fn serve_stream<S: Read + Write>(&self, mut stream: S) {
-        loop {
-            match proto::read_message::<S, Request>(&mut stream, REQUEST_KIND) {
-                Ok(request) => {
-                    let done = match self.service.submit(request, true) {
-                        Ok(rx) => match rx.recv() {
-                            Ok(Reply::Frame(frame)) => stream
-                                .write_all(&frame)
-                                .and_then(|()| stream.flush())
-                                .is_err(),
-                            Ok(Reply::Response(response)) => {
-                                proto::write_message(&mut stream, RESPONSE_KIND, &response).is_err()
-                            }
-                            Err(_) => true, // service shut down
-                        },
-                        Err(e) => {
-                            proto::write_message(&mut stream, RESPONSE_KIND, &Response::Error(e))
-                                .is_err()
-                        }
-                    };
-                    if done {
-                        return;
-                    }
-                }
-                Err(RecvError::Disconnected) | Err(RecvError::Io(_)) => return,
-                Err(RecvError::Frame { reason }) => {
-                    self.service.observe_malformed();
-                    let response = Response::Error(ServeError::Malformed { reason });
-                    let _ = proto::write_message(&mut stream, RESPONSE_KIND, &response);
-                    return;
-                }
-            }
-        }
     }
 
     /// Binds a TCP listener and serves connections through the dispatcher

@@ -3,8 +3,8 @@
 //!
 //! [`Service`] is what [`crate::Server`] used to be, minus every byte of
 //! I/O. It owns N worker *shards* (default: one per CPU), each a single
-//! worker thread with its own [`SessionManager`], [`SliceCache`],
-//! [`IndexCache`], [`RelogCache`], and [`ServeMetrics`] — shared-nothing,
+//! worker thread with its own [`SessionManager`], slice, index and relog
+//! caches (one `Cache` type each), and [`ServeMetrics`] — shared-nothing,
 //! so a slice computation on one shard never contends with another
 //! shard's locks. The only cross-shard state is the content-addressed
 //! [`PinballStore`] (lock-striped) and the `Stats` rollup.
@@ -13,9 +13,11 @@
 //! digest go to shard `digest % N`; session ids are allocated so that
 //! `id % N` recovers the owning shard (see [`SessionManager::with_ids`]);
 //! uploads and `Stats` round-robin (uploads only touch the global store).
-//! The same digest therefore always lands on the same shard, which is
-//! what keeps the single-flight index/relog caches effective: all clients
-//! asking about one pinball funnel into one shard and share one build.
+//! The same digest therefore always lands on the same shard, and each
+//! shard has exactly one worker thread, so a shard's caches are only ever
+//! read or written by that one thread. That is the whole concurrency
+//! story of the caches: requests about one pinball are serialized, the
+//! first builds the index or relog, and every later one hits.
 //!
 //! **Admission control** is a per-shard depth counter checked *before*
 //! the bounded queue: a submit that would exceed `queue_capacity` is
@@ -45,7 +47,7 @@ use slicer::{
     SlicerOptions,
 };
 
-use crate::cache::{IndexCache, RelogCache, RelogOutcome, SliceCache};
+use crate::cache::{Cache, RelogOutcome};
 use crate::cluster::Cluster;
 use crate::metrics::ServeMetrics;
 use crate::pool::SessionManager;
@@ -95,9 +97,9 @@ struct Job {
 pub(crate) struct Shard {
     id: usize,
     pool: SessionManager,
-    cache: SliceCache,
-    index_cache: IndexCache,
-    relog_cache: RelogCache,
+    cache: Cache<WireSlice>,
+    index_cache: Cache<DepIndex>,
+    relog_cache: Cache<RelogOutcome>,
     metrics: ServeMetrics,
     /// In-progress streaming uploads, keyed by client-chosen stream id.
     /// Every op naming a stream routes `stream % N`, so a stream lives
@@ -250,9 +252,9 @@ impl Service {
                         nshards as u64 + id as u64,
                         nshards as u64,
                     ),
-                    cache: SliceCache::new(config.cache_capacity),
-                    index_cache: IndexCache::new(config.index_cache_capacity),
-                    relog_cache: RelogCache::new(config.relog_cache_capacity),
+                    cache: Cache::new(config.cache_capacity),
+                    index_cache: Cache::new(config.index_cache_capacity),
+                    relog_cache: Cache::new(config.relog_cache_capacity),
                     metrics: ServeMetrics::new(),
                     streams: Mutex::new(HashMap::new()),
                     depth: AtomicUsize::new(0),
@@ -599,10 +601,10 @@ fn try_execute(
             // owner receives the resolved criterion form.
             let criterion = resolve_criterion(&slot, at)?;
             if let Some((cluster, owner)) = remote_owner(state, digest) {
-                let fingerprint = options.fingerprint();
+                let key = (digest, Some(criterion), options.fingerprint());
                 // A hit here is a previously forwarded answer: repeat
                 // questions answer locally without touching the owner.
-                if let Some(hit) = shard.cache.get(digest, criterion, fingerprint) {
+                if let Some(hit) = shard.cache.get(key) {
                     shard
                         .cluster
                         .peer_cache_hits
@@ -626,9 +628,7 @@ fn try_execute(
                         shard.cluster.forward_errors.fetch_add(1, Ordering::Relaxed);
                     })?;
                 let wire = Arc::new(reply.slice);
-                shard
-                    .cache
-                    .insert(digest, criterion, fingerprint, Arc::clone(&wire));
+                shard.cache.insert(key, Arc::clone(&wire));
                 return Ok(Response::Slice {
                     slice: (*wire).clone(),
                     cached: false,
@@ -651,8 +651,8 @@ fn try_execute(
             let (slot, digest) = shard.pool.checkout(session)?;
             let criterion = resolve_criterion(&slot, at)?;
             if let Some((cluster, owner)) = remote_owner(state, digest) {
-                let fingerprint = options.fingerprint();
-                if let Some(hit) = shard.relog_cache.peek(digest, criterion, fingerprint) {
+                let key = (digest, Some(criterion), options.fingerprint());
+                if let Some(hit) = shard.relog_cache.get(key) {
                     shard
                         .cluster
                         .peer_cache_hits
@@ -682,9 +682,7 @@ fn try_execute(
                 // The slice pinball itself stays at the owner; a local
                 // open/fetch of `r.digest` pulls it through the store.
                 shard.relog_cache.insert(
-                    digest,
-                    criterion,
-                    fingerprint,
+                    key,
                     Arc::new(RelogOutcome {
                         digest: r.digest,
                         report: drdebug::RelogReport {
@@ -1165,26 +1163,34 @@ fn slice_local(
     options: SliceOptions,
 ) -> (Arc<WireSlice>, bool) {
     let fingerprint = options.fingerprint();
-    if let Some(hit) = shard.cache.get(digest, criterion, fingerprint) {
-        return (hit, true);
-    }
-    // One dependence index answers every criterion on this pinball under
-    // these options. Same-digest requests always route to this shard, so
-    // the shard-local cache still builds at most once across all clients
-    // — and, with cluster forwarding, across the whole fleet.
-    let index = shard.index_cache.get_or_build(digest, fingerprint, || {
-        slot.lock().expect("session lock").dep_index_for(&options)
-    });
-    let slice = {
-        let mut guard = slot.lock().expect("session lock");
-        guard.install_dep_index(fingerprint, index);
-        guard.slice_criterion(criterion, options)
-    };
-    let wire = Arc::new(WireSlice::from_slice(&slice));
     shard
         .cache
-        .insert(digest, criterion, fingerprint, Arc::clone(&wire));
-    (wire, false)
+        .get_or_insert_with((digest, Some(criterion), fingerprint), || {
+            let index = shard_index(shard, slot, digest, &options);
+            let slice = {
+                let mut guard = slot.lock().expect("session lock");
+                guard.install_dep_index(fingerprint, index);
+                guard.slice_criterion(criterion, options)
+            };
+            Arc::new(WireSlice::from_slice(&slice))
+        })
+}
+
+/// The dependence index for `digest` under `options`, built at most once
+/// per cache residency. One index answers every criterion on the pinball,
+/// and same-digest requests always route to this shard — so it builds
+/// once across all clients and, with cluster forwarding, the whole fleet.
+fn shard_index(
+    shard: &Shard,
+    slot: &Arc<Mutex<drdebug::DebugSession>>,
+    digest: PinballDigest,
+    options: &SliceOptions,
+) -> Arc<DepIndex> {
+    let key = (digest, None, options.fingerprint());
+    let (index, _) = shard.index_cache.get_or_insert_with(key, || {
+        slot.lock().expect("session lock").dep_index_for(options)
+    });
+    index
 }
 
 /// Relogs (or serves from the relog cache) — the shared tail of `Relog`
@@ -1200,15 +1206,12 @@ fn relog_local(
     let fingerprint = options.fingerprint();
     shard
         .relog_cache
-        .get_or_build(digest, criterion, fingerprint, || {
-            // Resolve the dependence index through the shard cache (one
-            // build per pinball and options), relog under the session
-            // lock, then publish the slice pinball into the global
-            // content-addressed store so any shard can open, fetch, and
-            // slice it.
-            let index = shard.index_cache.get_or_build(digest, fingerprint, || {
-                slot.lock().expect("session lock").dep_index_for(&options)
-            });
+        .get_or_insert_with((digest, Some(criterion), fingerprint), || {
+            // Resolve the dependence index through the shard cache, relog
+            // under the session lock, then publish the slice pinball into
+            // the global content-addressed store so any shard can open,
+            // fetch, and slice it.
+            let index = shard_index(shard, slot, digest, &options);
             let (container, report) = {
                 let mut guard = slot.lock().expect("session lock");
                 guard.install_dep_index(fingerprint, index);

@@ -264,7 +264,7 @@ fn typed_errors_for_misuse() {
 /// Relog round-trip: the server turns a failure slice into a
 /// content-addressed slice pinball; the digest opens and slices like any
 /// upload, the container downloads and slices identically in a local
-/// session, and a repeat relog answers from the single-flight cache.
+/// session, and a repeat relog answers from the relog cache.
 #[test]
 fn relog_round_trip_slices_identically_on_server_and_locally() {
     let (program, pinball) = recorded();

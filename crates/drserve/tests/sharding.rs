@@ -3,10 +3,11 @@
 //!
 //! Routing is the load-bearing invariant of the sharded service: every
 //! request naming a pinball digest lands on shard `digest % N`, and
-//! session ids are allocated so `id % N` recovers the owning shard. That
-//! is what lets the per-shard caches stay single-flight without any
-//! cross-shard locking — eight clients slicing the same pinball funnel
-//! into one shard and share one dependence-index build. These tests pin
+//! session ids are allocated so `id % N` recovers the owning shard. With
+//! one worker thread per shard, that serializes every request about one
+//! pinball without any cross-shard locking — eight clients slicing or
+//! relogging the same pinball funnel into one shard and share one
+//! dependence-index build and one relog. These tests pin
 //! that down end to end through real connections, and check that the
 //! `Stats` rollup is an exact sum of the per-shard breakdown.
 
@@ -78,6 +79,14 @@ fn same_digest_funnels_to_one_shard_and_shares_one_index_build() {
                             .compute_slice(session, at, SliceOptions::default())
                             .expect("slice");
                     }
+                    // Every client then asks for the same slice pinball
+                    // at once: the shard's one worker relogs it once.
+                    let at = SliceAt::Criterion {
+                        criterion: Criterion::Record { id: criteria[0] },
+                    };
+                    client
+                        .relog(session, at, SliceOptions::default())
+                        .expect("relog");
                     (up.digest, session)
                 })
             })
@@ -102,7 +111,10 @@ fn same_digest_funnels_to_one_shard_and_shares_one_index_build() {
 
     let stats = server.stats();
     assert_eq!(stats.shards.len(), SHARDS);
-    assert_eq!(stats.pinballs, 1, "eight uploads dedupe to one pinball");
+    assert_eq!(
+        stats.pinballs, 2,
+        "eight uploads dedupe to one pinball, plus one slice pinball"
+    );
 
     // All eight sessions opened on exactly one shard; the rest are idle.
     let opened: Vec<u64> = stats
@@ -132,6 +144,9 @@ fn same_digest_funnels_to_one_shard_and_shares_one_index_build() {
         stats.cache.hits,
         (CLIENTS * criteria.len()) as u64 - criteria.len() as u64
     );
+    // Eight concurrent relogs of one criterion: one relog, seven hits.
+    assert_eq!(stats.relog_cache.misses, 1, "one relog across all clients");
+    assert_eq!(stats.relog_cache.hits, CLIENTS as u64 - 1);
 
     // Session ops route by id: a different connection can address a
     // session it did not open.

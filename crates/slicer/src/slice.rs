@@ -33,7 +33,7 @@ use crate::global::GlobalTrace;
 use crate::trace::{LocKey, RecordId};
 
 /// What to slice on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Criterion {
     /// Slice for everything the given record used — "the computation of the
     /// value at this statement instance" (the usual choice: the failure
