@@ -4,7 +4,7 @@
 //! For 1, 4, and 16 criteria against one recorded [`four_thread_churn`]
 //! trace, measures three regimes:
 //!
-//! * **cold** — no index: every criterion runs the sparse traversal,
+//! * **cold** — no index: every criterion runs the LP traversal,
 //!   re-chasing the save/restore bypass chain each time;
 //! * **first session** — [`DepIndex::build`] once, then answer every
 //!   criterion from it (what the first `slice` command in a debug
@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 
 use bench::exp::{churn_session, last_read_criteria};
 use criterion::{criterion_group, criterion_main, Criterion as Bencher};
-use slicer::{compute_slice_indexed, compute_slice_sparse, DepIndex, SliceOptions, SlicerOptions};
+use slicer::{compute_slice_indexed, compute_slice_lp, DepIndex, SliceOptions, SlicerOptions};
 
 const ITERS: u64 = 2_000;
 const CRITERIA_COUNTS: [usize; 3] = [1, 4, 16];
@@ -57,9 +57,9 @@ fn bench_incremental(c: &mut Bencher) {
 
     let mut group = c.benchmark_group("incremental");
     group.sample_size(10);
-    group.bench_function("cold-sparse-per-criterion", |b| {
+    group.bench_function("cold-lp-per-criterion", |b| {
         b.iter(|| {
-            compute_slice_sparse(trace, deep, pairs, opts.clone())
+            compute_slice_lp(trace, deep, pairs, opts.clone())
                 .records
                 .len()
         })
@@ -79,7 +79,7 @@ fn bench_incremental(c: &mut Bencher) {
         let batch = &criteria[..count];
         let cold = median_of(3, || {
             for &crit in batch {
-                compute_slice_sparse(trace, crit, pairs, opts.clone());
+                compute_slice_lp(trace, crit, pairs, opts.clone());
             }
         });
         let warm = median_of(10, || {

@@ -1,18 +1,13 @@
-//! Parallel-vs-serial slicing pipeline comparison.
+//! Parallel-vs-serial trace collection: serial single-collector replay vs
+//! sharded streaming collectors (one per thread, fed over channels) on a
+//! four-thread trace with >= 100k records.
 //!
-//! Exercises the two tentpole parallelisations against their serial
-//! baselines on a four-thread trace with >= 100k records:
-//!
-//! * `collection`: serial single-collector replay vs sharded streaming
-//!   collectors (one per thread, fed over channels);
-//! * `traversal`: the LP block-skipping scan vs the sparse index-guided
-//!   scan that never touches irrelevant blocks.
-//!
-//! Both variants are byte-identical in output (enforced by
-//! `tests/par_speedup.rs`); this bench only measures wall time.
+//! Both variants produce identical traces (enforced by the collect module's
+//! `parallel_collection_matches_serial` test); this bench only measures
+//! wall time.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use slicer::{compute_slice_lp, compute_slice_sparse, SliceOptions, SlicerOptions};
+use slicer::SlicerOptions;
 
 use bench::exp::needle_session;
 
@@ -43,28 +38,6 @@ fn bench_par_slicing(c: &mut Criterion) {
     ] {
         group.bench_function(BenchmarkId::new("collection", label), |b| {
             b.iter(|| needle_session(ITERS, opts()).0)
-        });
-    }
-
-    let (session, criterion) = needle_session(ITERS, SlicerOptions::default());
-    assert!(
-        session.trace().records().len() >= 100_000,
-        "bench trace must hold >= 100k records, got {}",
-        session.trace().records().len()
-    );
-    for (label, f) in [
-        ("lp", compute_slice_lp as fn(_, _, _, _) -> _),
-        ("sparse", compute_slice_sparse as fn(_, _, _, _) -> _),
-    ] {
-        group.bench_function(BenchmarkId::new("traversal", label), |b| {
-            b.iter(|| {
-                f(
-                    session.trace(),
-                    criterion,
-                    session.pairs(),
-                    SliceOptions::default(),
-                )
-            })
         });
     }
     group.finish();

@@ -163,7 +163,7 @@ pub fn slice_timed(session: &SliceSession, criterion: Criterion) -> (Slice, Dura
 /// of private arithmetic, while a six-record def chain threads a value
 /// through the `needle` word to the final instruction. The backward slice
 /// at the end touches a handful of records out of hundreds of thousands —
-/// LP's worst case (it scans every block) and the sparse index's best.
+/// LP's worst case (it scans every block).
 pub fn four_thread_needle(iters: u64) -> Arc<Program> {
     Arc::new(
         assemble(&format!(

@@ -385,7 +385,7 @@ pub fn ablations(region_length: u64) {
             collect_session(&rr.program, &rr.recording.pinball, SlicerOptions::default());
         let criterion = crate::exp::last_read_of_addr(&session, encoded).expect("encoded is read");
         let (lp, lp_t) = timed(|| {
-            slicer::compute_slice(
+            slicer::compute_slice_lp(
                 session.trace(),
                 criterion,
                 session.pairs(),

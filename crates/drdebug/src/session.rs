@@ -284,11 +284,6 @@ impl DebugSession {
         let mut opts = SliceOptions::new();
         opts.prune_save_restore = self.slicer_options.prune_save_restore;
         opts.prune_keys = self.prune_keys.clone();
-        opts.parallel_threshold = if self.slicer_options.parallel {
-            self.slicer_options.parallel_threshold
-        } else {
-            usize::MAX
-        };
         opts
     }
 

@@ -163,18 +163,19 @@ impl<V: Weigh> Cache<V> {
     /// Returns the cached value for `key`, or builds and stores it. The
     /// flag is `true` when the cache answered without running `build` —
     /// the wire-level `cached` flag. `build` runs with the lock released,
-    /// so a slow build never blocks a concurrent [`Cache::stats`].
-    pub(crate) fn get_or_insert_with(
+    /// so a slow build never blocks a concurrent [`Cache::stats`]; a build
+    /// that fails stores nothing and passes its error on.
+    pub(crate) fn get_or_insert_with<E>(
         &self,
         key: Key,
-        build: impl FnOnce() -> Arc<V>,
-    ) -> (Arc<V>, bool) {
+        build: impl FnOnce() -> Result<Arc<V>, E>,
+    ) -> Result<(Arc<V>, bool), E> {
         if let Some(hit) = self.get(key) {
-            return (hit, true);
+            return Ok((hit, true));
         }
-        let value = build();
+        let value = build()?;
         self.insert(key, Arc::clone(&value));
-        (value, false)
+        Ok((value, false))
     }
 
     /// Counter snapshot for the `Stats` path.
@@ -275,8 +276,9 @@ mod tests {
             cache
                 .get_or_insert_with((D, None, fp), || {
                     builds += 1;
-                    Arc::new(fp)
+                    Ok::<_, ()>(Arc::new(fp))
                 })
+                .expect("build succeeds")
                 .1
         };
         assert!(!ask(1), "cold key builds");
@@ -287,5 +289,16 @@ mod tests {
         let s = cache.stats();
         assert_eq!((s.misses, s.hits, s.evictions, s.entries), (3, 1, 2, 1));
         assert_eq!(s.bytes, 1, "evicted bytes freed");
+    }
+
+    #[test]
+    fn failed_build_stores_nothing() {
+        let cache: Cache<u64> = Cache::new(4);
+        let failed = cache.get_or_insert_with((D, rec(1), 0), || Err("no such record"));
+        assert_eq!(failed.err(), Some("no such record"));
+        let s = cache.stats();
+        assert_eq!((s.misses, s.entries, s.bytes), (1, 0, 0));
+        let built = cache.get_or_insert_with((D, rec(1), 0), || Ok::<_, ()>(Arc::new(5)));
+        assert_eq!(built.map(|(v, cached)| (*v, cached)), Ok((5, false)));
     }
 }

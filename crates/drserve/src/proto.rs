@@ -336,7 +336,8 @@ pub enum SliceAt {
         /// The location to explain, if any.
         key: Option<LocKey>,
     },
-    /// An explicit criterion (record id already known to the client).
+    /// An explicit criterion (record id already known to the client; a
+    /// record outside the trace is a [`ServeError::BadRequest`]).
     Criterion {
         /// The criterion to slice for.
         criterion: Criterion,
@@ -677,7 +678,8 @@ pub enum ServeError {
         reason: String,
     },
     /// The request is well-formed but cannot be served (e.g. slicing
-    /// `Here` while not stopped anywhere).
+    /// `Here` while not stopped anywhere, or at a criterion whose record
+    /// is not in the trace).
     BadRequest {
         /// Why the request cannot be served.
         reason: String,

@@ -635,7 +635,7 @@ fn try_execute(
                     micros: started.elapsed().as_micros() as u64,
                 });
             }
-            let (wire, cached) = slice_local(shard, &slot, digest, criterion, options);
+            let (wire, cached) = slice_local(shard, &slot, digest, criterion, options)?;
             Ok(Response::Slice {
                 slice: (*wire).clone(),
                 cached,
@@ -704,7 +704,7 @@ fn try_execute(
                     micros: started.elapsed().as_micros() as u64,
                 });
             }
-            let (outcome, cached) = relog_local(state, shard, &slot, digest, criterion, options);
+            let (outcome, cached) = relog_local(state, shard, &slot, digest, criterion, options)?;
             Ok(Response::Relogged {
                 digest: outcome.digest,
                 instructions: outcome.report.instructions,
@@ -1012,7 +1012,7 @@ fn try_execute(
         } => {
             let started = Instant::now();
             let slot = peer_session(state, shard, digest)?;
-            let (wire, cached) = slice_local(shard, &slot, digest, criterion, options);
+            let (wire, cached) = slice_local(shard, &slot, digest, criterion, options)?;
             Ok(Response::Slice {
                 slice: (*wire).clone(),
                 cached,
@@ -1026,7 +1026,7 @@ fn try_execute(
         } => {
             let started = Instant::now();
             let slot = peer_session(state, shard, digest)?;
-            let (outcome, cached) = relog_local(state, shard, &slot, digest, criterion, options);
+            let (outcome, cached) = relog_local(state, shard, &slot, digest, criterion, options)?;
             Ok(Response::Relogged {
                 digest: outcome.digest,
                 instructions: outcome.report.instructions,
@@ -1161,18 +1161,18 @@ fn slice_local(
     digest: PinballDigest,
     criterion: Criterion,
     options: SliceOptions,
-) -> (Arc<WireSlice>, bool) {
+) -> Result<(Arc<WireSlice>, bool), ServeError> {
     let fingerprint = options.fingerprint();
     shard
         .cache
         .get_or_insert_with((digest, Some(criterion), fingerprint), || {
-            let index = shard_index(shard, slot, digest, &options);
+            let index = shard_index(shard, slot, digest, &options, criterion)?;
             let slice = {
                 let mut guard = slot.lock().expect("session lock");
                 guard.install_dep_index(fingerprint, index);
                 guard.slice_criterion(criterion, options)
             };
-            Arc::new(WireSlice::from_slice(&slice))
+            Ok(Arc::new(WireSlice::from_slice(&slice)))
         })
 }
 
@@ -1180,17 +1180,30 @@ fn slice_local(
 /// per cache residency. One index answers every criterion on the pinball,
 /// and same-digest requests always route to this shard — so it builds
 /// once across all clients and, with cluster forwarding, the whole fleet.
+///
+/// A `criterion` whose record the index does not cover is the client's
+/// error: it would otherwise panic the traversal on this shard's only
+/// worker thread.
 fn shard_index(
     shard: &Shard,
     slot: &Arc<Mutex<drdebug::DebugSession>>,
     digest: PinballDigest,
     options: &SliceOptions,
-) -> Arc<DepIndex> {
+    criterion: Criterion,
+) -> Result<Arc<DepIndex>, ServeError> {
     let key = (digest, None, options.fingerprint());
     let (index, _) = shard.index_cache.get_or_insert_with(key, || {
-        slot.lock().expect("session lock").dep_index_for(options)
-    });
-    index
+        Ok::<_, ServeError>(slot.lock().expect("session lock").dep_index_for(options))
+    })?;
+    if index.position(criterion.record_id()).is_none() {
+        return Err(ServeError::BadRequest {
+            reason: format!(
+                "criterion record {} is not in the trace",
+                criterion.record_id()
+            ),
+        });
+    }
+    Ok(index)
 }
 
 /// Relogs (or serves from the relog cache) — the shared tail of `Relog`
@@ -1202,7 +1215,7 @@ fn relog_local(
     digest: PinballDigest,
     criterion: Criterion,
     options: SliceOptions,
-) -> (Arc<RelogOutcome>, bool) {
+) -> Result<(Arc<RelogOutcome>, bool), ServeError> {
     let fingerprint = options.fingerprint();
     shard
         .relog_cache
@@ -1211,7 +1224,7 @@ fn relog_local(
             // under the session lock, then publish the slice pinball into
             // the global content-addressed store so any shard can open,
             // fetch, and slice it.
-            let index = shard_index(shard, slot, digest, &options);
+            let index = shard_index(shard, slot, digest, &options, criterion)?;
             let (container, report) = {
                 let mut guard = slot.lock().expect("session lock");
                 guard.install_dep_index(fingerprint, index);
@@ -1224,11 +1237,11 @@ fn relog_local(
                     .store
                     .insert_if_absent(slice_digest, program, Arc::new(container));
             }
-            Arc::new(RelogOutcome {
+            Ok(Arc::new(RelogOutcome {
                 digest: slice_digest,
                 report,
                 bytes,
-            })
+            }))
         })
 }
 

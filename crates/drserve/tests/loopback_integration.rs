@@ -261,6 +261,47 @@ fn typed_errors_for_misuse() {
     assert_eq!(stats.errors, 4);
 }
 
+/// A criterion outside the trace is the client's error, not the shard's:
+/// a one-shard server answers a slice and a relog at an unknown record
+/// with `BadRequest`, caches neither, and its only worker goes on serving
+/// the session.
+#[test]
+fn out_of_trace_criterion_is_a_bad_request_and_the_shard_survives() {
+    let (program, pinball) = recorded();
+    let expected = local_failure_slice(&program, &pinball);
+    let server = Server::new(ServeConfig {
+        shards: 1,
+        ..ServeConfig::default()
+    });
+    let mut client = server.loopback_client();
+    let up = client.upload(&program, &pinball).expect("upload");
+    let session = client.open(up.digest).expect("open");
+
+    let outside = SliceAt::Criterion {
+        criterion: Criterion::Record { id: RecordId::MAX },
+    };
+    match client.compute_slice(session, outside.clone(), SliceOptions::default()) {
+        Err(ClientError::Server(ServeError::BadRequest { .. })) => {}
+        other => panic!("expected BadRequest for the slice, got {other:?}"),
+    }
+    match client.relog(session, outside, SliceOptions::default()) {
+        Err(ClientError::Server(ServeError::BadRequest { .. })) => {}
+        other => panic!("expected BadRequest for the relog, got {other:?}"),
+    }
+
+    let reply = client
+        .compute_slice(session, SliceAt::Failure, SliceOptions::default())
+        .expect("the shard still answers");
+    assert_eq!(reply.slice.canonical_bytes(), expected);
+    let stats = server.stats();
+    assert_eq!(stats.errors, 2, "{stats}");
+    assert_eq!(stats.cache.entries, 1, "only the valid slice is cached");
+    assert_eq!(
+        stats.relog_cache.entries, 0,
+        "the failed relog stored nothing"
+    );
+}
+
 /// Relog round-trip: the server turns a failure slice into a
 /// content-addressed slice pinball; the digest opens and slices like any
 /// upload, the container downloads and slices identically in a local

@@ -23,8 +23,13 @@ use crate::global::{GlobalTrace, DEFAULT_BLOCK_SIZE};
 use crate::metrics::{SliceMetrics, StageMetrics};
 use crate::pairs::{PairCandidates, PairDetector};
 use crate::regions::{exclusion_regions, ExclusionStats};
-use crate::slice::{compute_slice, Criterion, Slice, SliceOptions, DEFAULT_PARALLEL_THRESHOLD};
+use crate::slice::{compute_slice_lp, Criterion, Slice, SliceOptions};
 use crate::trace::{LocKey, RecordId, TraceRecord};
+
+/// Logged-instruction count from which [`SlicerOptions::parallel`]
+/// collection engages by default; shorter recordings collect serially,
+/// where thread and channel set-up would cost more than it saves.
+pub const DEFAULT_PARALLEL_THRESHOLD: usize = 4096;
 
 /// Upper bound on concurrent collector threads (one per thread shard).
 const MAX_COLLECTORS: usize = 8;
@@ -55,13 +60,12 @@ pub struct SlicerOptions {
     pub cluster: bool,
     /// Apply save/restore bypass pruning when slicing (§5.2).
     pub prune_save_restore: bool,
-    /// Use the parallel pipeline (concurrent per-thread collectors fed by a
-    /// streaming replay, parallel block summaries, sparse traversal) for
-    /// workloads at least `parallel_threshold` instructions long. The
-    /// parallel and serial pipelines produce identical slices.
+    /// Collect in parallel (concurrent per-thread collectors fed by a
+    /// streaming replay) for multi-threaded workloads at least
+    /// `parallel_threshold` instructions long. The parallel and serial
+    /// collections produce identical traces.
     pub parallel: bool,
-    /// Minimum logged-instruction count before `parallel` engages, and the
-    /// minimum trace length before slice queries take the sparse path.
+    /// Minimum logged-instruction count before `parallel` engages.
     pub parallel_threshold: usize,
 }
 
@@ -301,24 +305,22 @@ impl SliceSession {
         &self.pairs
     }
 
-    /// Computes a backward dynamic slice.
+    /// Computes a one-shot backward dynamic slice with the paper's LP
+    /// traversal ([`compute_slice_lp`]). Nothing is kept between calls: a
+    /// trace sliced again and again is cheaper to query through a
+    /// [`DepIndex`](crate::DepIndex), as the debugger does.
     pub fn slice(&self, criterion: Criterion) -> Slice {
         let opts = SliceOptions {
             prune_save_restore: self.options.prune_save_restore,
-            parallel_threshold: if self.options.parallel {
-                self.options.parallel_threshold
-            } else {
-                usize::MAX
-            },
             ..SliceOptions::new()
         };
-        compute_slice(&self.trace, criterion, &self.pairs, opts)
+        self.slice_with(criterion, opts)
     }
 
     /// Computes a slice with explicit per-call options (for the pruning
     /// ablation of Fig. 13).
     pub fn slice_with(&self, criterion: Criterion, opts: SliceOptions) -> Slice {
-        compute_slice(&self.trace, criterion, &self.pairs, opts)
+        compute_slice_lp(&self.trace, criterion, &self.pairs, opts)
     }
 
     /// The last *retired* record of the trace — for buggy pinballs this is

@@ -74,8 +74,8 @@ pub struct GlobalTrace {
     blocks: Vec<BlockSummary>,
     block_size: usize,
     /// location key -> ascending positions of its definitions. Precomputed
-    /// alongside the block summaries, this lets the sparse traversal jump
-    /// straight to a live key's reaching definition instead of scanning.
+    /// alongside the block summaries, this is the per-key definition list
+    /// [`DepIndex`](crate::DepIndex) resolves reaching definitions from.
     def_index: HashMap<LocKey, Vec<usize>>,
     track_sp: bool,
 }
@@ -219,7 +219,8 @@ impl GlobalTrace {
     }
 
     /// Ascending positions of every definition of `key` — the precomputed
-    /// per-key summary the sparse traversal jumps through.
+    /// per-key summary [`DepIndex`](crate::DepIndex) builds its definition
+    /// table from.
     pub fn def_positions(&self, key: &LocKey) -> &[usize] {
         self.def_index.get(key).map_or(&[], Vec::as_slice)
     }

@@ -13,21 +13,28 @@
 //! into the edge targets. [`compute_slice_indexed`] is then a pure BFS over
 //! the CSR arrays — no `HashMap` probes, no live-set bookkeeping, no block
 //! rescan — and produces slices byte-identical (criterion, records, data
-//! edges, control edges) to [`compute_slice_sparse`].
+//! edges, control edges) to the LP scan, [`compute_slice_lp`].
 //!
-//! The index is built in parallel over disjoint record ranges with the same
-//! atomic-work-queue + deterministic in-order merge used by the LP block
-//! summaries in [`crate::global`], so its contents are byte-for-byte
+//! The index pays for itself only when a trace is sliced more than once:
+//! on the 112k-record churn trace, building it costs about as much as
+//! seventeen one-shot LP slices, and each query after that is about a
+//! thousand times faster than LP. A one-shot slice therefore stays on LP.
+//!
+//! One body builds the index: [`DepIndex::build`] grows an empty index over
+//! the whole trace, and [`DepIndex::append`] grows it over a streamed
+//! suffix. The edge fill runs in parallel over disjoint record ranges with
+//! the same atomic-work-queue + deterministic in-order merge used by the LP
+//! block summaries in [`crate::global`], so its contents are byte-for-byte
 //! independent of the worker count.
 //!
 //! Traversal statistics on an indexed slice are a deterministic function of
-//! the index and the criterion, but — like the sparse-vs-LP split — they
-//! are *advisory* relative to the scanning traversals: the BFS touches only
-//! slice members, so `records_scanned` equals the slice size minus the
-//! criterion, and `bypasses` counts the bypass links baked into the edges
-//! the query actually crossed.
+//! the index and the criterion, but they are *advisory* relative to the
+//! scanning traversals: the BFS touches only slice members, so
+//! `records_scanned` equals the slice size minus the criterion, and
+//! `bypasses` counts the bypass links baked into the edges the query
+//! actually crossed.
 //!
-//! [`compute_slice_sparse`]: crate::slice::compute_slice_sparse
+//! [`compute_slice_lp`]: crate::slice::compute_slice_lp
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -51,7 +58,7 @@ const MAX_INDEX_WORKERS: usize = 16;
 /// edge fill.
 const INDEX_SHARD: usize = 1024;
 
-/// Timings and sizes from one [`DepIndex::build`].
+/// Timings and sizes from one [`DepIndex::build`] or [`DepIndex::append`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexBuildStats {
     /// Wall time of the whole build.
@@ -116,12 +123,14 @@ pub struct DepIndex {
 }
 
 impl DepIndex {
-    /// Builds the dependence index for `trace` under `options`.
+    /// Builds the dependence index for `trace` under `options`: an empty
+    /// index grown over the whole trace by the body [`DepIndex::append`]
+    /// runs on a suffix.
     ///
     /// `pairs` maps verified restore record ids to their save record ids
-    /// (as for [`crate::slice::compute_slice`]); with §5.2 pruning enabled
-    /// the save/restore bypass chains are chased here, once, instead of on
-    /// every traversal.
+    /// (as for [`crate::slice::compute_slice_lp`]); with §5.2 pruning
+    /// enabled the save/restore bypass chains are chased here, once,
+    /// instead of on every traversal.
     ///
     /// # Panics
     ///
@@ -131,212 +140,25 @@ impl DepIndex {
         pairs: &HashMap<RecordId, RecordId>,
         options: &SliceOptions,
     ) -> DepIndex {
-        let started = Instant::now();
-        let records = trace.records();
-        let n = records.len();
-        assert!(
-            (n as u64) < NONE as u64,
-            "trace too large for a u32-packed index"
-        );
-        let track_sp = trace.track_sp();
-
-        // Intern every key in deterministic (trace-order) encounter order.
-        let mut keys: Vec<LocKey> = Vec::new();
-        let mut key_ids: HashMap<LocKey, u32> = HashMap::new();
-        let mut record_ids = Vec::with_capacity(n);
-        let mut pos_of = HashMap::with_capacity(n);
-        let mut cd_parent_pos = Vec::with_capacity(n);
-        for (pos, r) in records.iter().enumerate() {
-            record_ids.push(r.id);
-            pos_of.insert(r.id, pos as u32);
-            for (k, _) in r.def_keys(track_sp).chain(r.use_keys(track_sp)) {
-                key_ids.entry(k).or_insert_with(|| {
-                    keys.push(k);
-                    (keys.len() - 1) as u32
-                });
-            }
-        }
-        for r in records {
-            let cd = r
-                .cd_parent
-                .and_then(|cd| trace.position(cd))
-                .map_or(NONE, |p| p as u32);
-            cd_parent_pos.push(cd);
-        }
-
-        // Per-key definition CSR with bypass-resolved targets. Chains move
-        // strictly downward, so resolving each key's slots in ascending
-        // order sees every chain target already resolved.
-        let mut key_def_offsets: Vec<u32> = Vec::with_capacity(keys.len() + 1);
-        let mut key_defs: Vec<u32> = Vec::new();
-        let mut key_resolved: Vec<u32> = Vec::new();
-        let mut key_hops: Vec<u32> = Vec::new();
-        let mut bypass_links: u64 = 0;
-        key_def_offsets.push(0);
-        for &key in &keys {
-            let defs = trace.def_positions(&key);
-            let base = key_defs.len();
-            for (i, &p) in defs.iter().enumerate() {
-                let r = &records[p];
-                let bypass_to = if options.prune_save_restore && matches!(key, LocKey::Reg(..)) {
-                    pairs
-                        .get(&r.id)
-                        .and_then(|&save| trace.position(save))
-                        .filter(|&sp| sp < p)
-                } else {
-                    None
-                };
-                match bypass_to {
-                    Some(save_pos) => {
-                        // The query resumes strictly below the save, exactly
-                        // as the scanning traversals defer it: the next
-                        // candidate is the greatest definition below
-                        // `save_pos.saturating_sub(1) + 1`.
-                        let limit = save_pos.saturating_sub(1) + 1;
-                        let j = defs[..i].partition_point(|&q| q < limit);
-                        if j == 0 {
-                            key_defs.push(p as u32);
-                            key_resolved.push(NONE);
-                            key_hops.push(1);
-                        } else {
-                            key_defs.push(p as u32);
-                            key_resolved.push(key_resolved[base + j - 1]);
-                            key_hops.push(1 + key_hops[base + j - 1]);
-                        }
-                        bypass_links += 1;
-                    }
-                    None => {
-                        key_defs.push(p as u32);
-                        key_resolved.push(p as u32);
-                        key_hops.push(0);
-                    }
-                }
-            }
-            key_def_offsets.push(key_defs.len() as u32);
-        }
-
         let mut index = DepIndex {
-            record_ids,
-            pos_of,
-            cd_parent_pos,
-            keys,
-            key_ids,
-            edge_offsets: Vec::new(),
+            record_ids: Vec::new(),
+            pos_of: HashMap::new(),
+            cd_parent_pos: Vec::new(),
+            keys: Vec::new(),
+            key_ids: HashMap::new(),
+            edge_offsets: vec![0],
             edges: Vec::new(),
             edge_keys: Vec::new(),
             edge_hops: Vec::new(),
-            key_def_offsets,
-            key_defs,
-            key_resolved,
-            key_hops,
+            key_def_offsets: vec![0],
+            key_defs: Vec::new(),
+            key_resolved: Vec::new(),
+            key_hops: Vec::new(),
             block_size: trace.block_size(),
             options_fingerprint: options.fingerprint(),
             stats: IndexBuildStats::default(),
         };
-
-        // Parallel edge fill: workers claim record shards from a shared
-        // atomic counter and resolve every non-pruned use against the
-        // per-key CSR; shard results merge in shard order, so the arrays
-        // are identical for every worker count.
-        let workers = if n >= PAR_INDEX_THRESHOLD {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-                .clamp(1, MAX_INDEX_WORKERS)
-        } else {
-            1
-        };
-        let n_shards = n.div_ceil(INDEX_SHARD).max(1);
-        // One shard's result: per-record row lengths + flat (def, key, hops).
-        type ShardEdges = (Vec<u32>, Vec<(u32, u32, u32)>);
-        let fill_shard = |shard: usize| -> ShardEdges {
-            let start = shard * INDEX_SHARD;
-            let end = (start + INDEX_SHARD).min(n);
-            // (row lengths, flat edge triples) for this shard.
-            let mut rows: Vec<u32> = Vec::with_capacity(end - start);
-            let mut flat: Vec<(u32, u32, u32)> = Vec::new();
-            for (pos, r) in records[start..end].iter().enumerate() {
-                let pos = start + pos;
-                let before = flat.len();
-                for (k, _) in r.use_keys(track_sp) {
-                    if options.prune_keys.contains(&k) {
-                        continue;
-                    }
-                    if let Some((def, hops)) = index.resolve_interned(&k, pos) {
-                        flat.push((def, index.key_ids[&k], hops));
-                    }
-                }
-                rows.push((flat.len() - before) as u32);
-            }
-            (rows, flat)
-        };
-
-        let mut per_shard: Vec<Option<ShardEdges>> = (0..n_shards).map(|_| None).collect();
-        if workers <= 1 {
-            for (s, slot) in per_shard.iter_mut().enumerate() {
-                *slot = Some(fill_shard(s));
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let partials = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        s.spawn(|| {
-                            let mut mine = Vec::new();
-                            loop {
-                                let shard = next.fetch_add(1, Ordering::Relaxed);
-                                if shard >= n_shards {
-                                    break;
-                                }
-                                mine.push((shard, fill_shard(shard)));
-                            }
-                            mine
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("index worker panicked"))
-                    .collect::<Vec<_>>()
-            });
-            for (s, result) in partials {
-                per_shard[s] = Some(result);
-            }
-        }
-
-        let mut edge_offsets = Vec::with_capacity(n + 1);
-        let mut edges = Vec::new();
-        let mut edge_keys = Vec::new();
-        let mut edge_hops = Vec::new();
-        edge_offsets.push(0u32);
-        for slot in per_shard {
-            let (rows, flat) = slot.expect("every shard filled");
-            let mut at = 0usize;
-            for len in rows {
-                at += len as usize;
-                edge_offsets.push(edge_offsets.last().copied().unwrap_or(0) + len);
-            }
-            debug_assert_eq!(at, flat.len());
-            for (def, kid, hops) in flat {
-                edges.push(def);
-                edge_keys.push(kid);
-                edge_hops.push(hops);
-            }
-        }
-        debug_assert_eq!(edge_offsets.len(), n + 1);
-        debug_assert_eq!(*edge_offsets.last().unwrap() as usize, edges.len());
-
-        index.edge_offsets = edge_offsets;
-        index.edges = edges;
-        index.edge_keys = edge_keys;
-        index.edge_hops = edge_hops;
-        index.stats = IndexBuildStats {
-            wall: started.elapsed(),
-            keys: index.keys.len(),
-            edges: index.edges.len(),
-            bypass_links,
-            workers,
-        };
+        index.extend_over(trace, pairs, options);
         index
     }
 
@@ -372,15 +194,9 @@ impl DepIndex {
         pairs: &HashMap<RecordId, RecordId>,
         options: &SliceOptions,
     ) {
-        let started = Instant::now();
         let records = trace.records();
         let old_n = self.record_ids.len();
-        let n = records.len();
-        assert!(
-            (n as u64) < NONE as u64,
-            "trace too large for a u32-packed index"
-        );
-        assert!(n >= old_n, "trace shrank under the index");
+        assert!(records.len() >= old_n, "trace shrank under the index");
         assert_eq!(
             options.fingerprint(),
             self.options_fingerprint,
@@ -398,15 +214,36 @@ impl DepIndex {
                 .all(|(r, &id)| r.id == id),
             "trace prefix changed under the index"
         );
-        if n == old_n {
-            return;
+        if records.len() > old_n {
+            self.extend_over(trace, pairs, options);
         }
+    }
+
+    /// The body shared by [`DepIndex::build`] and [`DepIndex::append`]:
+    /// interns the suffix's keys, lays out the per-key definition CSR with
+    /// §5.2 bypass chains resolved, and fills the suffix's edge rows.
+    fn extend_over(
+        &mut self,
+        trace: &GlobalTrace,
+        pairs: &HashMap<RecordId, RecordId>,
+        options: &SliceOptions,
+    ) {
+        let started = Instant::now();
+        let records = trace.records();
+        let old_n = self.record_ids.len();
+        let n = records.len();
+        assert!(
+            (n as u64) < NONE as u64,
+            "trace too large for a u32-packed index"
+        );
         let track_sp = trace.track_sp();
 
         // Suffix interning: prefix records are unchanged, so their
         // encounter order — and therefore the prefix of the key table —
         // is exactly the batch build's.
         self.record_ids.reserve(n - old_n);
+        self.pos_of.reserve(n - old_n);
+        self.cd_parent_pos.reserve(n - old_n);
         for (pos, r) in records[old_n..].iter().enumerate() {
             let pos = old_n + pos;
             self.record_ids.push(r.id);
@@ -428,16 +265,18 @@ impl DepIndex {
             self.cd_parent_pos.push(cd);
         }
 
-        // Grow the per-key definition CSR. Per-key rows must stay
+        // Lay out the per-key definition CSR. Per-key rows must stay
         // contiguous as definitions land in old keys' rows, so the flat
         // arrays are rebuilt — but prefix slots are identical to the batch
         // build's (bypass chains only chase earlier definitions), so old
         // rows are copied verbatim and only definitions landing in the
-        // suffix pay resolution. This keeps the append's CSR cost at
+        // suffix pay resolution. This keeps an append's CSR cost at
         // O(copy + suffix), not O(re-resolving every definition): on a
         // long stream the copy is a few memmoves while re-resolution
-        // would approach the full-build cost it exists to avoid.
-        let old_keys = self.key_def_offsets.len().saturating_sub(1);
+        // would approach the full-build cost it exists to avoid. Chains
+        // move strictly downward, so resolving each key's slots in
+        // ascending order sees every chain target already resolved.
+        let old_keys = self.key_def_offsets.len() - 1;
         let mut key_def_offsets: Vec<u32> = Vec::with_capacity(self.keys.len() + 1);
         let mut key_defs: Vec<u32> = Vec::with_capacity(self.key_defs.len());
         let mut key_resolved: Vec<u32> = Vec::with_capacity(self.key_resolved.len());
@@ -472,23 +311,25 @@ impl DepIndex {
                 } else {
                     None
                 };
+                key_defs.push(p as u32);
                 match bypass_to {
                     Some(save_pos) => {
+                        // The query resumes strictly below the save, exactly
+                        // as the LP scan defers it: the next candidate is
+                        // the greatest definition below
+                        // `save_pos.saturating_sub(1) + 1`.
                         let limit = save_pos.saturating_sub(1) + 1;
                         let j = defs[..i].partition_point(|&q| q < limit);
                         if j == 0 {
-                            key_defs.push(p as u32);
                             key_resolved.push(NONE);
                             key_hops.push(1);
                         } else {
-                            key_defs.push(p as u32);
                             key_resolved.push(key_resolved[base + j - 1]);
                             key_hops.push(1 + key_hops[base + j - 1]);
                         }
                         bypass_links += 1;
                     }
                     None => {
-                        key_defs.push(p as u32);
                         key_resolved.push(p as u32);
                         key_hops.push(0);
                     }
@@ -501,11 +342,13 @@ impl DepIndex {
         self.key_resolved = key_resolved;
         self.key_hops = key_hops;
 
-        // Edge fill restricted to the suffix — the expensive stage the
-        // incremental path avoids re-running over the prefix. A use at
-        // position `p` resolves against definitions strictly below `p`
-        // only, so prefix rows are already exactly what a batch build
-        // would produce.
+        // Edge fill over the suffix: workers claim record shards from a
+        // shared atomic counter and resolve every non-pruned use against
+        // the per-key CSR; shard results merge in shard order, so the
+        // arrays are identical for every worker count. A use at position
+        // `p` resolves against definitions strictly below `p` only, so
+        // prefix rows are already exactly what a batch build would
+        // produce.
         let suffix = n - old_n;
         let workers = if suffix >= PAR_INDEX_THRESHOLD {
             std::thread::available_parallelism()
@@ -516,6 +359,7 @@ impl DepIndex {
             1
         };
         let n_shards = suffix.div_ceil(INDEX_SHARD).max(1);
+        // One shard's result: per-record row lengths + flat (def, key, hops).
         type ShardEdges = (Vec<u32>, Vec<(u32, u32, u32)>);
         let index = &*self;
         let fill_shard = |shard: usize| -> ShardEdges {
@@ -572,27 +416,24 @@ impl DepIndex {
             }
         }
 
-        let mut edge_offsets = std::mem::take(&mut self.edge_offsets);
-        let mut edges = std::mem::take(&mut self.edges);
-        let mut edge_keys = std::mem::take(&mut self.edge_keys);
-        let mut edge_hops = std::mem::take(&mut self.edge_hops);
+        self.edge_offsets.reserve(suffix);
         for slot in per_shard {
             let (rows, flat) = slot.expect("every shard filled");
             for len in rows {
-                edge_offsets.push(edge_offsets.last().copied().unwrap_or(0) + len);
+                let last = self.edge_offsets.last().copied().unwrap_or(0);
+                self.edge_offsets.push(last + len);
             }
             for (def, kid, hops) in flat {
-                edges.push(def);
-                edge_keys.push(kid);
-                edge_hops.push(hops);
+                self.edges.push(def);
+                self.edge_keys.push(kid);
+                self.edge_hops.push(hops);
             }
         }
-        debug_assert_eq!(edge_offsets.len(), n + 1);
-        debug_assert_eq!(*edge_offsets.last().unwrap() as usize, edges.len());
-        self.edge_offsets = edge_offsets;
-        self.edges = edges;
-        self.edge_keys = edge_keys;
-        self.edge_hops = edge_hops;
+        debug_assert_eq!(self.edge_offsets.len(), n + 1);
+        debug_assert_eq!(
+            *self.edge_offsets.last().unwrap() as usize,
+            self.edges.len()
+        );
 
         self.stats = IndexBuildStats {
             wall: started.elapsed(),
@@ -649,6 +490,12 @@ impl DepIndex {
         Some((resolved, self.key_hops[lo + i - 1]))
     }
 
+    /// Position of a record id in the indexed trace order, or `None` when
+    /// the index does not cover the record.
+    pub fn position(&self, id: RecordId) -> Option<usize> {
+        self.pos_of.get(&id).map(|&p| p as usize)
+    }
+
     /// Number of records the index covers.
     pub fn len(&self) -> usize {
         self.record_ids.len()
@@ -697,19 +544,19 @@ impl DepIndex {
 ///
 /// The result is byte-identical — criterion, record set, data edges,
 /// control edges, including edge order and duplicate multiplicity — to
-/// [`compute_slice_sparse`](crate::slice::compute_slice_sparse) run with
-/// the options the index was built for. The traversal statistics are a
+/// [`compute_slice_lp`](crate::slice::compute_slice_lp) run with the
+/// options the index was built for. The traversal statistics are a
 /// deterministic function of the index and the criterion (see the module
 /// docs for how they relate to the scanning traversals' stats).
 ///
 /// # Panics
 ///
-/// Panics if the criterion's record id is not present in the index.
+/// Panics if the criterion's record id is not present in the index; check
+/// untrusted criteria with [`DepIndex::position`] first.
 pub fn compute_slice_indexed(index: &DepIndex, criterion: Criterion) -> Slice {
-    let crit_pos = *index
-        .pos_of
-        .get(&criterion.record_id())
-        .expect("criterion record not in trace") as usize;
+    let crit_pos = index
+        .position(criterion.record_id())
+        .expect("criterion record not in trace");
 
     let mut slice = Slice {
         criterion,
@@ -808,8 +655,8 @@ pub fn compute_slice_indexed(index: &DepIndex, criterion: Criterion) -> Slice {
         .sort_unstable_by_key(|e| (e.user, e.def, e.key));
 
     // Deterministic advisory stats: the BFS touches exactly the slice
-    // members, so scanned = |slice| - 1; block accounting mirrors the
-    // sparse traversal's "blocks at or below the criterion's".
+    // members, so scanned = |slice| - 1; every block at or below the
+    // criterion's that holds no slice member counts as skipped.
     slice.stats.records_scanned = (order.len() - 1) as u64;
     let blocks: HashSet<usize> = order
         .iter()

@@ -24,6 +24,12 @@
 //!   PinPlay-style relogging, which yields the *slice pinball* whose replay
 //!   skips everything outside the slice (§4).
 //!
+//! Three traversals answer a slice, one job each:
+//! [`compute_slice_lp`] (the paper's LP scan) for a one-shot slice,
+//! [`DepIndex`] + [`compute_slice_indexed`] for repeated slices of one
+//! trace, and [`compute_slice_naive`] as the test oracle. All three return
+//! identical slices.
+//!
 //! # Example: slice a failing assertion
 //!
 //! ```
@@ -70,7 +76,7 @@ pub mod slice;
 pub mod slicefile;
 pub mod trace;
 
-pub use collect::{SliceSession, SlicerOptions};
+pub use collect::{SliceSession, SlicerOptions, DEFAULT_PARALLEL_THRESHOLD};
 pub use control::ControlTracker;
 pub use global::{
     is_valid_topological_order, BlockSummary, BuildMetrics, GlobalTrace, DEFAULT_BLOCK_SIZE,
@@ -80,8 +86,7 @@ pub use metrics::{SliceMetrics, StageMetrics};
 pub use pairs::{PairCandidates, PairDetector};
 pub use regions::{exclusion_regions, is_force_included, ExclusionStats, OPEN_END_PC};
 pub use slice::{
-    compute_slice, compute_slice_lp, compute_slice_naive, compute_slice_sparse, Criterion,
-    DataEdge, Slice, SliceOptions, SliceStats, DEFAULT_PARALLEL_THRESHOLD,
+    compute_slice_lp, compute_slice_naive, Criterion, DataEdge, Slice, SliceOptions, SliceStats,
 };
 pub use slicefile::{SliceFile, SliceFileError, SliceStatement, SLICE_MAGIC};
 pub use trace::{LocKey, RecordId, TraceRecord};

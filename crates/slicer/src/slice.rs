@@ -151,11 +151,6 @@ impl Slice {
     }
 }
 
-/// Traces at least this long use the sparse (index-guided) traversal by
-/// default; shorter traces stay on the LP block scan, whose sequential
-/// sweep is cheaper than heap bookkeeping at small scale.
-pub const DEFAULT_PARALLEL_THRESHOLD: usize = 4096;
-
 /// Options controlling a slicing traversal.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SliceOptions {
@@ -167,11 +162,6 @@ pub struct SliceOptions {
     /// out of the slice. Useful for suppressing well-understood inputs
     /// (configuration reads, loop counters) while investigating.
     pub prune_keys: std::collections::HashSet<LocKey>,
-    /// Minimum trace length for [`compute_slice`] to take the sparse
-    /// index-guided path (built by the parallel pipeline's summarize
-    /// stage); below it the serial LP block scan runs. `usize::MAX` forces
-    /// LP, `0` forces sparse. Both paths produce identical slices.
-    pub parallel_threshold: usize,
 }
 
 impl Default for SliceOptions {
@@ -186,7 +176,6 @@ impl SliceOptions {
         SliceOptions {
             prune_save_restore: true,
             prune_keys: std::collections::HashSet::new(),
-            parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
         }
     }
 
@@ -198,15 +187,8 @@ impl SliceOptions {
 
     /// A stable fingerprint of the options, for content-addressed caching
     /// of slice results: two option sets fingerprint equally exactly when
-    /// they request the same traversal *output*.
-    ///
-    /// The prune set is hashed in sorted order (its in-memory iteration
-    /// order is not deterministic), and `parallel_threshold` is folded to a
-    /// single bit — the sparse and LP paths produce identical slices, so
-    /// only "pruning on/off and which keys" can change the result. The
-    /// exception is the stats the traversal reports, which do depend on the
-    /// path taken; callers caching stats alongside the slice should treat
-    /// them as advisory.
+    /// they request the same traversal *output*. The prune set is hashed in
+    /// sorted order (its in-memory iteration order is not deterministic).
     pub fn fingerprint(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -241,36 +223,16 @@ impl SliceOptions {
 /// of a key.
 type LiveSet = HashMap<LocKey, Vec<RecordId>>;
 
-/// Computes the backward dynamic slice of `criterion` over `trace`.
+/// Computes the backward dynamic slice of `criterion` over `trace` with the
+/// paper's Limited Preprocessing traversal: a backward block-by-block scan
+/// skipping blocks whose definition summary intersects neither the live set
+/// nor any needed/deferred position. This is the one-shot path; a trace
+/// that will be sliced repeatedly is cheaper to query through a
+/// [`DepIndex`](crate::DepIndex).
 ///
 /// `pairs` maps verified restore record ids to their save record ids (from
 /// [`PairDetector`](crate::pairs::PairDetector)); pass an empty map to
 /// disable pruning regardless of `options`.
-///
-/// Dispatches between two traversals producing identical slices: the
-/// sparse index-guided scan ([`compute_slice_sparse`]) for traces of at
-/// least `options.parallel_threshold` records, and the serial LP block
-/// scan ([`compute_slice_lp`]) below it.
-///
-/// # Panics
-///
-/// Panics if the criterion's record id is not present in the trace.
-pub fn compute_slice(
-    trace: &GlobalTrace,
-    criterion: Criterion,
-    pairs: &HashMap<RecordId, RecordId>,
-    options: SliceOptions,
-) -> Slice {
-    if trace.records().len() >= options.parallel_threshold {
-        compute_slice_sparse(trace, criterion, pairs, options)
-    } else {
-        compute_slice_lp(trace, criterion, pairs, options)
-    }
-}
-
-/// The serial Limited Preprocessing traversal: a backward block-by-block
-/// scan skipping blocks whose definition summary intersects neither the
-/// live set nor any needed/deferred position.
 ///
 /// # Panics
 ///
@@ -328,38 +290,6 @@ pub fn compute_slice_lp(
         }
     }
 
-    // Helper: when a record enters the slice, its (non-pruned) uses go live
-    // and its control parent becomes needed. (The argument count mirrors
-    // the traversal state; bundling it into a struct would only rename the
-    // problem.)
-    #[allow(clippy::too_many_arguments)]
-    fn admit(
-        r: &crate::trace::TraceRecord,
-        pos: usize,
-        track_sp: bool,
-        options: &SliceOptions,
-        trace: &GlobalTrace,
-        slice: &mut Slice,
-        live: &mut LiveSet,
-        needed: &mut HashMap<usize, RecordId>,
-    ) {
-        if !slice.records.insert(r.id) {
-            return; // already admitted: uses/cd already propagated
-        }
-        for (k, _) in r.use_keys(track_sp) {
-            if !options.prune_keys.contains(&k) {
-                live.entry(k).or_default().push(r.id);
-            }
-        }
-        if let Some(cd) = r.cd_parent {
-            if let Some(p) = trace.position(cd) {
-                if p < pos && !slice.records.contains(&cd) {
-                    needed.insert(p, cd);
-                }
-            }
-        }
-    }
-
     // Blocks from the criterion's block downward.
     let blocks = trace.blocks();
     let mut bi = blocks.partition_point(|b| b.start <= crit_pos);
@@ -404,9 +334,8 @@ pub fn compute_slice_lp(
             let mut admit_r = false;
 
             // Control dependence resolution.
-            if let Some(&id) = needed.get(&pos) {
+            if let Some(id) = needed.remove(&pos) {
                 debug_assert_eq!(id, r.id);
-                needed.remove(&pos);
                 admit_r = true;
             }
 
@@ -415,58 +344,48 @@ pub fn compute_slice_lp(
                 let Some(users) = live.remove(&k) else {
                     continue;
                 };
-                let is_bypassable = options.prune_save_restore
-                    && matches!(k, LocKey::Reg(..))
-                    && pairs.contains_key(&r.id);
-                if is_bypassable {
-                    // `r` is the restore of a verified pair: bypass it. The
-                    // query resumes below the matching save.
-                    let save_id = pairs[&r.id];
-                    if let Some(save_pos) = trace.position(save_id) {
-                        if save_pos < pos {
-                            slice.stats.bypasses += 1;
-                            // Re-activate strictly below the save: the save
-                            // itself defines only the stack slot.
-                            deferred.push((save_pos.saturating_sub(1), k, users));
-                            continue;
-                        }
-                    }
-                    // Malformed pair (save not found/after restore): fall
-                    // through to normal resolution.
-                    for &u in &users {
-                        slice.data_edges.push(DataEdge {
-                            user: u,
-                            def: r.id,
-                            key: k,
-                        });
-                    }
-                    admit_r = true;
+                // `r` is the restore of a verified pair: bypass it, and
+                // resume the query strictly below the matching save (the
+                // save itself defines only the stack slot). A malformed
+                // pair (save missing or after the restore) resolves here.
+                let save_pos = if options.prune_save_restore && matches!(k, LocKey::Reg(..)) {
+                    pairs
+                        .get(&r.id)
+                        .and_then(|&save| trace.position(save))
+                        .filter(|&sp| sp < pos)
                 } else {
-                    for &u in &users {
-                        slice.data_edges.push(DataEdge {
-                            user: u,
-                            def: r.id,
-                            key: k,
-                        });
-                    }
-                    admit_r = true;
+                    None
+                };
+                if let Some(save_pos) = save_pos {
+                    slice.stats.bypasses += 1;
+                    deferred.push((save_pos.saturating_sub(1), k, users));
+                    continue;
                 }
+                for &u in &users {
+                    slice.data_edges.push(DataEdge {
+                        user: u,
+                        def: r.id,
+                        key: k,
+                    });
+                }
+                admit_r = true;
             }
 
-            if admit_r {
-                admit(
-                    r,
-                    pos,
-                    track_sp,
-                    &options,
-                    trace,
-                    &mut slice,
-                    &mut live,
-                    &mut needed,
-                );
-                // Control edges are emitted when the parent is admitted via
-                // `needed`; emit them from the dependent side instead so
-                // duplicates are natural to avoid.
+            // An admitted record's (non-pruned) uses go live and its
+            // control parent becomes needed.
+            if admit_r && slice.records.insert(r.id) {
+                for (k, _) in r.use_keys(track_sp) {
+                    if !options.prune_keys.contains(&k) {
+                        live.entry(k).or_default().push(r.id);
+                    }
+                }
+                if let Some(cd) = r.cd_parent {
+                    if let Some(p) = trace.position(cd) {
+                        if p < pos && !slice.records.contains(&cd) {
+                            needed.insert(p, cd);
+                        }
+                    }
+                }
             }
         }
     }
@@ -489,210 +408,10 @@ pub fn compute_slice_lp(
     slice
 }
 
-/// The sparse index-guided traversal: instead of scanning blocks, jump
-/// directly between the positions that can matter, using the per-key
-/// definition index precomputed by the parallel summarize stage
-/// ([`GlobalTrace::def_positions`]).
-///
-/// A max-heap holds candidate positions — for every live key, the greatest
-/// definition position below the scan front (its reaching definition);
-/// every needed control parent; every deferred save/restore resumption.
-/// Popping the heap walks the same positions the LP scan would *resolve
-/// at*, in the same descending order, so the live/needed/deferred state
-/// evolves identically and the slice is identical — but the work is
-/// O(slice-related positions · log), independent of the trace length the
-/// LP scan must sweep block summaries over. This is what makes repeated
-/// slice queries cheap after one parallel pipeline build, and it is the
-/// "parallel path" the differential tests pin against the serial LP
-/// result.
-///
-/// Stale heap candidates (a key resolved earlier than a queued candidate)
-/// pop as no-ops, exactly like the LP scan passing an irrelevant record.
-///
-/// # Panics
-///
-/// Panics if the criterion's record id is not present in the trace.
-pub fn compute_slice_sparse(
-    trace: &GlobalTrace,
-    criterion: Criterion,
-    pairs: &HashMap<RecordId, RecordId>,
-    options: SliceOptions,
-) -> Slice {
-    let crit_pos = trace
-        .position(criterion.record_id())
-        .expect("criterion record not in trace");
-    let records = trace.records();
-    let track_sp = trace.track_sp();
-    let block_size = trace.block_size();
-
-    let mut slice = Slice {
-        criterion,
-        records: HashSet::new(),
-        data_edges: Vec::new(),
-        control_edges: Vec::new(),
-        stats: SliceStats::default(),
-    };
-
-    let mut live: LiveSet = HashMap::new();
-    let mut needed: HashMap<usize, RecordId> = HashMap::new();
-    let mut deferred: Vec<(usize, LocKey, Vec<RecordId>)> = Vec::new();
-    let mut heap: std::collections::BinaryHeap<usize> = std::collections::BinaryHeap::new();
-    let mut visited_blocks: HashSet<usize> = HashSet::new();
-
-    // Queue the reaching-definition candidate for `key`: its greatest
-    // definition position strictly below `limit`.
-    let push_def_candidate =
-        |heap: &mut std::collections::BinaryHeap<usize>, key: &LocKey, limit: usize| {
-            let defs = trace.def_positions(key);
-            let i = defs.partition_point(|&p| p < limit);
-            if i > 0 {
-                heap.push(defs[i - 1]);
-            }
-        };
-
-    // Seed with the criterion record.
-    {
-        let crit = &records[crit_pos];
-        slice.records.insert(crit.id);
-        match criterion {
-            Criterion::Record { .. } => {
-                for (k, _) in crit.use_keys(track_sp) {
-                    if !options.prune_keys.contains(&k) {
-                        live.entry(k).or_default().push(crit.id);
-                        push_def_candidate(&mut heap, &k, crit_pos);
-                    }
-                }
-            }
-            Criterion::Value { key, .. } => {
-                // An explicit criterion key overrides user pruning.
-                live.entry(key).or_default().push(crit.id);
-                push_def_candidate(&mut heap, &key, crit_pos);
-            }
-        }
-        if let Some(cd) = crit.cd_parent {
-            if let Some(p) = trace.position(cd) {
-                if p <= crit_pos {
-                    needed.insert(p, cd);
-                    if p < crit_pos {
-                        heap.push(p);
-                    }
-                }
-            }
-        }
-    }
-
-    // The scan front: every processed position is strictly below the
-    // previous one, mirroring the LP scan's descending sweep.
-    let mut front = crit_pos;
-    while let Some(pos) = heap.pop() {
-        if pos >= front {
-            continue; // duplicate or stale candidate
-        }
-        front = pos;
-
-        // Activate deferred queries whose save position we have reached
-        // (before examining the record, exactly as the LP scan does).
-        if !deferred.is_empty() {
-            let mut i = 0;
-            while i < deferred.len() {
-                if deferred[i].0 >= pos {
-                    let (_, key, users) = deferred.swap_remove(i);
-                    live.entry(key).or_default().extend(users);
-                } else {
-                    i += 1;
-                }
-            }
-        }
-
-        let r = &records[pos];
-        slice.stats.records_scanned += 1;
-        visited_blocks.insert(pos / block_size);
-
-        let mut admit_r = false;
-
-        // Control dependence resolution.
-        if let Some(&id) = needed.get(&pos) {
-            debug_assert_eq!(id, r.id);
-            needed.remove(&pos);
-            admit_r = true;
-        }
-
-        // Data dependence resolution.
-        for (k, _) in r.def_keys(track_sp) {
-            let Some(users) = live.remove(&k) else {
-                continue;
-            };
-            let is_bypassable = options.prune_save_restore
-                && matches!(k, LocKey::Reg(..))
-                && pairs.contains_key(&r.id);
-            if is_bypassable {
-                let save_id = pairs[&r.id];
-                if let Some(save_pos) = trace.position(save_id) {
-                    if save_pos < pos {
-                        slice.stats.bypasses += 1;
-                        let resume = save_pos.saturating_sub(1);
-                        deferred.push((resume, k, users));
-                        // The resumed query's reaching definition doubles as
-                        // the activation point for the deferred entry.
-                        push_def_candidate(&mut heap, &k, resume + 1);
-                        continue;
-                    }
-                }
-                // Malformed pair: fall through to normal resolution.
-            }
-            for &u in &users {
-                slice.data_edges.push(DataEdge {
-                    user: u,
-                    def: r.id,
-                    key: k,
-                });
-            }
-            admit_r = true;
-        }
-
-        if admit_r && slice.records.insert(r.id) {
-            for (k, _) in r.use_keys(track_sp) {
-                if options.prune_keys.contains(&k) {
-                    continue;
-                }
-                live.entry(k).or_default().push(r.id);
-                push_def_candidate(&mut heap, &k, pos);
-            }
-            if let Some(cd) = r.cd_parent {
-                if let Some(p) = trace.position(cd) {
-                    if p < pos && !slice.records.contains(&cd) {
-                        needed.insert(p, cd);
-                        heap.push(p);
-                    }
-                }
-            }
-        }
-    }
-
-    // Block accounting mirrors the LP stats: every block at or below the
-    // criterion's block that was never touched counts as skipped.
-    slice.stats.blocks_visited = visited_blocks.len();
-    slice.stats.blocks_skipped = (crit_pos / block_size + 1) - visited_blocks.len();
-
-    for &id in &slice.records {
-        if let Some(r) = trace.record(id) {
-            if let Some(cd) = r.cd_parent {
-                if slice.records.contains(&cd) {
-                    slice.control_edges.push((id, cd));
-                }
-            }
-        }
-    }
-    slice.control_edges.sort_unstable();
-    slice
-        .data_edges
-        .sort_unstable_by_key(|e| (e.user, e.def, e.key));
-    slice
-}
-
 /// Computes the slice with a naive full backward scan — an independent
-/// implementation with no block skipping, used as the oracle in property
-/// tests (LP ≡ naive) and by the ablation benchmark.
+/// implementation with no block skipping, used as the oracle in the
+/// differential tests (LP ≡ indexed ≡ naive) and by the ablation
+/// benchmark.
 pub fn compute_slice_naive(
     trace: &GlobalTrace,
     criterion: Criterion,
@@ -894,7 +613,7 @@ mod tests {
             .rfind(|r| r.pc == pc)
             .expect("criterion pc executed")
             .id;
-        compute_slice(trace, Criterion::Record { id: crit }, pairs, options)
+        compute_slice_lp(trace, Criterion::Record { id: crit }, pairs, options)
     }
 
     #[test]
@@ -1047,7 +766,7 @@ mod tests {
             ",
         );
         let crit = trace.rfind(|r| r.pc == 2).unwrap().id;
-        let s = compute_slice(
+        let s = compute_slice_lp(
             &trace,
             Criterion::Value {
                 id: crit,
@@ -1075,26 +794,25 @@ mod tests {
             .rfind(|r| matches!(r.instr, minivm::Instr::BinI { .. }))
             .unwrap()
             .id;
-        let s = compute_slice(
-            &trace,
-            Criterion::Record { id: crit },
-            &pairs,
-            SliceOptions::default(),
-        );
+        let crit = Criterion::Record { id: crit };
+        let s = compute_slice_lp(&trace, crit, &pairs, SliceOptions::default());
         assert!(
             s.stats.blocks_skipped > 10,
             "long irrelevant prefix skipped: {:?}",
             s.stats
         );
         assert_eq!(s.len(), 2, "movi + addi only");
+        let naive = compute_slice_naive(&trace, crit, &pairs, SliceOptions::default());
+        assert_eq!(s.records, naive.records);
+        assert_eq!(s.data_edges, naive.data_edges);
     }
 
-    /// The sparse index-guided path must reproduce the LP result exactly —
+    /// LP, the dependence index and the naive oracle must agree exactly —
     /// records, edges, and edge order — on every scenario above, including
     /// the save/restore bypass (whose deferral logic is the trickiest part
     /// to keep aligned).
     #[test]
-    fn sparse_traversal_matches_lp_on_all_scenarios() {
+    fn lp_indexed_and_naive_agree_on_all_scenarios() {
         let scenarios: &[&str] = &[
             r"
             .text
@@ -1166,36 +884,29 @@ mod tests {
                 for r in trace.records() {
                     let crit = Criterion::Record { id: r.id };
                     let lp = compute_slice_lp(&trace, crit, &pairs, opts.clone());
-                    let sparse = compute_slice_sparse(&trace, crit, &pairs, opts.clone());
+                    let naive = compute_slice_naive(&trace, crit, &pairs, opts.clone());
                     let indexed = crate::index::compute_slice_indexed(&index, crit);
-                    assert_eq!(lp.records, sparse.records, "scenario {i} records");
-                    assert_eq!(lp.data_edges, sparse.data_edges, "scenario {i} data edges");
-                    assert_eq!(
-                        lp.control_edges, sparse.control_edges,
-                        "scenario {i} control edges"
-                    );
-                    assert_eq!(
-                        sparse.records, indexed.records,
-                        "scenario {i} indexed records"
-                    );
-                    assert_eq!(
-                        sparse.data_edges, indexed.data_edges,
-                        "scenario {i} indexed data edges"
-                    );
-                    assert_eq!(
-                        sparse.control_edges, indexed.control_edges,
-                        "scenario {i} indexed control edges"
-                    );
+                    for (name, other) in [("naive", &naive), ("indexed", &indexed)] {
+                        assert_eq!(lp.records, other.records, "scenario {i} {name} records");
+                        assert_eq!(
+                            lp.data_edges, other.data_edges,
+                            "scenario {i} {name} data edges"
+                        );
+                        assert_eq!(
+                            lp.control_edges, other.control_edges,
+                            "scenario {i} {name} control edges"
+                        );
+                    }
                 }
             }
         }
     }
 
-    /// The indexed path agrees with sparse on `Value` criteria and pruned
-    /// keys too, and repeated queries against one index are deterministic
+    /// The indexed path agrees with LP on `Value` criteria and pruned keys
+    /// too, and repeated queries against one index are deterministic
     /// (stats included).
     #[test]
-    fn indexed_value_criteria_and_prune_keys_match_sparse() {
+    fn indexed_value_criteria_and_prune_keys_match_lp() {
         let (trace, pairs) = collect(
             r"
             .text
@@ -1234,12 +945,12 @@ mod tests {
                     criteria.push(Criterion::Value { id: r.id, key: k });
                 }
                 for crit in criteria {
-                    let sparse = compute_slice_sparse(&trace, crit, &pairs, opts.clone());
+                    let lp = compute_slice_lp(&trace, crit, &pairs, opts.clone());
                     let indexed = crate::index::compute_slice_indexed(&index, crit);
-                    assert_eq!(sparse.records, indexed.records, "{crit:?} records");
-                    assert_eq!(sparse.data_edges, indexed.data_edges, "{crit:?} data edges");
+                    assert_eq!(lp.records, indexed.records, "{crit:?} records");
+                    assert_eq!(lp.data_edges, indexed.data_edges, "{crit:?} data edges");
                     assert_eq!(
-                        sparse.control_edges, indexed.control_edges,
+                        lp.control_edges, indexed.control_edges,
                         "{crit:?} control edges"
                     );
                     let again = crate::index::compute_slice_indexed(&index, crit);
@@ -1248,90 +959,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// The sparse path skips the same irrelevant prefix LP does — and
-    /// scans far fewer records, since it jumps between definitions instead
-    /// of sweeping blocks.
-    #[test]
-    fn sparse_traversal_scans_only_relevant_records() {
-        // The def and the criterion are separated by irrelevant padding and
-        // each sits mid-block, so LP must scan whole blocks around them
-        // while the sparse path jumps straight to the def.
-        let mut src = String::from("\n.text\n.func main\n");
-        for _ in 0..100 {
-            src.push_str("    movi r9, 1\n");
-        }
-        src.push_str("    movi r1, 2\n");
-        for _ in 0..100 {
-            src.push_str("    movi r8, 1\n");
-        }
-        src.push_str("    addi r2, r1, 1\n    halt\n.endfunc\n");
-        let (trace, pairs) = collect(&src);
-        let crit = trace
-            .rfind(|r| matches!(r.instr, minivm::Instr::BinI { .. }))
-            .unwrap()
-            .id;
-        let lp = compute_slice_lp(
-            &trace,
-            Criterion::Record { id: crit },
-            &pairs,
-            SliceOptions::default(),
-        );
-        let sparse = compute_slice_sparse(
-            &trace,
-            Criterion::Record { id: crit },
-            &pairs,
-            SliceOptions::default(),
-        );
-        assert_eq!(lp.records, sparse.records);
-        assert_eq!(lp.data_edges, sparse.data_edges);
-        assert!(
-            sparse.stats.records_scanned < lp.stats.records_scanned,
-            "sparse {} vs lp {}",
-            sparse.stats.records_scanned,
-            lp.stats.records_scanned
-        );
-        assert!(sparse.stats.blocks_skipped > 10);
-    }
-
-    /// `compute_slice` dispatches on the threshold: forcing each side must
-    /// give the same slice.
-    #[test]
-    fn dispatch_threshold_selects_equivalent_paths() {
-        let (trace, pairs) = collect(
-            r"
-            .text
-            .func main
-                movi r1, 2
-                addi r2, r1, 3
-                add  r3, r2, r2
-                halt
-            .endfunc
-            ",
-        );
-        let crit = trace.rfind(|r| r.pc == 2).unwrap().id;
-        let forced_lp = compute_slice(
-            &trace,
-            Criterion::Record { id: crit },
-            &pairs,
-            SliceOptions {
-                parallel_threshold: usize::MAX,
-                ..SliceOptions::new()
-            },
-        );
-        let forced_sparse = compute_slice(
-            &trace,
-            Criterion::Record { id: crit },
-            &pairs,
-            SliceOptions {
-                parallel_threshold: 0,
-                ..SliceOptions::new()
-            },
-        );
-        assert_eq!(forced_lp.records, forced_sparse.records);
-        assert_eq!(forced_lp.data_edges, forced_sparse.data_edges);
-        assert_eq!(forced_lp.control_edges, forced_sparse.control_edges);
     }
 
     #[test]
@@ -1404,7 +1031,7 @@ mod prune_vars_tests {
         let config = program.symbol("config").unwrap();
 
         let full = session.slice(Criterion::Record { id: crit });
-        let pruned = compute_slice(
+        let pruned = compute_slice_lp(
             session.trace(),
             Criterion::Record { id: crit },
             session.pairs(),
@@ -1450,7 +1077,7 @@ mod prune_vars_tests {
             SliceSession::collect(Arc::clone(&program), &rec.pinball, SlicerOptions::default());
         let crit = session.last_at_pc(2).unwrap().id;
         let opts = SliceOptions::new().prune_key(LocKey::Reg(0, Reg(1)));
-        let lp = compute_slice(
+        let lp = compute_slice_lp(
             session.trace(),
             Criterion::Record { id: crit },
             session.pairs(),
@@ -1485,13 +1112,7 @@ mod prune_vars_tests {
         assert_eq!(ab.fingerprint(), ba.fingerprint());
         assert_ne!(base.fingerprint(), ab.fingerprint());
 
-        // The traversal path (sparse vs LP) does not change the slice, so
-        // it does not change the fingerprint either.
-        let mut lp_forced = ab.clone();
-        lp_forced.parallel_threshold = usize::MAX;
-        assert_eq!(ab.fingerprint(), lp_forced.fingerprint());
-
-        // But §5.2 pruning does change the output.
+        // §5.2 pruning changes the output.
         let mut no_sr = ab.clone();
         no_sr.prune_save_restore = false;
         assert_ne!(ab.fingerprint(), no_sr.fingerprint());

@@ -6,7 +6,7 @@
 //! are recorded under random schedules and sliced three ways:
 //!
 //! * [`compute_slice_indexed`] over a prebuilt [`DepIndex`],
-//! * [`compute_slice_sparse`] (the index-free reference traversal),
+//! * [`compute_slice_lp`] (the paper's index-free LP traversal),
 //! * [`compute_slice_naive`] (the brute-force oracle).
 //!
 //! For every random criterion — record and value form — and every option
@@ -25,7 +25,7 @@ use proptest::prelude::*;
 use minivm::{assemble, LiveEnv, RandomSched, Reg};
 use pinplay::record_whole_program;
 use slicer::{
-    compute_slice_indexed, compute_slice_naive, compute_slice_sparse, Criterion, DepIndex, LocKey,
+    compute_slice_indexed, compute_slice_lp, compute_slice_naive, Criterion, DepIndex, LocKey,
     RecordId, Slice, SliceOptions, SliceSession, SlicerOptions,
 };
 
@@ -183,7 +183,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn indexed_matches_sparse_and_naive(
+    fn indexed_matches_lp_and_naive(
         workers in 1usize..4,
         main_ops in prop_vec(op_strategy(), 4..24),
         worker_ops in prop_vec(op_strategy(), 4..24),
@@ -256,20 +256,20 @@ proptest! {
             let index = DepIndex::build(trace, pairs, opts);
             for &criterion in &criteria {
                 let indexed = compute_slice_indexed(&index, criterion);
-                let sparse = compute_slice_sparse(trace, criterion, pairs, opts.clone());
+                let lp = compute_slice_lp(trace, criterion, pairs, opts.clone());
                 let naive = compute_slice_naive(trace, criterion, pairs, opts.clone());
                 prop_assert_eq!(
                     canon(&indexed),
-                    canon(&sparse),
-                    "indexed vs sparse: criterion {:?}, options {:?}\n{}",
+                    canon(&lp),
+                    "indexed vs LP: criterion {:?}, options {:?}\n{}",
                     criterion,
                     opts,
                     src
                 );
                 prop_assert_eq!(
-                    canon(&sparse),
+                    canon(&lp),
                     canon(&naive),
-                    "sparse vs naive: criterion {:?}, options {:?}\n{}",
+                    "LP vs naive: criterion {:?}, options {:?}\n{}",
                     criterion,
                     opts,
                     src

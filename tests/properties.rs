@@ -20,7 +20,7 @@ use minivm::builder::ProgramBuilder;
 use minivm::{BinOp, Cond, Instr, LiveEnv, NullTool, Program, RandomSched, Reg};
 use pinplay::{record_whole_program, Replayer};
 use slicer::{
-    compute_slice, compute_slice_naive, is_valid_topological_order, Criterion, SliceFile,
+    compute_slice_lp, compute_slice_naive, is_valid_topological_order, Criterion, SliceFile,
     SliceOptions, SliceSession, SlicerOptions,
 };
 
@@ -286,7 +286,7 @@ proptest! {
             .collect();
         for &id in ids.iter().rev().take(3) {
             let criterion = Criterion::Record { id };
-            let lp = compute_slice(session.trace(), criterion, session.pairs(), SliceOptions::default());
+            let lp = compute_slice_lp(session.trace(), criterion, session.pairs(), SliceOptions::default());
             let naive = compute_slice_naive(session.trace(), criterion, session.pairs(), SliceOptions::default());
             prop_assert_eq!(&lp.records, &naive.records, "same slice membership");
             prop_assert_eq!(&lp.data_edges, &naive.data_edges, "same data edges");
@@ -306,7 +306,7 @@ proptest! {
         ).expect("records");
 
         // Serial baseline vs the fully parallel pipeline: sharded streaming
-        // collection, parallel block summaries, sparse traversal.
+        // collection and parallel block summaries.
         let serial = SliceSession::collect(
             Arc::clone(&program),
             &rec.pinball,
