@@ -231,33 +231,6 @@ pub fn record_needle(iters: u64) -> (Arc<Program>, Pinball) {
     (program, rec.pinball)
 }
 
-/// Records and collects a [`four_thread_needle`] trace, returning the
-/// session and the criterion at the final chain instruction.
-///
-/// # Panics
-///
-/// Panics when the recording exceeds its step budget (never for sane
-/// `iters`).
-pub fn needle_session(iters: u64, options: SlicerOptions) -> (SliceSession, Criterion) {
-    let program = four_thread_needle(iters);
-    let rec = record_whole_program(
-        &program,
-        &mut RoundRobin::new(13),
-        &mut LiveEnv::new(ENV_SEED),
-        iters * 50 + 100_000,
-        "needle",
-    )
-    .expect("needle capture succeeds");
-    let session = SliceSession::collect(Arc::clone(&program), &rec.pinball, options);
-    let id = session
-        .trace()
-        .records()
-        .last()
-        .expect("trace not empty")
-        .id;
-    (session, Criterion::Record { id })
-}
-
 /// A four-thread "churn" workload: every thread loops `iters` calls to a
 /// helper that saves r1, clobbers it, and restores it — a deep chain of
 /// §5.2 save/restore pairs. The final instruction uses r1, whose real

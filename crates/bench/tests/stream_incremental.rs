@@ -116,14 +116,16 @@ fn first_slice_after_the_final_chunk_is_5x_faster_incrementally() {
 
     // Incremental: the index over chunks 0..15 already exists (it was
     // maintained as the chunks arrived); the final chunk pays only
-    // extend + append + slice. The prefix build is untimed setup.
+    // extend + append + slice. The prefix is set up untimed the way the
+    // server keeps it: the prefix collection's own trace, not a copy.
     let mut incremental_samples = Vec::new();
     let mut incremental_slice = None;
     let mut incremental_index = None;
     for _ in 0..4 {
-        let mut trace =
-            GlobalTrace::build_with(psession.trace().records().to_vec(), block, false, false);
-        let mut index = DepIndex::build(&trace, psession.pairs(), &opts);
+        let (mut trace, prefix_pairs) =
+            SliceSession::collect(Arc::clone(&program), &prefix.pinball, collect_opts())
+                .into_trace_and_pairs();
+        let mut index = DepIndex::build(&trace, &prefix_pairs, &opts);
         let started = Instant::now();
         trace.extend(records[done..].to_vec());
         index.append(&trace, session.pairs(), &opts);

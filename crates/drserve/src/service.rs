@@ -937,29 +937,6 @@ fn try_execute(
             };
             let session =
                 SliceSession::collect(Arc::clone(&st.program), &container.pinball, collect_opts);
-            let fingerprint = options.fingerprint();
-            match &mut st.slicing {
-                Some(s) if s.fingerprint == fingerprint => {
-                    let done = s.trace.records().len();
-                    s.trace.extend(session.trace().records()[done..].to_vec());
-                    s.index.append(&s.trace, session.pairs(), &options);
-                }
-                slot => {
-                    let trace = GlobalTrace::build_with(
-                        session.trace().records().to_vec(),
-                        collect_opts.block_size,
-                        collect_opts.track_sp,
-                        false,
-                    );
-                    let index = DepIndex::build(&trace, session.pairs(), &options);
-                    *slot = Some(StreamSlicing {
-                        fingerprint,
-                        trace,
-                        index,
-                    });
-                }
-            }
-            let slicing = st.slicing.as_ref().expect("slicing state installed");
             let criterion = match at {
                 SliceAt::Criterion { criterion } => criterion,
                 SliceAt::Failure => Criterion::Record {
@@ -978,6 +955,26 @@ fn try_execute(
                     })
                 }
             };
+            let fingerprint = options.fingerprint();
+            let (trace, pairs) = session.into_trace_and_pairs();
+            match &mut st.slicing {
+                Some(s) if s.fingerprint == fingerprint => {
+                    let done = s.trace.records().len();
+                    s.trace.extend(trace.records()[done..].to_vec());
+                    s.index.append(&s.trace, &pairs, &options);
+                }
+                // The collection's own unclustered trace becomes the cached
+                // one: no copy, and its spare capacity takes later appends.
+                slot => {
+                    let index = DepIndex::build(&trace, &pairs, &options);
+                    *slot = Some(StreamSlicing {
+                        fingerprint,
+                        trace,
+                        index,
+                    });
+                }
+            }
+            let slicing = st.slicing.as_ref().expect("slicing state installed");
             if slicing.trace.position(criterion.record_id()).is_none() {
                 return Err(ServeError::BadRequest {
                     reason: format!(

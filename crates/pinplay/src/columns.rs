@@ -153,12 +153,6 @@ impl EventColumns {
         (0..self.len()).map(|i| self.get(i).to_owned()).collect()
     }
 
-    /// Number of threads the schedule log mentions (highest scheduled tid
-    /// plus one; 1 for an empty or inject-only log).
-    pub fn thread_count(&self) -> usize {
-        self.tids.iter().max().map_or(1, |t| *t as usize + 1)
-    }
-
     /// Total instructions the log retires (sum of `Run` steps).
     pub fn instructions(&self) -> u64 {
         self.kinds

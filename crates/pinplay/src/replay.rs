@@ -249,40 +249,6 @@ impl Replayer {
         ReplayStatus::Completed
     }
 
-    /// Replays the whole log, streaming every instruction event into
-    /// per-thread collector channels: the event for thread `t` goes to
-    /// `sinks[t % sinks.len()]`, so all events of one thread arrive at one
-    /// collector in program order. This is the producer half of the parallel
-    /// slicing pipeline — the `slicer` crate's collectors consume the
-    /// channels concurrently while the replay runs.
-    ///
-    /// Unlike [`Replayer::run`] there is no pause path: the log is consumed
-    /// to completion (or to the recorded trap, whose event is also
-    /// delivered before returning).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sinks` is empty, if a receiver hangs up mid-replay, or on
-    /// replay divergence (as [`Replayer::run`]).
-    pub fn run_streaming(
-        &mut self,
-        sinks: &[crossbeam::channel::Sender<minivm::InsEvent>],
-    ) -> ReplayStatus {
-        assert!(!sinks.is_empty(), "run_streaming needs at least one sink");
-        struct Router<'a> {
-            sinks: &'a [crossbeam::channel::Sender<minivm::InsEvent>],
-        }
-        impl Tool for Router<'_> {
-            fn on_event(&mut self, ev: &minivm::InsEvent) -> ToolControl {
-                self.sinks[ev.tid as usize % self.sinks.len()]
-                    .send(*ev)
-                    .expect("trace collector hung up mid-replay");
-                ToolControl::Continue
-            }
-        }
-        self.run(&mut Router { sinks })
-    }
-
     /// Captures the replayer's full state as a serializable checkpoint.
     /// Restoring it (on a replayer of the *same pinball*) and replaying
     /// forward reproduces this replay exactly — including region-relative
@@ -607,42 +573,6 @@ mod tests {
             }
         }
         assert_eq!(count, pinball.logged_instructions());
-    }
-
-    #[test]
-    fn streaming_replay_partitions_events_by_thread() {
-        let (program, pinball) = record();
-        // Serial reference: every event in retire order.
-        let mut serial: Vec<minivm::InsEvent> = Vec::new();
-        let mut rep = Replayer::new(Arc::clone(&program), &pinball);
-        let mut tool = |ev: &minivm::InsEvent| {
-            serial.push(*ev);
-            ToolControl::Continue
-        };
-        assert_eq!(rep.run(&mut tool), ReplayStatus::Completed);
-
-        // Streamed: two sinks, drained concurrently.
-        let (tx0, rx0) = crossbeam::channel::bounded(8);
-        let (tx1, rx1) = crossbeam::channel::bounded(8);
-        let mut rep = Replayer::new(Arc::clone(&program), &pinball);
-        let (status, got0, got1) = std::thread::scope(|s| {
-            let h0 = s.spawn(move || rx0.iter().collect::<Vec<minivm::InsEvent>>());
-            let h1 = s.spawn(move || rx1.iter().collect::<Vec<minivm::InsEvent>>());
-            let status = rep.run_streaming(&[tx0, tx1]);
-            (status, h0.join().unwrap(), h1.join().unwrap())
-        });
-        assert_eq!(status, ReplayStatus::Completed);
-        assert_eq!(got0.len() + got1.len(), serial.len());
-        // Sink 0 holds even tids, sink 1 odd tids, each in retire order.
-        assert!(got0.iter().all(|ev| ev.tid % 2 == 0));
-        assert!(got1.iter().all(|ev| ev.tid % 2 == 1));
-        assert!(got0.windows(2).all(|w| w[0].seq < w[1].seq));
-        assert!(got1.windows(2).all(|w| w[0].seq < w[1].seq));
-        // Re-merging by seq reproduces the serial event stream exactly.
-        let mut merged = got0;
-        merged.extend(got1);
-        merged.sort_unstable_by_key(|ev| ev.seq);
-        assert_eq!(merged, serial);
     }
 
     #[test]

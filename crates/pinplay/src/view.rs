@@ -210,11 +210,6 @@ impl ContainerView {
         self.events.len()
     }
 
-    /// Total instructions the log retires.
-    pub fn instructions(&self) -> u64 {
-        self.events.instructions()
-    }
-
     /// The checkpoint with the greatest `instr` not exceeding `target`.
     pub fn nearest_checkpoint(&self, target: u64) -> Option<&ReplayCheckpoint> {
         self.checkpoints

@@ -7,6 +7,14 @@
 //! save/restore pairs — and serves any number of slice requests against it
 //! ("once collected, the dynamic information can be used for multiple
 //! slicing sessions as PinPlay guarantees repeatability", §7).
+//!
+//! Collection is one serial replay whose tool builds every record in
+//! retire order, preceded by a target-discovery replay only when the
+//! program has an indirect jump. A sharded variant that streamed events
+//! to per-thread collector threads was measured slower on a 2-vCPU host
+//! and deleted: its producer alone (replay plus a channel send per event)
+//! cost more than the whole serial pass, and restoring retire order took
+//! another sort of the records.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -26,18 +34,6 @@ use crate::regions::{exclusion_regions, ExclusionStats};
 use crate::slice::{compute_slice_lp, Criterion, Slice, SliceOptions};
 use crate::trace::{LocKey, RecordId, TraceRecord};
 
-/// Logged-instruction count from which [`SlicerOptions::parallel`]
-/// collection engages by default; shorter recordings collect serially,
-/// where thread and channel set-up would cost more than it saves.
-pub const DEFAULT_PARALLEL_THRESHOLD: usize = 4096;
-
-/// Upper bound on concurrent collector threads (one per thread shard).
-const MAX_COLLECTORS: usize = 8;
-
-/// Bounded per-collector channel depth: enough to absorb scheduling jitter
-/// without letting the replay run arbitrarily far ahead of the collectors.
-const COLLECTOR_CHANNEL_CAP: usize = 1024;
-
 /// Configuration for trace collection and slicing.
 #[derive(Debug, Clone, Copy)]
 pub struct SlicerOptions {
@@ -45,7 +41,9 @@ pub struct SlicerOptions {
     /// this off reproduces the paper's imprecise baseline.
     pub refine_indirect: bool,
     /// Run a target-discovery replay pass before the collection pass so
-    /// post-dominators reflect every target the region exercises.
+    /// post-dominators reflect every target the region exercises. The pass
+    /// is skipped for programs without indirect jumps (`jmpi`/`calli`),
+    /// where it could observe nothing.
     pub two_pass_discovery: bool,
     /// The `MaxSave` parameter of save/restore detection (§5.2; paper uses
     /// 10 in Fig. 13).
@@ -60,13 +58,6 @@ pub struct SlicerOptions {
     pub cluster: bool,
     /// Apply save/restore bypass pruning when slicing (§5.2).
     pub prune_save_restore: bool,
-    /// Collect in parallel (concurrent per-thread collectors fed by a
-    /// streaming replay) for multi-threaded workloads at least
-    /// `parallel_threshold` instructions long. The parallel and serial
-    /// collections produce identical traces.
-    pub parallel: bool,
-    /// Minimum logged-instruction count before `parallel` engages.
-    pub parallel_threshold: usize,
 }
 
 impl Default for SlicerOptions {
@@ -79,8 +70,6 @@ impl Default for SlicerOptions {
             block_size: DEFAULT_BLOCK_SIZE,
             cluster: true,
             prune_save_restore: true,
-            parallel: true,
-            parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
         }
     }
 }
@@ -105,8 +94,6 @@ struct ReplaySource<'a> {
     syscalls: &'a [Vec<i64>],
     exit: RecordedExit,
     log: EventLog,
-    threads: usize,
-    instructions: u64,
 }
 
 impl ReplaySource<'_> {
@@ -121,71 +108,30 @@ impl ReplaySource<'_> {
     }
 }
 
-/// Builds one trace record from a replay event (shared by the serial and
-/// parallel collectors).
-fn make_record(
-    program: &Program,
-    tracker: &mut ControlTracker,
-    detector: &mut PairDetector,
-    ev: &minivm::InsEvent,
-) -> TraceRecord {
-    let id: RecordId = ev.seq;
-    let cd = tracker.on_event(ev, id);
-    detector.on_event(ev, id);
-    TraceRecord {
-        id,
-        tid: ev.tid,
-        pc: ev.pc,
-        instance: ev.instance,
-        instr: ev.instr,
-        next_pc: ev.next_pc,
-        uses: ev.uses,
-        defs: ev.defs,
-        spawned: ev.spawned,
-        cd_parent: cd,
-        line: program.line_of(ev.pc),
-    }
-}
-
 impl SliceSession {
     /// Replays `pinball` and collects everything slicing needs: per-thread
     /// def/use traces merged into the global trace, dynamic control
     /// dependences over the (refined) CFG, and verified save/restore pairs.
-    ///
-    /// For multi-threaded workloads at least
-    /// [`SlicerOptions::parallel_threshold`] instructions long (with
-    /// `parallel` on), collection runs concurrently: the replay streams
-    /// events into per-thread-shard channels drained by collector threads,
-    /// each tracking control dependences and save/restore pairs for its
-    /// threads independently. The shard results are merged back into
-    /// global retire order, which reproduces the serial collection
-    /// byte for byte — control dependence and pair state is per-thread, and
-    /// after two-pass discovery the shared CFG is read-only, so sharding by
-    /// thread cannot change any result. (With online-only refinement —
-    /// `refine_indirect` without `two_pass_discovery` — indirect-target
-    /// observations *do* cross threads, so collection stays serial.)
     pub fn collect(
         program: Arc<Program>,
         pinball: &Pinball,
         options: SlicerOptions,
     ) -> SliceSession {
-        // One Arc over the events, shared by every replay pass and every
-        // parallel shard — the single copy here is the only one made.
+        // One Arc over the events, shared by every replay pass — the
+        // single copy here is the only one made.
         let source = ReplaySource {
             snapshot: &pinball.snapshot,
             syscalls: &pinball.syscalls,
             exit: pinball.exit,
             log: EventLog::Owned(Arc::new(pinball.events.clone())),
-            threads: pinball_thread_count(pinball),
-            instructions: pinball.logged_instructions(),
         };
         SliceSession::collect_source(program, source, options)
     }
 
     /// As [`SliceSession::collect`], but reading the replay log straight
     /// out of a zero-copy [`ContainerView`] — no owned event vector is
-    /// ever materialized; every pass and shard borrows the one columnar
-    /// log the v4 load produced.
+    /// ever materialized; every pass borrows the one columnar log the v4
+    /// load produced.
     pub fn collect_view(
         program: Arc<Program>,
         view: &ContainerView,
@@ -196,8 +142,6 @@ impl SliceSession {
             syscalls: &view.syscalls,
             exit: view.exit,
             log: EventLog::Columns(Arc::clone(&view.events)),
-            threads: view.events.thread_count(),
-            instructions: view.instructions(),
         };
         SliceSession::collect_source(program, source, options)
     }
@@ -212,44 +156,44 @@ impl SliceSession {
 
         // Pass 1 (optional): discover indirect-jump targets so the refined
         // CFG — and therefore the post-dominators the control-dependence
-        // detection uses — reflects the whole region.
-        if options.refine_indirect && options.two_pass_discovery {
-            let mut replayer = source.replayer(&program);
+        // detection uses — reflects the whole region. A program without
+        // indirect jumps has no target to discover.
+        let has_indirect = program.code.iter().any(minivm::Instr::is_indirect_jump);
+        if options.refine_indirect && options.two_pass_discovery && has_indirect {
             let mut observe = |ev: &minivm::InsEvent| {
                 if ev.instr.is_indirect_jump() {
                     cfg.observe_indirect(ev.pc, ev.next_pc);
                 }
                 ToolControl::Continue
             };
-            replayer.run(&mut observe);
+            source.replayer(&program).run(&mut observe);
         }
 
-        // Pass 2: full collection, sharded by thread when safe and worth it.
-        let shards = source.threads.min(MAX_COLLECTORS);
-        let parallel_safe = !options.refine_indirect || options.two_pass_discovery;
-        let use_parallel = options.parallel
-            && parallel_safe
-            && shards > 1
-            && source.instructions >= options.parallel_threshold as u64;
-
-        let (records, pairs, cfg) = if use_parallel {
-            let (records, pairs) = collect_parallel(&program, &source, &cfg, &options, shards);
-            (records, pairs, cfg)
-        } else {
-            let mut tracker = ControlTracker::new(cfg, options.refine_indirect);
-            let mut detector = PairDetector::new(PairCandidates::find(&program, options.max_save));
-            let mut records: Vec<TraceRecord> = Vec::new();
-            {
-                let program2 = Arc::clone(&program);
-                let mut collect = |ev: &minivm::InsEvent| {
-                    records.push(make_record(&program2, &mut tracker, &mut detector, ev));
-                    ToolControl::Continue
-                };
-                let mut replayer = source.replayer(&program);
-                replayer.run(&mut collect);
-            }
-            (records, detector.finish(), tracker.into_cfg())
+        // Pass 2: full collection.
+        let mut tracker = ControlTracker::new(cfg, options.refine_indirect);
+        let mut detector = PairDetector::new(PairCandidates::find(&program, options.max_save));
+        let mut records: Vec<TraceRecord> = Vec::new();
+        let mut collect = |ev: &minivm::InsEvent| {
+            let id: RecordId = ev.seq;
+            let cd_parent = tracker.on_event(ev, id);
+            detector.on_event(ev, id);
+            records.push(TraceRecord {
+                id,
+                tid: ev.tid,
+                pc: ev.pc,
+                instance: ev.instance,
+                instr: ev.instr,
+                next_pc: ev.next_pc,
+                uses: ev.uses,
+                defs: ev.defs,
+                spawned: ev.spawned,
+                cd_parent,
+                line: program.line_of(ev.pc),
+            });
+            ToolControl::Continue
         };
+        source.replayer(&program).run(&mut collect);
+        let (pairs, cfg) = (detector.finish(), tracker.into_cfg());
         let collect_wall = collect_start.elapsed();
         let n_records = records.len() as u64;
 
@@ -263,7 +207,6 @@ impl SliceSession {
             collect: StageMetrics::new(collect_wall, n_records),
             merge: StageMetrics::new(build.merge_wall, n_records),
             summarize: StageMetrics::new(build.summarize_wall, n_records),
-            collector_threads: if use_parallel { shards } else { 1 },
             summary_workers: build.summary_workers,
             ..SliceMetrics::default()
         };
@@ -303,6 +246,14 @@ impl SliceSession {
     /// Verified save/restore pairs (restore record → save record).
     pub fn pairs(&self) -> &HashMap<RecordId, RecordId> {
         &self.pairs
+    }
+
+    /// Consumes the session, handing over its global trace and pairs — for
+    /// a caller that keeps the trace and grows it with
+    /// [`GlobalTrace::extend`], instead of rebuilding one from a copy of
+    /// the records.
+    pub fn into_trace_and_pairs(self) -> (GlobalTrace, HashMap<RecordId, RecordId>) {
+        (self.trace, self.pairs)
     }
 
     /// Computes a one-shot backward dynamic slice with the paper's LP
@@ -364,78 +315,8 @@ impl SliceSession {
     }
 }
 
-/// Number of threads the pinball's schedule log mentions.
-fn pinball_thread_count(pinball: &Pinball) -> usize {
-    pinball
-        .events
-        .iter()
-        .filter_map(|e| match e {
-            pinplay::ReplayEvent::Run { tid, .. } | pinplay::ReplayEvent::Skip { tid, .. } => {
-                Some(*tid as usize)
-            }
-            pinplay::ReplayEvent::Inject { .. } => None,
-        })
-        .max()
-        .map_or(1, |t| t + 1)
-}
-
-/// The concurrent collection pass: the replay (on the calling thread)
-/// streams events into `shards` bounded channels, sharded by thread id;
-/// each collector thread drains one channel, running its own
-/// [`ControlTracker`] and [`PairDetector`] over the threads it owns.
-///
-/// Determinism: record ids are the global retire sequence, so sorting the
-/// concatenated shard outputs by id restores exactly the order the serial
-/// collector would have produced. Pair maps are disjoint across shards
-/// (pair state is per-thread), so their union is order-independent.
-fn collect_parallel(
-    program: &Arc<Program>,
-    source: &ReplaySource<'_>,
-    cfg: &Cfg,
-    options: &SlicerOptions,
-    shards: usize,
-) -> (Vec<TraceRecord>, HashMap<RecordId, RecordId>) {
-    let candidates = PairCandidates::find(program, options.max_save);
-    let (mut records, pairs) = std::thread::scope(|s| {
-        let mut senders = Vec::with_capacity(shards);
-        let mut handles = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let (tx, rx) = crossbeam::channel::bounded::<minivm::InsEvent>(COLLECTOR_CHANNEL_CAP);
-            senders.push(tx);
-            let cfg = cfg.clone();
-            let candidates = candidates.clone();
-            let program = Arc::clone(program);
-            let refine = options.refine_indirect;
-            handles.push(s.spawn(move || {
-                let mut tracker = ControlTracker::new(cfg, refine);
-                let mut detector = PairDetector::new(candidates);
-                let mut records: Vec<TraceRecord> = Vec::new();
-                for ev in rx.iter() {
-                    records.push(make_record(&program, &mut tracker, &mut detector, &ev));
-                }
-                (records, detector.finish())
-            }));
-        }
-        let mut replayer = source.replayer(program);
-        replayer.run_streaming(&senders);
-        drop(senders); // disconnect: collectors drain and finish
-
-        let mut records: Vec<TraceRecord> = Vec::new();
-        let mut pairs: HashMap<RecordId, RecordId> = HashMap::new();
-        for h in handles {
-            let (shard_records, shard_pairs) = h.join().expect("collector thread panicked");
-            records.extend(shard_records);
-            pairs.extend(shard_pairs);
-        }
-        (records, pairs)
-    });
-    // Restore global retire order (= the serial collection order).
-    records.sort_unstable_by_key(|r| r.id);
-    (records, pairs)
-}
-
 #[cfg(test)]
-mod parallel_collection_tests {
+mod collection_tests {
     use super::*;
     use minivm::{assemble, LiveEnv, RoundRobin};
     use pinplay::record_whole_program;
@@ -483,56 +364,9 @@ mod parallel_collection_tests {
         (program, rec.pinball)
     }
 
-    /// The parallel collection pipeline must reproduce the serial
-    /// collection byte for byte: records (including control parents),
-    /// pairs, and therefore every slice.
-    #[test]
-    fn parallel_collection_matches_serial() {
-        let (program, pinball) = record_mt();
-        let serial = SliceSession::collect(
-            Arc::clone(&program),
-            &pinball,
-            SlicerOptions {
-                parallel: false,
-                ..SlicerOptions::default()
-            },
-        );
-        let parallel = SliceSession::collect(
-            Arc::clone(&program),
-            &pinball,
-            SlicerOptions {
-                parallel: true,
-                parallel_threshold: 0,
-                ..SlicerOptions::default()
-            },
-        );
-        assert!(
-            parallel.metrics().collector_threads > 1,
-            "parallel pipeline engaged: {} collectors",
-            parallel.metrics().collector_threads
-        );
-        assert_eq!(serial.metrics().collector_threads, 1);
-
-        let sr = serial.trace().records();
-        let pr = parallel.trace().records();
-        assert_eq!(sr.len(), pr.len());
-        for (a, b) in sr.iter().zip(pr) {
-            assert_eq!(a, b, "record {} differs between pipelines", a.id);
-        }
-        assert_eq!(serial.pairs(), parallel.pairs());
-
-        let fail = serial.failure_record().unwrap().id;
-        let s_slice = serial.slice(Criterion::Record { id: fail });
-        let p_slice = parallel.slice(Criterion::Record { id: fail });
-        assert_eq!(s_slice.records, p_slice.records);
-        assert_eq!(s_slice.data_edges, p_slice.data_edges);
-        assert_eq!(s_slice.control_edges, p_slice.control_edges);
-    }
-
     /// Collecting straight from a zero-copy v4 [`ContainerView`] must
     /// reproduce the owned-pinball collection exactly — every trace
-    /// record, every pair, and every slice — in both the serial and the
-    /// parallel pipelines.
+    /// record, every pair, and every slice.
     #[test]
     fn view_collection_matches_pinball_collection() {
         let (program, pinball) = record_mt();
@@ -540,63 +374,26 @@ mod parallel_collection_tests {
         let bytes = container.to_bytes().unwrap();
         let view = ContainerView::from_bytes(&bytes).unwrap();
 
-        for parallel in [false, true] {
-            let opts = SlicerOptions {
-                parallel,
-                parallel_threshold: 0,
-                ..SlicerOptions::default()
-            };
-            let owned = SliceSession::collect(Arc::clone(&program), &pinball, opts);
-            let viewed = SliceSession::collect_view(Arc::clone(&program), &view, opts);
-            assert_eq!(
-                owned.metrics().collector_threads,
-                viewed.metrics().collector_threads,
-                "both pipelines shard the same way (parallel={parallel})"
-            );
-            assert_eq!(owned.trace().records(), viewed.trace().records());
-            assert_eq!(owned.pairs(), viewed.pairs());
+        let opts = SlicerOptions::default();
+        let owned = SliceSession::collect(Arc::clone(&program), &pinball, opts);
+        let viewed = SliceSession::collect_view(Arc::clone(&program), &view, opts);
+        assert_eq!(owned.trace().records(), viewed.trace().records());
+        assert_eq!(owned.pairs(), viewed.pairs());
 
-            let fail = owned.failure_record().unwrap().id;
-            let a = owned.slice(Criterion::Record { id: fail });
-            let b = viewed.slice(Criterion::Record { id: fail });
-            assert_eq!(a.records, b.records);
-            assert_eq!(a.data_edges, b.data_edges);
-            assert_eq!(a.control_edges, b.control_edges);
-        }
-    }
-
-    /// Online-only CFG refinement (no discovery pass) is the one
-    /// configuration where sharding would diverge; collection must stay
-    /// serial there.
-    #[test]
-    fn online_refinement_forces_serial_collection() {
-        let (program, pinball) = record_mt();
-        let session = SliceSession::collect(
-            Arc::clone(&program),
-            &pinball,
-            SlicerOptions {
-                parallel: true,
-                parallel_threshold: 0,
-                two_pass_discovery: false,
-                ..SlicerOptions::default()
-            },
-        );
-        assert_eq!(session.metrics().collector_threads, 1);
+        let fail = owned.failure_record().unwrap().id;
+        let a = owned.slice(Criterion::Record { id: fail });
+        let b = viewed.slice(Criterion::Record { id: fail });
+        assert_eq!(a.records, b.records);
+        assert_eq!(a.data_edges, b.data_edges);
+        assert_eq!(a.control_edges, b.control_edges);
     }
 
     /// Pipeline metrics cover every stage after collection.
     #[test]
     fn session_metrics_are_populated() {
         let (program, pinball) = record_mt();
-        let session = SliceSession::collect(
-            Arc::clone(&program),
-            &pinball,
-            SlicerOptions {
-                parallel: true,
-                parallel_threshold: 0,
-                ..SlicerOptions::default()
-            },
-        );
+        let session =
+            SliceSession::collect(Arc::clone(&program), &pinball, SlicerOptions::default());
         let m = session.metrics();
         assert_eq!(m.collect.records, session.trace().records().len() as u64);
         assert_eq!(m.merge.records, m.collect.records);

@@ -15,14 +15,17 @@
 //! The merge is a Kahn topological sort that greedily stays on the current
 //! thread — the paper's clustering trick ("we always try to cluster traces
 //! for each thread to the extent possible to improve the locality of \[the\]
-//! LP algorithm").
+//! LP algorithm"). Program order needs no stored edge: each thread is
+//! walked by a cursor over its own records. Only the cross-thread
+//! constraints (spawn and conflicting accesses) are stored.
 //!
 //! The result is segmented into fixed-size blocks, each summarising the set
 //! of locations it defines — the block summaries the Limited Preprocessing
 //! traversal uses to skip irrelevant blocks (Zhang et al., paper §3 step
-//! iii).
+//! iii). Large traces are summarized in parallel over disjoint block
+//! ranges.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -44,8 +47,8 @@ const MAX_SUMMARY_WORKERS: usize = 16;
 /// Timings from one [`GlobalTrace`] build, for the pipeline metrics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BuildMetrics {
-    /// Wall time of the topological cluster merge (zero with clustering
-    /// off).
+    /// Wall time of the topological cluster merge (none with clustering
+    /// off) plus the record id → position map.
     pub merge_wall: Duration,
     /// Wall time of block summarization + definition indexing.
     pub summarize_wall: Duration,
@@ -113,12 +116,14 @@ impl GlobalTrace {
     ) -> (GlobalTrace, BuildMetrics) {
         assert!(block_size > 0, "block size must be positive");
         let merge_start = Instant::now();
-        let order: Vec<usize> = if cluster {
-            cluster_merge(&collected, track_sp)
+        // Unclustered, the collection order is kept as is — and so is the
+        // vector, with whatever spare capacity a later `extend` can use.
+        let records: Vec<TraceRecord> = if cluster {
+            let order = cluster_merge(&collected, track_sp);
+            order.into_iter().map(|i| collected[i]).collect()
         } else {
-            (0..collected.len()).collect()
+            collected
         };
-        let records: Vec<TraceRecord> = order.into_iter().map(|i| collected[i]).collect();
         let mut pos_of = HashMap::with_capacity(records.len());
         for (pos, r) in records.iter().enumerate() {
             pos_of.insert(r.id, pos);
@@ -343,21 +348,25 @@ fn build_summaries_with(
 
 /// Computes the clustered topological order; returns indices into
 /// `collected`.
+///
+/// Each thread's records are visited in collection order by a cursor, so
+/// program order holds by construction. The cross-thread constraints — a
+/// spawn before the child's first record, and conflicting accesses to one
+/// address in collection order — are stored as one CSR adjacency, with a
+/// count of unmet constraints per record. The walk stays on the current
+/// thread while its next record has no unmet constraint, and otherwise
+/// switches to the lowest tid whose next record has none.
 fn cluster_merge(collected: &[TraceRecord], track_sp: bool) -> Vec<usize> {
     let n = collected.len();
-    // Edges: successor lists + indegrees.
-    let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut indeg: Vec<u32> = vec![0; n];
-    let edge = |succ: &mut Vec<Vec<usize>>, indeg: &mut Vec<u32>, a: usize, b: usize| {
-        succ[a].push(b);
-        indeg[b] += 1;
-    };
-
-    // Program order.
-    let mut last_of_thread: HashMap<Tid, usize> = HashMap::new();
+    // Each thread's records, in collection (= program) order. Keyed by tid,
+    // so that the thread slots below run in ascending tid order.
+    let mut by_tid: BTreeMap<Tid, Vec<usize>> = BTreeMap::new();
+    // Cross-thread edges (before, after), in order of `after`.
+    let mut edges: Vec<(usize, usize)> = Vec::new();
     // Spawn order: child tid -> spawning record.
     let mut spawner: HashMap<Tid, usize> = HashMap::new();
     // Conflict order per address: (last writer, readers since last write).
+    #[derive(Default)]
     struct MemState {
         last_write: Option<usize>,
         reads_since: Vec<usize>,
@@ -365,25 +374,23 @@ fn cluster_merge(collected: &[TraceRecord], track_sp: bool) -> Vec<usize> {
     let mut mem: HashMap<u64, MemState> = HashMap::new();
 
     for (i, r) in collected.iter().enumerate() {
-        if let Some(&prev) = last_of_thread.get(&r.tid) {
-            edge(&mut succ, &mut indeg, prev, i);
-        } else if let Some(&sp) = spawner.get(&r.tid) {
-            edge(&mut succ, &mut indeg, sp, i);
+        let run = by_tid.entry(r.tid).or_default();
+        if run.is_empty() {
+            if let Some(&sp) = spawner.get(&r.tid) {
+                edges.push((sp, i));
+            }
         }
-        last_of_thread.insert(r.tid, i);
+        run.push(i);
         if let Some((child, _)) = r.spawned {
             spawner.insert(child, i);
         }
         // Conflicting accesses to shared memory.
         for (k, _) in r.use_keys(track_sp) {
             if let LocKey::Mem(a) = k {
-                let st = mem.entry(a).or_insert(MemState {
-                    last_write: None,
-                    reads_since: Vec::new(),
-                });
+                let st = mem.entry(a).or_default();
                 if let Some(w) = st.last_write {
                     if collected[w].tid != r.tid {
-                        edge(&mut succ, &mut indeg, w, i);
+                        edges.push((w, i));
                     }
                 }
                 st.reads_since.push(i);
@@ -391,19 +398,16 @@ fn cluster_merge(collected: &[TraceRecord], track_sp: bool) -> Vec<usize> {
         }
         for (k, _) in r.def_keys(track_sp) {
             if let LocKey::Mem(a) = k {
-                let st = mem.entry(a).or_insert(MemState {
-                    last_write: None,
-                    reads_since: Vec::new(),
-                });
+                let st = mem.entry(a).or_default();
                 // Write-after-read and write-after-write edges.
                 for &rd in &st.reads_since {
                     if rd != i && collected[rd].tid != r.tid {
-                        edge(&mut succ, &mut indeg, rd, i);
+                        edges.push((rd, i));
                     }
                 }
                 if let Some(w) = st.last_write {
                     if collected[w].tid != r.tid {
-                        edge(&mut succ, &mut indeg, w, i);
+                        edges.push((w, i));
                     }
                 }
                 st.last_write = Some(i);
@@ -412,65 +416,40 @@ fn cluster_merge(collected: &[TraceRecord], track_sp: bool) -> Vec<usize> {
         }
     }
 
-    // Kahn with thread-clustering: prefer the thread we are already on.
-    let mut ready_by_thread: HashMap<Tid, Vec<usize>> = HashMap::new();
-    let mut ready_threads: Vec<Tid> = Vec::new();
-    for (i, r) in collected.iter().enumerate() {
-        if indeg[i] == 0 {
-            let q = ready_by_thread.entry(r.tid).or_default();
-            if q.is_empty() {
-                ready_threads.push(r.tid);
-            }
-            q.push(i);
-        }
+    // CSR by source: the successors of `i` are `succ[offsets[i]..offsets[i + 1]]`.
+    let mut offsets = vec![0usize; n + 1];
+    let mut unmet = vec![0u32; n];
+    for &(before, after) in &edges {
+        offsets[before + 1] += 1;
+        unmet[after] += 1;
     }
-    // Per-thread ready queues hold records in program order because each
-    // thread's records form a chain; reverse to pop from the back cheaply.
-    for q in ready_by_thread.values_mut() {
-        q.reverse();
+    for i in 0..n {
+        offsets[i + 1] += offsets[i];
+    }
+    let mut fill = offsets.clone();
+    let mut succ = vec![0usize; edges.len()];
+    for (before, after) in edges {
+        succ[fill[before]] = after;
+        fill[before] += 1;
     }
 
+    // The walk, over thread slots in ascending tid order.
+    let runs: Vec<Vec<usize>> = by_tid.into_values().collect();
+    let mut cursor = vec![0usize; runs.len()];
     let mut order = Vec::with_capacity(n);
-    let mut current: Option<Tid> = None;
+    let mut current = 0;
     while order.len() < n {
-        let tid = match current {
-            Some(t) if ready_by_thread.get(&t).is_some_and(|q| !q.is_empty()) => t,
-            _ => {
-                // Switch to the lowest ready thread for determinism.
-                let t = ready_threads
-                    .iter()
-                    .copied()
-                    .filter(|t| ready_by_thread.get(t).is_some_and(|q| !q.is_empty()))
-                    .min()
-                    .expect("topological sort stalled: constraint cycle");
-                current = Some(t);
-                t
-            }
-        };
-        let i = ready_by_thread
-            .get_mut(&tid)
-            .expect("selected thread has a queue")
-            .pop()
-            .expect("selected thread queue non-empty");
+        let ready = |t: usize| runs[t].get(cursor[t]).is_some_and(|&i| unmet[i] == 0);
+        if !ready(current) {
+            current = (0..runs.len())
+                .find(|&t| ready(t))
+                .expect("topological sort stalled: constraint cycle");
+        }
+        let i = runs[current][cursor[current]];
+        cursor[current] += 1;
         order.push(i);
-        for &s in &succ[i] {
-            indeg[s] -= 1;
-            if indeg[s] == 0 {
-                let st = collected[s].tid;
-                let q = ready_by_thread.entry(st).or_default();
-                if q.is_empty() && !ready_threads.contains(&st) {
-                    ready_threads.push(st);
-                }
-                // Queues are kept in descending id order (pop from the back
-                // yields the earliest record). In practice a thread has at
-                // most one ready record — program-order edges chain them —
-                // but keep the insert correct regardless.
-                let at = q
-                    .iter()
-                    .position(|&x| collected[x].id < collected[s].id)
-                    .unwrap_or(q.len());
-                q.insert(at, s);
-            }
+        for &s in &succ[offsets[i]..offsets[i + 1]] {
+            unmet[s] -= 1;
         }
     }
     order
@@ -538,6 +517,7 @@ pub fn is_valid_topological_order(collected: &[TraceRecord], order: &[usize]) ->
 mod tests {
     use super::*;
     use minivm::{Instr, Loc, Reg};
+    use proptest::prelude::*;
 
     fn rec(id: RecordId, tid: Tid, uses: &[(Loc, i64)], defs: &[(Loc, i64)]) -> TraceRecord {
         TraceRecord {
@@ -553,6 +533,142 @@ mod tests {
             cd_parent: None,
             line: 0,
         }
+    }
+
+    /// The slow oracle for [`cluster_merge`]: a textbook Kahn sort that
+    /// stores every constraint, program order included, as a successor
+    /// list per record, with the same clustering choice rule.
+    fn kahn_reference(collected: &[TraceRecord], track_sp: bool) -> Vec<usize> {
+        let n = collected.len();
+        // Edges: successor lists + indegrees.
+        let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut indeg: Vec<u32> = vec![0; n];
+        let edge = |succ: &mut Vec<Vec<usize>>, indeg: &mut Vec<u32>, a: usize, b: usize| {
+            succ[a].push(b);
+            indeg[b] += 1;
+        };
+
+        // Program order.
+        let mut last_of_thread: HashMap<Tid, usize> = HashMap::new();
+        // Spawn order: child tid -> spawning record.
+        let mut spawner: HashMap<Tid, usize> = HashMap::new();
+        // Conflict order per address: (last writer, readers since last write).
+        struct MemState {
+            last_write: Option<usize>,
+            reads_since: Vec<usize>,
+        }
+        let mut mem: HashMap<u64, MemState> = HashMap::new();
+
+        for (i, r) in collected.iter().enumerate() {
+            if let Some(&prev) = last_of_thread.get(&r.tid) {
+                edge(&mut succ, &mut indeg, prev, i);
+            } else if let Some(&sp) = spawner.get(&r.tid) {
+                edge(&mut succ, &mut indeg, sp, i);
+            }
+            last_of_thread.insert(r.tid, i);
+            if let Some((child, _)) = r.spawned {
+                spawner.insert(child, i);
+            }
+            // Conflicting accesses to shared memory.
+            for (k, _) in r.use_keys(track_sp) {
+                if let LocKey::Mem(a) = k {
+                    let st = mem.entry(a).or_insert(MemState {
+                        last_write: None,
+                        reads_since: Vec::new(),
+                    });
+                    if let Some(w) = st.last_write {
+                        if collected[w].tid != r.tid {
+                            edge(&mut succ, &mut indeg, w, i);
+                        }
+                    }
+                    st.reads_since.push(i);
+                }
+            }
+            for (k, _) in r.def_keys(track_sp) {
+                if let LocKey::Mem(a) = k {
+                    let st = mem.entry(a).or_insert(MemState {
+                        last_write: None,
+                        reads_since: Vec::new(),
+                    });
+                    // Write-after-read and write-after-write edges.
+                    for &rd in &st.reads_since {
+                        if rd != i && collected[rd].tid != r.tid {
+                            edge(&mut succ, &mut indeg, rd, i);
+                        }
+                    }
+                    if let Some(w) = st.last_write {
+                        if collected[w].tid != r.tid {
+                            edge(&mut succ, &mut indeg, w, i);
+                        }
+                    }
+                    st.last_write = Some(i);
+                    st.reads_since.clear();
+                }
+            }
+        }
+
+        // Kahn with thread-clustering: prefer the thread we are already on.
+        let mut ready_by_thread: HashMap<Tid, Vec<usize>> = HashMap::new();
+        let mut ready_threads: Vec<Tid> = Vec::new();
+        for (i, r) in collected.iter().enumerate() {
+            if indeg[i] == 0 {
+                let q = ready_by_thread.entry(r.tid).or_default();
+                if q.is_empty() {
+                    ready_threads.push(r.tid);
+                }
+                q.push(i);
+            }
+        }
+        // Per-thread ready queues hold records in program order because each
+        // thread's records form a chain; reverse to pop from the back cheaply.
+        for q in ready_by_thread.values_mut() {
+            q.reverse();
+        }
+
+        let mut order = Vec::with_capacity(n);
+        let mut current: Option<Tid> = None;
+        while order.len() < n {
+            let tid = match current {
+                Some(t) if ready_by_thread.get(&t).is_some_and(|q| !q.is_empty()) => t,
+                _ => {
+                    // Switch to the lowest ready thread for determinism.
+                    let t = ready_threads
+                        .iter()
+                        .copied()
+                        .filter(|t| ready_by_thread.get(t).is_some_and(|q| !q.is_empty()))
+                        .min()
+                        .expect("topological sort stalled: constraint cycle");
+                    current = Some(t);
+                    t
+                }
+            };
+            let i = ready_by_thread
+                .get_mut(&tid)
+                .expect("selected thread has a queue")
+                .pop()
+                .expect("selected thread queue non-empty");
+            order.push(i);
+            for &s in &succ[i] {
+                indeg[s] -= 1;
+                if indeg[s] == 0 {
+                    let st = collected[s].tid;
+                    let q = ready_by_thread.entry(st).or_default();
+                    if q.is_empty() && !ready_threads.contains(&st) {
+                        ready_threads.push(st);
+                    }
+                    // Queues are kept in descending id order (pop from the back
+                    // yields the earliest record). In practice a thread has at
+                    // most one ready record — program-order edges chain them —
+                    // but keep the insert correct regardless.
+                    let at = q
+                        .iter()
+                        .position(|&x| collected[x].id < collected[s].id)
+                        .unwrap_or(q.len());
+                    q.insert(at, s);
+                }
+            }
+        }
+        order
     }
 
     #[test]
@@ -733,5 +849,83 @@ mod tests {
         let (gt, metrics) = GlobalTrace::build_instrumented(collected, 16, false, true);
         assert_eq!(gt.records().len(), 1);
         assert_eq!(metrics.summary_workers, 1, "tiny trace summarized serially");
+    }
+
+    #[test]
+    fn unclustered_build_keeps_the_collected_vector() {
+        let mut collected = Vec::with_capacity(64);
+        collected.push(rec(0, 0, &[], &[(Loc::Reg(Reg(1)), 1)]));
+        let at = collected.as_ptr();
+        let gt = GlobalTrace::build_with(collected, 16, false, false);
+        assert_eq!(
+            gt.records().as_ptr(),
+            at,
+            "no gather through the identity order"
+        );
+        assert!(
+            gt.records.capacity() >= 64,
+            "spare capacity kept for `extend`"
+        );
+    }
+
+    /// A synthetic collection order. Each step picks a live thread and an
+    /// operation: a load, a store, an atomic read-modify-write, a copy
+    /// between addresses (sometimes onto itself), a register-only
+    /// instruction, or a spawn of a not-yet-live thread. The first thread
+    /// is live from the start, as is each other thread whose `born_live`
+    /// bit is set. Tids are sparse and not in order of appearance.
+    fn synthetic_trace(threads: usize, born_live: u8, steps: &[(u8, u8, u8)]) -> Vec<TraceRecord> {
+        const TIDS: [Tid; 6] = [40, 7, 1_000_003, 0, 65, 12];
+        const ADDRS: [u64; 3] = [0x1000, 0x1008, 0x2000];
+        let mut live = vec![TIDS[0]];
+        let mut unborn = Vec::new();
+        for (k, &tid) in TIDS[1..threads].iter().enumerate() {
+            if born_live & (1 << k) != 0 {
+                live.push(tid);
+            } else {
+                unborn.push(tid);
+            }
+        }
+        let mut collected = Vec::with_capacity(steps.len());
+        for (i, &(pick, op, addr)) in steps.iter().enumerate() {
+            let id = i as RecordId;
+            let tid = live[pick as usize % live.len()];
+            let a = addr as usize;
+            let m = Loc::Mem(ADDRS[a % ADDRS.len()]);
+            let other = Loc::Mem(ADDRS[(a + op as usize / 6) % ADDRS.len()]);
+            let reg = Loc::Reg(Reg(1 + addr % 4));
+            let r = match op % 6 {
+                0 => rec(id, tid, &[(m, 0)], &[(reg, 0)]),
+                1 => rec(id, tid, &[(reg, 0)], &[(m, 0)]),
+                2 => rec(id, tid, &[(m, 0), (reg, 0)], &[(m, 0), (reg, 0)]),
+                3 => rec(id, tid, &[(m, 0)], &[(other, 0)]),
+                4 => rec(id, tid, &[(reg, 0)], &[(Loc::Reg(Reg(2)), 0)]),
+                _ => {
+                    let mut r = rec(id, tid, &[], &[]);
+                    if let Some(child) = unborn.pop() {
+                        r.spawned = Some((child, 0));
+                        live.push(child);
+                    }
+                    r
+                }
+            };
+            collected.push(r);
+        }
+        collected
+    }
+
+    proptest! {
+        #[test]
+        fn cursor_merge_matches_the_kahn_reference(
+            threads in 1usize..7,
+            born_live in any::<u8>(),
+            steps in proptest::collection::vec((any::<u8>(), 0u8..18, any::<u8>()), 0..160),
+            track_sp in any::<bool>(),
+        ) {
+            let collected = synthetic_trace(threads, born_live, &steps);
+            let order = cluster_merge(&collected, track_sp);
+            prop_assert_eq!(&order, &kahn_reference(&collected, track_sp));
+            prop_assert!(is_valid_topological_order(&collected, &order));
+        }
     }
 }

@@ -76,7 +76,7 @@ pub mod slice;
 pub mod slicefile;
 pub mod trace;
 
-pub use collect::{SliceSession, SlicerOptions, DEFAULT_PARALLEL_THRESHOLD};
+pub use collect::{SliceSession, SlicerOptions};
 pub use control::ControlTracker;
 pub use global::{
     is_valid_topological_order, BlockSummary, BuildMetrics, GlobalTrace, DEFAULT_BLOCK_SIZE,

@@ -1,10 +1,10 @@
-//! Pipeline stage metrics for the parallel slicing pipeline.
+//! Pipeline stage metrics for the slicing pipeline.
 //!
-//! The slicing pipeline has four stages — *collect* (replay the region
-//! pinball, gathering per-thread def/use traces), *merge* (the topological
-//! cluster merge into the global trace), *summarize* (LP block summaries
-//! plus the per-key definition index), and *traverse* (one backward slice
-//! query). [`SliceMetrics`] carries per-stage wall time and work counters
+//! The slicing pipeline has four stages — *collect* (one serial replay of
+//! the region pinball, gathering per-thread def/use traces), *merge* (the
+//! topological cluster merge into the global trace), *summarize* (LP block
+//! summaries plus the per-key definition index, in parallel for large
+//! traces), and *traverse* (one backward slice query). [`SliceMetrics`] carries per-stage wall time and work counters
 //! through `collect → global → slice` so the debugger's `metrics` command
 //! and `drdebug_cli` can report where time went and how much work the LP
 //! skipping and save/restore pruning avoided.
@@ -39,8 +39,7 @@ impl StageMetrics {
 pub struct SliceMetrics {
     /// Replay + per-thread def/use trace collection.
     pub collect: StageMetrics,
-    /// Topological merge into the global trace (plus the id-order restore
-    /// after parallel collection).
+    /// Topological merge into the global trace.
     pub merge: StageMetrics,
     /// LP block summaries and the per-key definition index.
     pub summarize: StageMetrics,
@@ -53,8 +52,6 @@ pub struct SliceMetrics {
     pub warm_index: bool,
     /// The most recent backward traversal (zero until a slice is computed).
     pub traverse: StageMetrics,
-    /// Collector threads used (1 = serial collection).
-    pub collector_threads: usize,
     /// Workers used for block summaries (1 = serial summarization).
     pub summary_workers: usize,
     /// Blocks scanned record by record in the last traversal.
@@ -95,8 +92,8 @@ impl fmt::Display for SliceMetrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "collect    {:>12?}  {:>10} records  {} collector thread(s)",
-            self.collect.wall, self.collect.records, self.collector_threads
+            "collect    {:>12?}  {:>10} records",
+            self.collect.wall, self.collect.records
         )?;
         writeln!(
             f,
@@ -141,7 +138,6 @@ mod tests {
     fn traversal_stats_fold_in() {
         let base = SliceMetrics {
             collect: StageMetrics::new(Duration::from_millis(5), 100),
-            collector_threads: 2,
             summary_workers: 1,
             ..SliceMetrics::default()
         };

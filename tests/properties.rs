@@ -20,8 +20,8 @@ use minivm::builder::ProgramBuilder;
 use minivm::{BinOp, Cond, Instr, LiveEnv, NullTool, Program, RandomSched, Reg};
 use pinplay::{record_whole_program, Replayer};
 use slicer::{
-    compute_slice_lp, compute_slice_naive, is_valid_topological_order, Criterion, SliceFile,
-    SliceOptions, SliceSession, SlicerOptions,
+    compute_slice_lp, compute_slice_naive, is_valid_topological_order, Criterion, SliceOptions,
+    SliceSession, SlicerOptions,
 };
 
 /// One operation of a generated worker body.
@@ -291,47 +291,6 @@ proptest! {
             prop_assert_eq!(&lp.records, &naive.records, "same slice membership");
             prop_assert_eq!(&lp.data_edges, &naive.data_edges, "same data edges");
             prop_assert_eq!(&lp.control_edges, &naive.control_edges, "same control edges");
-        }
-    }
-
-    #[test]
-    fn parallel_pipeline_slice_files_are_byte_identical((bodies, sched_seed, env_seed) in scenario()) {
-        let program = build_program(&bodies);
-        let rec = record_whole_program(
-            &program,
-            &mut RandomSched::new(sched_seed, 4),
-            &mut LiveEnv::new(env_seed),
-            1_000_000,
-            "prop",
-        ).expect("records");
-
-        // Serial baseline vs the fully parallel pipeline: sharded streaming
-        // collection and parallel block summaries.
-        let serial = SliceSession::collect(
-            Arc::clone(&program),
-            &rec.pinball,
-            SlicerOptions { parallel: false, ..SlicerOptions::default() },
-        );
-        let parallel = SliceSession::collect(
-            Arc::clone(&program),
-            &rec.pinball,
-            SlicerOptions { parallel: true, parallel_threshold: 0, ..SlicerOptions::default() },
-        );
-
-        let file = |session: &SliceSession, slice: &slicer::Slice| {
-            let (exclusions, _) = session.exclusion_regions(slice);
-            SliceFile::build("prop", slice, session.trace(), exclusions).to_bytes()
-        };
-        let ids: Vec<_> = serial.trace().records().iter().map(|r| r.id).collect();
-        for &id in ids.iter().rev().take(3) {
-            let criterion = Criterion::Record { id };
-            let s = serial.slice(criterion);
-            let p = parallel.slice(criterion);
-            prop_assert_eq!(
-                file(&serial, &s),
-                file(&parallel, &p),
-                "slice files must be byte-identical"
-            );
         }
     }
 
