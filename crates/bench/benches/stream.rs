@@ -6,10 +6,7 @@
 //! Measured:
 //!
 //! * **absorb** — feeding all chunks through a [`StreamReader`] and
-//!   sealing, i.e. the server-side cost of reassembly and validation.
-//!   Measured for both stream generations: v3 chunks decode every event
-//!   into an owned record (`absorb_v3_*`), v4 chunks bulk-append event
-//!   columns (`absorb_*`) — the before/after of the columnar rewrite;
+//!   sealing, i.e. the server-side cost of reassembly and validation;
 //! * **rebuild** — time to first slice after the final chunk when the
 //!   trace and dependence index are rebuilt from scratch;
 //! * **incremental** — the same first slice when the 15-chunk index
@@ -87,22 +84,6 @@ fn bench_stream(c: &mut Bencher) {
         assert!(reader.is_sealed());
     });
 
-    // The pre-columnar baseline: the same container shipped as a v3
-    // stream, absorbed through the per-event decode path.
-    let writer_v3 = StreamWriter::new_v3(&container).expect("container streams as v3");
-    let pieces_v3 = writer_v3.chunks(CHUNKS);
-    let container_bytes_v3 = writer_v3.sealed_bytes().len();
-    let absorb_v3 = median_of(5, || {
-        let mut reader = StreamReader::default();
-        for piece in &pieces_v3 {
-            reader.absorb(piece).expect("v3 chunk absorbs");
-        }
-        reader
-            .absorb(writer_v3.footer())
-            .expect("v3 footer absorbs");
-        assert!(reader.is_sealed());
-    });
-
     // The 15-chunk prefix state, collected the way the server collects it.
     let mut reader = StreamReader::default();
     for piece in &pieces[..CHUNKS - 1] {
@@ -141,16 +122,11 @@ fn bench_stream(c: &mut Bencher) {
         "{{\n  \"bench\": \"stream\",\n  \"workload\": \"four_thread_churn\",\n  \
          \"iters\": {ITERS},\n  \"records\": {},\n  \"chunks\": {CHUNKS},\n  \
          \"container_bytes\": {container_bytes},\n  \"absorb_ns\": {},\n  \
-         \"absorb_mb_per_s\": {:.2},\n  \"container_bytes_v3\": {container_bytes_v3},\n  \
-         \"absorb_v3_ns\": {},\n  \"absorb_v3_mb_per_s\": {:.2},\n  \
-         \"absorb_speedup\": {:.2},\n  \"rebuild_ns\": {},\n  \
+         \"absorb_mb_per_s\": {:.2},\n  \"rebuild_ns\": {},\n  \
          \"incremental_ns\": {},\n  \"incremental_speedup\": {:.2}\n}}\n",
         records.len(),
         absorb.as_nanos(),
         container_bytes as f64 / 1.0e6 / absorb.as_secs_f64().max(1e-12),
-        absorb_v3.as_nanos(),
-        container_bytes_v3 as f64 / 1.0e6 / absorb_v3.as_secs_f64().max(1e-12),
-        absorb_v3.as_secs_f64() / absorb.as_secs_f64().max(1e-12),
         rebuild.as_nanos(),
         incremental.as_nanos(),
         rebuild.as_secs_f64() / incremental.as_secs_f64().max(1e-12),

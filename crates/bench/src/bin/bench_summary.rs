@@ -32,12 +32,6 @@ const HEADLINES: &[(&str, &str, &str, &str)] = &[
         "MB/s",
     ),
     (
-        "stream",
-        "absorb_speedup",
-        "Stream absorb speedup (v4 columnar vs v3)",
-        "x",
-    ),
-    (
         "saturation",
         "saturation_speedup",
         "Saturation speedup (fleet vs ping-pong)",
@@ -84,19 +78,6 @@ const HEADLINES: &[(&str, &str, &str, &str)] = &[
         "replay_speedup",
         "Slice-pinball replay speedup",
         "x",
-    ),
-    ("codec", "roundtrip_speedup", "Binary codec speedup", "x"),
-    (
-        "codec",
-        "view_load_speedup",
-        "v4 zero-copy load speedup (view vs v3)",
-        "x",
-    ),
-    (
-        "codec",
-        "load_v4_mapped_open_ns",
-        "v4 mapped container open",
-        "ns",
     ),
     (
         "cluster",

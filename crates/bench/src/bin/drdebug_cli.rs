@@ -204,38 +204,26 @@ fn tail_mode(
     Ok((program, container))
 }
 
-/// `drdebug_cli migrate --to v4 <in> <out>`: upgrade a container on disk
-/// to the requested generation in place of debugging. The digest is
-/// format-independent, so the upgraded file stays content-addressed to
-/// the same recording; the CLI prints both sizes and the digest so the
-/// caller can verify nothing drifted.
+/// `drdebug_cli migrate <in> <out>`: upgrade an older container on disk
+/// to v4 in place of debugging. The digest is format-independent, so the
+/// upgraded file stays content-addressed to the same recording; the CLI
+/// prints both sizes and the digest so the caller can verify nothing
+/// drifted. Takes exactly two paths and no flags.
 fn migrate_mode(args: &[String]) -> Result<(), String> {
-    let to = flag_value(args, "--to").unwrap_or("v4");
-    let mut paths = args
-        .iter()
-        .skip(1) // the `migrate` word itself
-        .filter(|a| !a.starts_with("--"))
-        .skip_while(|a| flag_value(args, "--to") == Some(a.as_str()));
-    let (input, output) = match (paths.next(), paths.next()) {
-        (Some(i), Some(o)) => (i.as_str(), o.as_str()),
-        _ => return Err("usage: drdebug_cli migrate --to v4 <in> <out>".to_string()),
+    let (input, output) = match args.get(1..) {
+        Some([i, o]) if !i.starts_with('-') && !o.starts_with('-') => (i.as_str(), o.as_str()),
+        _ => return Err("usage: drdebug_cli migrate <in> <out>".to_string()),
     };
     let bytes = std::fs::read(input).map_err(|e| format!("cannot read pinball `{input}`: {e}"))?;
     let from = pinplay::detect_version(&bytes);
-    let upgraded = match to {
-        "v4" => pinplay::migrate(&bytes).map_err(|e| format!("cannot migrate `{input}`: {e}"))?,
-        "v3" => PinballContainer::from_bytes(&bytes)
-            .and_then(|c| c.to_bytes_v3())
-            .map_err(|e| format!("cannot migrate `{input}`: {e}"))?,
-        other => return Err(format!("unknown target `{other}`; expected v3|v4")),
-    };
+    let upgraded =
+        pinplay::migrate(&bytes).map_err(|e| format!("cannot migrate `{input}`: {e}"))?;
     let container = PinballContainer::from_bytes(&upgraded)
         .map_err(|e| format!("migrated container does not parse: {e}"))?;
     std::fs::write(output, &upgraded)
         .map_err(|e| format!("cannot write pinball `{output}`: {e}"))?;
     eprintln!(
-        "[drdebug] migrated `{input}` ({from:?}, {} bytes) -> `{output}` ({to}, {} bytes), \
-         digest {}",
+        "[drdebug] migrated `{input}` ({from}, {} bytes) -> `{output}` (v4, {} bytes), digest {}",
         bytes.len(),
         upgraded.len(),
         container.digest()
@@ -332,7 +320,7 @@ fn main() {
              [--pinball <path>] [--save <path>] [--emit-test <name>] [--cmd '<command>']...\n\
              \x20      drdebug_cli <case|needle> --tail <stream> [--addr <host:port>] \
              [--poll-ms <n>] [--slice-live] [--iters <n>]\n\
-             \x20      drdebug_cli migrate --to v4 <in> <out>"
+             \x20      drdebug_cli migrate <in> <out>"
         );
         std::process::exit(2);
     };
@@ -534,42 +522,47 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
     #[test]
     fn migrate_mode_upgrades_v3_files_to_v4() {
-        let program = workloads::fig8_save_restore();
-        let rec = record_whole_program(
-            &program,
-            &mut RoundRobin::new(8),
-            &mut LiveEnv::with_inputs(0, [1]),
-            100_000,
-            "cli-migrate-test",
-        )
-        .expect("records");
-        let container = PinballContainer::with_checkpoints(rec.pinball, &program, 64);
+        // A committed v3 save (crates/pinplay/tests/fixtures/README.md).
+        let v3: &[u8] = include_bytes!("../../../pinplay/tests/fixtures/fuzz_v3.drpb");
+        let expected = PinballContainer::from_bytes(v3).expect("v3 fixture loads");
         let input = temp_path("migrate-in");
         let output = temp_path("migrate-out");
-        std::fs::write(&input, container.to_bytes_v3().unwrap()).unwrap();
+        std::fs::write(&input, v3).unwrap();
+        let (i, o) = (input.to_str().unwrap(), output.to_str().unwrap());
 
-        let args: Vec<String> = [
-            "migrate",
-            "--to",
-            "v4",
-            input.to_str().unwrap(),
-            output.to_str().unwrap(),
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        migrate_mode(&args).expect("migrates");
+        // A flag anywhere, or a wrong path count, is a usage error that
+        // writes nothing — not even to a path named after a flag's value.
+        for bad in [
+            vec!["migrate", i, o, "--to", "v4"],
+            vec!["migrate", i, "--to", "v4", o],
+            vec!["migrate", "--to", "v4", i, o],
+            vec!["migrate", i],
+            vec!["migrate", i, o, "extra"],
+        ] {
+            let err = migrate_mode(&strings(&bad)).expect_err("rejects the arguments");
+            assert!(
+                err.starts_with("usage: drdebug_cli migrate <in> <out>"),
+                "{err}"
+            );
+            assert!(!output.exists(), "{bad:?} wrote {}", output.display());
+        }
 
+        migrate_mode(&strings(&["migrate", i, o])).expect("migrates");
         let upgraded = std::fs::read(&output).unwrap();
         assert_eq!(
-            pinplay::detect_version(&upgraded),
-            pinplay::ContainerVersion::V4
+            upgraded,
+            expected.to_bytes().unwrap(),
+            "migrate writes the direct v4 save"
         );
         let loaded = PinballContainer::from_bytes(&upgraded).expect("v4 output loads");
-        assert_eq!(loaded, container, "migration preserves the container");
-        assert_eq!(loaded.digest(), container.digest(), "digest is format-free");
+        assert_eq!(loaded, expected, "migration preserves the container");
+        assert_eq!(loaded.digest(), expected.digest(), "digest is format-free");
         std::fs::remove_file(&input).ok();
         std::fs::remove_file(&output).ok();
     }

@@ -1,6 +1,6 @@
 //! One canonical location for bench JSON reports.
 //!
-//! Every bench that emits a machine-readable report (`codec.json`,
+//! Every bench that emits a machine-readable report (`stream.json`,
 //! `serve.json`, `saturation.json`, …) writes it through
 //! [`write_report`], so the reports land in a single directory no matter
 //! which crate directory cargo happens to run the bench from:

@@ -79,7 +79,7 @@ pub enum AdxRequest {
         /// Saved-slice index.
         index: usize,
     },
-    /// Relog a saved slice into a content-addressed v3 slice-pinball
+    /// Relog a saved slice into a content-addressed v4 slice-pinball
     /// container with embedded checkpoints; responds
     /// [`AdxResponse::Relogged`] or `Error`.
     Relog {
@@ -115,7 +115,7 @@ pub enum AdxResponse {
     /// The relogged slice-pinball container and its summary (digest,
     /// instruction counts).
     Relogged {
-        /// The v3 container: slice pinball plus embedded checkpoints.
+        /// The v4 container: slice pinball plus embedded checkpoints.
         container: Box<PinballContainer>,
         /// Digest and kept/excluded accounting.
         report: RelogReport,
@@ -180,7 +180,7 @@ impl Drop for AdxClient {
 
 /// Starts the engine thread over a bare pinball (no embedded checkpoints)
 /// and returns the client. Prefer [`spawn_engine_container`] when the
-/// pinball came from a v3 container: its embedded checkpoints make reverse
+/// pinball came from a container: its embedded checkpoints make reverse
 /// execution and `seek` O(chunk) from the first command.
 pub fn spawn_engine(program: Arc<Program>, pinball: Pinball) -> AdxClient {
     spawn_engine_container(program, PinballContainer::new(pinball))

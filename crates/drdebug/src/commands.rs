@@ -257,7 +257,7 @@ impl CommandInterpreter {
             }
             Some("container") => {
                 // Report the session's container as encoded by the current
-                // (v3) writer: version, per-frame codecs, compression.
+                // (v4) writer: version, per-frame codecs, compression.
                 let bytes = match self.session.container().to_bytes() {
                     Ok(bytes) => bytes,
                     Err(e) => return format!("cannot encode container: {e}"),
@@ -720,7 +720,7 @@ DrDebug commands:
   load-slice-file <path>        load a slice saved by a previous session
   replay-slice <idx>            build + load the slice pinball
   relog <idx> [path]            relog a saved slice into a content-addressed
-                                v3 slice-pinball container (optionally to disk)
+                                v4 slice-pinball container (optionally to disk)
   step-slice                    run to the next slice statement
   restart-slice                 replay the slice pinball from the start
 ";

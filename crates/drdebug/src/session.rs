@@ -983,7 +983,7 @@ impl DebugSession {
         pb
     }
 
-    /// Relogs a saved slice into a v3 slice-pinball *container*: the slice
+    /// Relogs a saved slice into a v4 slice-pinball *container*: the slice
     /// pinball of [`DebugSession::make_slice_pinball`], packaged with
     /// embedded checkpoints at the session's checkpoint interval and
     /// content-addressed by its digest — ready to be written to disk,
@@ -1030,7 +1030,7 @@ impl DebugSession {
     }
 }
 
-/// Summary of a relogging pass: the content digest of the resulting v3
+/// Summary of a relogging pass: the content digest of the resulting v4
 /// slice-pinball container plus how much of the region it kept.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RelogReport {

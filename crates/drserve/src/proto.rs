@@ -12,7 +12,7 @@
 //!
 //! `kind` is [`REQUEST_KIND`] (`'Q'`) client→server and [`RESPONSE_KIND`]
 //! (`'R'`) server→client; the payload is the [`pinzip::binser`] binary
-//! encoding of [`Request`] or [`Response`] — the same record codec the v3
+//! encoding of [`Request`] or [`Response`] — the same record codec the v4
 //! pinball container uses on disk, so large messages (pinball uploads,
 //! slice responses) skip JSON text entirely. Reusing the pinball
 //! container's framing means the same guarantees apply on the wire as on
@@ -62,7 +62,7 @@ pub enum Request {
         /// The program the pinball was recorded from.
         program: Program,
         /// Serialized container ([`pinplay::PinballContainer::to_bytes`];
-        /// v1/v2/v3 auto-detect server-side).
+        /// v1–v4 auto-detect server-side).
         container: Vec<u8>,
     },
     /// Open a pooled [`drdebug::DebugSession`] over an uploaded pinball.
@@ -101,7 +101,7 @@ pub enum Request {
         /// [`SliceOptions::fingerprint`].
         options: SliceOptions,
     },
-    /// Relog a dynamic slice into a *slice pinball*: a v3 container that
+    /// Relog a dynamic slice into a *slice pinball*: a v4 container that
     /// replays only the slice statements (plus forced synchronization).
     /// The result is stored server-side under its own content digest —
     /// downloadable with [`Request::FetchPinball`] and sliceable like any

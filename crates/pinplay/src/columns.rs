@@ -1,12 +1,11 @@
 //! Columnar replay-log storage — the v4 container's event representation.
 //!
-//! Container v3 stores each [`ReplayEvent`] as an owned `binser` record, so
-//! every load materializes a tree per event. v4 instead stores the log as
-//! parallel columns — one array per field — which decode with a handful of
-//! bulk varint scans and are *borrowed* by the replayer, the slicer's trace
-//! builds, and the relogger via [`EventRef`] without ever materializing
-//! `Vec<ReplayEvent>` (the iReplayer "read the recorded bytes in place"
-//! principle, PAPERS.md).
+//! Container v3 stores each [`ReplayEvent`] as a `binser` record tree.
+//! v4 instead stores the log as parallel columns — one array per field —
+//! which encode smaller and decode with a handful of bulk varint scans;
+//! [`EventColumns::to_events`] then builds the owned events the replayer,
+//! the slicer and the relogger read. The stream reader also accumulates
+//! absorbed events in this form, one bulk column append per frame.
 //!
 //! Column layout, per event `i`:
 //!
@@ -23,10 +22,12 @@
 //! ends delta-coded, values zigzagged), so an events frame is both smaller
 //! than the v3 record stream *and* cheaper to decode.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use pinzip::varint;
 use serde::{Deserialize, Serialize};
 
-use minivm::{Addr, Pc, Reg, Tid};
+use minivm::{Pc, Reg, Tid};
 
 use crate::pinball::ReplayEvent;
 
@@ -78,79 +79,62 @@ impl EventColumns {
         c.args.reserve(events.len());
         c.pair_ends.reserve(events.len());
         for e in events {
-            c.push_event(e);
+            match e {
+                ReplayEvent::Run { tid, steps } => {
+                    c.kinds.push(KIND_RUN);
+                    c.tids.push(*tid);
+                    c.args.push(*steps);
+                }
+                ReplayEvent::Skip { tid, to_pc, regs } => {
+                    c.kinds.push(KIND_SKIP);
+                    c.tids.push(*tid);
+                    c.args.push(u64::from(*to_pc));
+                    for (r, v) in regs {
+                        c.pair_keys.push(u64::from(r.0));
+                        c.pair_vals.push(*v);
+                    }
+                }
+                ReplayEvent::Inject { mems } => {
+                    c.kinds.push(KIND_INJECT);
+                    c.tids.push(0);
+                    c.args.push(0);
+                    for (a, v) in mems {
+                        c.pair_keys.push(*a);
+                        c.pair_vals.push(*v);
+                    }
+                }
+            }
+            c.pair_ends.push(c.pair_keys.len() as u32);
         }
         c
     }
 
-    /// Appends one event.
-    pub fn push_event(&mut self, event: &ReplayEvent) {
-        match event {
-            ReplayEvent::Run { tid, steps } => {
-                self.kinds.push(KIND_RUN);
-                self.tids.push(*tid);
-                self.args.push(*steps);
-            }
-            ReplayEvent::Skip { tid, to_pc, regs } => {
-                self.kinds.push(KIND_SKIP);
-                self.tids.push(*tid);
-                self.args.push(u64::from(*to_pc));
-                for (r, v) in regs {
-                    self.pair_keys.push(u64::from(r.0));
-                    self.pair_vals.push(*v);
-                }
-            }
-            ReplayEvent::Inject { mems } => {
-                self.kinds.push(KIND_INJECT);
-                self.tids.push(0);
-                self.args.push(0);
-                for (a, v) in mems {
-                    self.pair_keys.push(*a);
-                    self.pair_vals.push(*v);
-                }
-            }
-        }
-        self.pair_ends.push(self.pair_keys.len() as u32);
-    }
-
-    /// Borrows event `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i >= self.len()` — same contract as slice indexing.
-    pub fn get(&self, i: usize) -> EventRef<'_> {
-        let end = self.pair_ends[i] as usize;
-        let start = if i == 0 {
-            0
-        } else {
-            self.pair_ends[i - 1] as usize
-        };
-        let pairs = PairsRef::Split {
-            keys: &self.pair_keys[start..end],
-            vals: &self.pair_vals[start..end],
-        };
-        match self.kinds[i] {
-            KIND_RUN => EventRef::Run {
-                tid: self.tids[i],
-                steps: self.args[i],
-            },
-            KIND_SKIP => EventRef::Skip {
-                tid: self.tids[i],
-                to_pc: self.args[i] as Pc,
-                regs: pairs,
-            },
-            _ => EventRef::Inject { mems: pairs },
-        }
-    }
-
-    /// Iterates all events as borrows.
-    pub fn iter(&self) -> impl Iterator<Item = EventRef<'_>> {
-        (0..self.len()).map(move |i| self.get(i))
-    }
-
-    /// Materializes the owned event vector (the v3-compatible view).
+    /// Materializes the owned event vector, straight from the columns.
     pub fn to_events(&self) -> Vec<ReplayEvent> {
-        (0..self.len()).map(|i| self.get(i).to_owned()).collect()
+        let mut start = 0usize;
+        (0..self.len())
+            .map(|i| {
+                let end = self.pair_ends[i] as usize;
+                let pairs = self.pair_keys[start..end]
+                    .iter()
+                    .zip(&self.pair_vals[start..end]);
+                start = end;
+                match self.kinds[i] {
+                    KIND_RUN => ReplayEvent::Run {
+                        tid: self.tids[i],
+                        steps: self.args[i],
+                    },
+                    KIND_SKIP => ReplayEvent::Skip {
+                        tid: self.tids[i],
+                        to_pc: self.args[i] as Pc,
+                        regs: pairs.map(|(&r, &v)| (Reg(r as u8), v)).collect(),
+                    },
+                    _ => ReplayEvent::Inject {
+                        mems: pairs.map(|(&a, &v)| (a, v)).collect(),
+                    },
+                }
+            })
+            .collect()
     }
 
     /// Total instructions the log retires (sum of `Run` steps).
@@ -383,160 +367,6 @@ impl EventColumns {
     }
 }
 
-/// A borrowed view of one replay event — field-for-field the same data as
-/// [`ReplayEvent`], but the pair lists alias the backing store instead of
-/// being owned.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum EventRef<'a> {
-    /// Thread `tid` retires `steps` instructions.
-    Run {
-        /// Scheduled thread.
-        tid: Tid,
-        /// Instructions to retire.
-        steps: u64,
-    },
-    /// Thread `tid` skips an excluded region to `to_pc`, restoring `regs`.
-    Skip {
-        /// Thread whose region is skipped.
-        tid: Tid,
-        /// First pc after the excluded region.
-        to_pc: Pc,
-        /// `(register, value)` side effects.
-        regs: PairsRef<'a>,
-    },
-    /// Memory side effects of excluded code, injected in place.
-    Inject {
-        /// `(address, value)` writes, in recorded order.
-        mems: PairsRef<'a>,
-    },
-}
-
-impl EventRef<'_> {
-    /// Borrows an owned [`ReplayEvent`] as an [`EventRef`] (free — no copy).
-    pub fn of(event: &ReplayEvent) -> EventRef<'_> {
-        match event {
-            ReplayEvent::Run { tid, steps } => EventRef::Run {
-                tid: *tid,
-                steps: *steps,
-            },
-            ReplayEvent::Skip { tid, to_pc, regs } => EventRef::Skip {
-                tid: *tid,
-                to_pc: *to_pc,
-                regs: PairsRef::RegTuples(regs),
-            },
-            ReplayEvent::Inject { mems } => EventRef::Inject {
-                mems: PairsRef::AddrTuples(mems),
-            },
-        }
-    }
-
-    /// Materializes the owned event.
-    pub fn to_owned(&self) -> ReplayEvent {
-        match self {
-            EventRef::Run { tid, steps } => ReplayEvent::Run {
-                tid: *tid,
-                steps: *steps,
-            },
-            EventRef::Skip { tid, to_pc, regs } => ReplayEvent::Skip {
-                tid: *tid,
-                to_pc: *to_pc,
-                regs: regs.iter().map(|(k, v)| (Reg(k as u8), v)).collect(),
-            },
-            EventRef::Inject { mems } => ReplayEvent::Inject {
-                mems: mems.iter().collect(),
-            },
-        }
-    }
-}
-
-/// A borrowed `(key, value)` pair list — either split columns (the v4
-/// layout) or the owned tuple vectors inside a [`ReplayEvent`].
-///
-/// Equality is logical (same pairs in the same order), not representational
-/// — a `Split` view and a tuple view of the same pairs compare equal.
-#[derive(Debug, Clone, Copy)]
-pub enum PairsRef<'a> {
-    /// Parallel key/value columns (columnar store).
-    Split {
-        /// Keys: register number or address.
-        keys: &'a [u64],
-        /// Values.
-        vals: &'a [i64],
-    },
-    /// Register tuples borrowed from an owned `Skip` event.
-    RegTuples(&'a [(Reg, i64)]),
-    /// Address tuples borrowed from an owned `Inject` event.
-    AddrTuples(&'a [(Addr, i64)]),
-}
-
-impl PartialEq for PairsRef<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len() && self.iter().eq(other.iter())
-    }
-}
-
-impl Eq for PairsRef<'_> {}
-
-impl<'a> PairsRef<'a> {
-    /// Number of pairs.
-    pub fn len(&self) -> usize {
-        match self {
-            PairsRef::Split { keys, .. } => keys.len(),
-            PairsRef::RegTuples(t) => t.len(),
-            PairsRef::AddrTuples(t) => t.len(),
-        }
-    }
-
-    /// Whether the list is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Pair `i` as `(key, value)` — registers widen to `u64`.
-    pub fn get(&self, i: usize) -> (u64, i64) {
-        match self {
-            PairsRef::Split { keys, vals } => (keys[i], vals[i]),
-            PairsRef::RegTuples(t) => (u64::from(t[i].0 .0), t[i].1),
-            PairsRef::AddrTuples(t) => (t[i].0, t[i].1),
-        }
-    }
-
-    /// Iterates pairs as `(key, value)`.
-    pub fn iter(&self) -> PairsIter<'a> {
-        PairsIter {
-            pairs: *self,
-            next: 0,
-        }
-    }
-}
-
-/// Iterator over a [`PairsRef`].
-#[derive(Debug, Clone)]
-pub struct PairsIter<'a> {
-    pairs: PairsRef<'a>,
-    next: usize,
-}
-
-impl Iterator for PairsIter<'_> {
-    type Item = (u64, i64);
-
-    fn next(&mut self) -> Option<(u64, i64)> {
-        if self.next >= self.pairs.len() {
-            return None;
-        }
-        let p = self.pairs.get(self.next);
-        self.next += 1;
-        Some(p)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.pairs.len() - self.next;
-        (left, Some(left))
-    }
-}
-
-impl ExactSizeIterator for PairsIter<'_> {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -567,10 +397,6 @@ mod tests {
         let c = EventColumns::from_events(&events);
         assert_eq!(c.len(), events.len());
         assert_eq!(c.to_events(), events);
-        for (i, e) in events.iter().enumerate() {
-            assert_eq!(c.get(i).to_owned(), *e);
-            assert_eq!(c.get(i), EventRef::of(e), "borrowed views compare equal");
-        }
     }
 
     #[test]
@@ -671,22 +497,5 @@ mod tests {
         let encoded = c.encode_to_vec();
         let counts = varint_len(c.len() as u64) + varint_len(c.pair_keys.len() as u64);
         assert_eq!(c.column_sizes().total() + counts, encoded.len());
-    }
-
-    #[test]
-    fn pairs_iter_views_agree() {
-        let e = ReplayEvent::Skip {
-            tid: 0,
-            to_pc: 5,
-            regs: vec![(Reg(1), 10), (Reg(2), 20)],
-        };
-        let c = EventColumns::from_events(std::slice::from_ref(&e));
-        let (col, own) = (c.get(0), EventRef::of(&e));
-        let pairs = |r: EventRef<'_>| match r {
-            EventRef::Skip { regs, .. } => regs.iter().collect::<Vec<_>>(),
-            _ => panic!("expected skip"),
-        };
-        assert_eq!(pairs(col), vec![(1, 10), (2, 20)]);
-        assert_eq!(pairs(col), pairs(own));
     }
 }

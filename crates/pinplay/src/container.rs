@@ -1,4 +1,4 @@
-//! The chunked, checksummed, seekable pinball container (v2, v3, and v4).
+//! The chunked, checksummed, seekable pinball container.
 //!
 //! The v1 format compresses the whole pinball as one LZSS blob, so any
 //! damage loses the entire recording and every seek restarts replay from
@@ -19,11 +19,13 @@
 //! # Wire layout
 //!
 //! ```text
-//! +--------+          magic  b"DRPB2\n" (v2) / b"DRPB3\n" (v3)  (6 bytes)
+//! +--------+          magic  b"DRPB4\n"                      (6 bytes)
 //! | magic  |
 //! +--------+
 //! | frame  |  kind 1: header — meta, snapshot, syscalls,
 //! |        |          exit, event count, checkpoint interval
+//! +--------+
+//! | frame  |  kind 5: the shared LZSS dictionary
 //! +--------+
 //! | frame  |  kind 3: checkpoint at chunk k's start (optional)
 //! +--------+
@@ -37,25 +39,15 @@
 //! +--------+
 //! ```
 //!
-//! A v2 frame is `[kind u8][varint clen][crc32 LE][LZSS payload]` with a
-//! JSON payload. A v3 frame adds one **codec byte** after the kind —
-//! `[kind][codec][varint clen][crc32 LE][LZSS payload]` — naming how the
-//! payload was serialized before compression (see [`PayloadCodec`]): 0 is
-//! JSON, 1 is the [`pinzip::binser`] binary record codec. The v3 writer
-//! emits binser payloads (smaller before compression, and much faster to
-//! encode and parse than JSON text); the reader dispatches per frame, so a
-//! future writer could mix codecs within one file.
+//! A frame is `[kind u8][codec u8][varint clen][crc32 LE][LZSS payload]`.
+//! The **codec byte** names how the payload was serialized before
+//! compression (see [`PayloadCodec`]): the header, checkpoint and index
+//! frames hold [`pinzip::binser`] records, and events frames hold
+//! [`PayloadCodec::Columnar`] columns:
 //!
-//! # v4: columnar events and the shared dictionary
-//!
-//! **v4** (`DRPB4\n`) keeps the v3 frame wire but changes what the frames
-//! hold on the hot path:
-//!
-//! * events chunks use [`PayloadCodec::Columnar`]: the chunk's events are
-//!   packed as parallel field columns (see [`EventColumns`]) rather than a
-//!   stream of per-record trees, so a load is a handful of bulk varint
-//!   scans and the replayer / slicer / relogger *borrow* records in place
-//!   via [`EventRef`](crate::columns::EventRef) — no owned-tree decode;
+//! * an events chunk packs its events as parallel field columns (see
+//!   [`EventColumns`]) rather than a stream of per-record trees, so a
+//!   load is a handful of bulk varint scans;
 //! * frame 1 is a [`ChunkKind::Dict`] frame holding the **shared LZSS
 //!   dictionary** (trained deterministically on the header strings plus a
 //!   prefix of the first chunk's columnar payload, capped at
@@ -66,11 +58,6 @@
 //! * strings appear only in the header frame, interned once by the
 //!   [`pinzip::binser`] string table — event columns are pure integers.
 //!
-//! [`PinballContainer::open_mapped`] adds a paged load mode for v4 files:
-//! the trailer, index, header, and dictionary are read eagerly (all
-//! small), and events chunks are paged in on demand, so multi-GiB pinballs
-//! replay without ever holding the whole log in memory.
-//!
 //! [`EventColumns`]: crate::columns::EventColumns
 //!
 //! Chunk boundaries fall on *event* boundaries (a chunk closes once it has
@@ -79,34 +66,34 @@
 //! plain [`Pinball::to_bytes`] (no checkpoints) emits the same chunking a
 //! checkpointed container uses.
 //!
-//! # The parallel chunk pipeline
+//! # One pass each way
 //!
-//! Because every frame is self-contained, the expensive per-chunk work
-//! parallelizes. The v3 writer fans chunk encoding (binser serialize →
-//! LZSS compress → CRC) across a worker pool and reassembles the frames in
-//! order, so the output is **byte-identical** to the serial reference
-//! encoder ([`PinballContainer::to_bytes_serial`]). The reader walks frame
-//! *headers* sequentially with [`pinzip::frame::peek_frame`] (cheap — no
-//! payload bytes touched), then fans the CRC verify + decompress +
-//! deserialize of every body frame across the pool, and reassembles in
-//! order with earliest-damage-wins semantics so the error taxonomy matches
-//! the serial scan exactly.
+//! [`PinballContainer::to_bytes`] is the only writer: it packs the
+//! columns, trains the dictionary on the first chunk, and appends every
+//! frame in order on the calling thread. The loader walks the file front
+//! to back, verifying, decompressing and decoding one frame at a time,
+//! and stops at the first damaged frame — so the damage it reports is
+//! always the earliest in the file. A pinball holds only a region's start
+//! state and its nondeterministic events, so containers are typically
+//! kilobytes, and on those a chunk worker pool cost more than the serial
+//! pass it wrapped.
 //!
 //! # Compatibility
 //!
 //! [`PinballContainer::from_bytes`] (and [`Pinball::from_bytes`])
-//! auto-detect the format by the magic: v3, v2, then the v1 single-blob
-//! fallback — see [`detect_version`]. [`migrate`] rewrites any older
-//! format as v3 (preserving embedded checkpoints); [`migrate_v1`] still
-//! rewrites a v1 blob as v2 for tooling pinned to that format, and
-//! [`Pinball::to_bytes_v1`] / [`PinballContainer::to_bytes_v2`] still
-//! write the old formats. The content digest ([`PinballDigest`]) is a
-//! function of the recording alone, so the same pinball digests
-//! identically whichever container version holds it.
+//! auto-detect the format by the magic — see [`detect_version`] — and
+//! still read every older generation: v3 (`DRPB3\n`: the same frames with
+//! no dictionary and `binser` record-stream events), v2 (`DRPB2\n`: no
+//! codec byte, JSON payloads) and the v1 single blob (no magic). Nothing
+//! writes those formats any more; [`migrate`] rewrites any of them as v4,
+//! preserving embedded checkpoints. The content digest
+//! ([`PinballDigest`]) is a function of the recording alone, so the same
+//! pinball digests identically whichever container version holds it.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -115,7 +102,7 @@ use pinzip::binser;
 use pinzip::crc32::crc32;
 use pinzip::frame::{
     decode_payload, decode_payload_with_dict, peek_frame, write_coded_frame,
-    write_coded_frame_with_dict, write_frame, RawFrame,
+    write_coded_frame_with_dict, RawFrame,
 };
 
 use crate::columns::EventColumns;
@@ -178,14 +165,14 @@ pub fn detect_version(bytes: &[u8]) -> ContainerVersion {
     }
 }
 
-/// True when `bytes` open with a chunked-container magic (v2 or v3).
+/// True when `bytes` open with a chunked-container magic (v2, v3 or v4).
 pub(crate) fn has_container_magic(bytes: &[u8]) -> bool {
     detect_version(bytes) != ContainerVersion::V1
 }
 
-/// How a frame's payload was serialized before LZSS compression — the v3
-/// codec byte. v2 frames carry no codec byte and are implicitly
-/// [`PayloadCodec::Json`].
+/// How a frame's payload was serialized before LZSS compression — the
+/// codec byte of v3 and v4 frames. v2 frames carry no codec byte and are
+/// implicitly [`PayloadCodec::Json`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PayloadCodec {
     /// JSON text (codec byte 0).
@@ -199,7 +186,7 @@ pub enum PayloadCodec {
 }
 
 impl PayloadCodec {
-    /// The wire byte naming this codec in a v3 frame header.
+    /// The wire byte naming this codec in a frame header.
     pub const fn byte(self) -> u8 {
         match self {
             PayloadCodec::Json => 0,
@@ -434,70 +421,24 @@ impl PinballContainer {
             .last()
     }
 
-    /// Serializes the container (v4 format: columnar events compressed
-    /// against the shared dictionary), encoding chunks on a worker pool
-    /// when more than one core is available. The output is byte-identical
-    /// to [`PinballContainer::to_bytes_serial`].
+    /// Serializes the container in the v4 format: columnar events
+    /// compressed against the shared dictionary, every frame appended in
+    /// order on the calling thread.
     ///
     /// # Errors
     ///
     /// Infallible in practice (the columnar and binary codecs cannot fail
-    /// on these types); the `Result` is kept for API stability with the
-    /// fallible v2 path.
+    /// on these types); the `Result` keeps the signature every caller
+    /// already handles.
     pub fn to_bytes(&self) -> Result<Vec<u8>, PinballError> {
         Ok(write_container_v4(
             &self.pinball,
             &self.checkpoints,
             self.checkpoint_interval,
-            true,
         ))
     }
 
-    /// The serial reference encoder: identical output to
-    /// [`PinballContainer::to_bytes`], produced on the calling thread with
-    /// no pipeline. Exists so tests (and suspicious tools) can verify the
-    /// parallel encoder byte-for-byte.
-    ///
-    /// # Errors
-    ///
-    /// As [`PinballContainer::to_bytes`].
-    pub fn to_bytes_serial(&self) -> Result<Vec<u8>, PinballError> {
-        Ok(write_container_v4(
-            &self.pinball,
-            &self.checkpoints,
-            self.checkpoint_interval,
-            false,
-        ))
-    }
-
-    /// Serializes the container in the v3 format (binser record payloads,
-    /// no dictionary). Kept for compatibility tooling and as the bench
-    /// baseline; new files should use [`PinballContainer::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Infallible in practice, as [`PinballContainer::to_bytes`].
-    pub fn to_bytes_v3(&self) -> Result<Vec<u8>, PinballError> {
-        Ok(write_container_v3(
-            &self.pinball,
-            &self.checkpoints,
-            self.checkpoint_interval,
-            true,
-        ))
-    }
-
-    /// Serializes the container in the legacy v2 format (JSON payloads,
-    /// serial encoder). Kept for compatibility tooling; new files should
-    /// use [`PinballContainer::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PinballError::Serialize`] when JSON encoding fails.
-    pub fn to_bytes_v2(&self) -> Result<Vec<u8>, PinballError> {
-        write_container_v2(&self.pinball, &self.checkpoints, self.checkpoint_interval)
-    }
-
-    /// Deserializes a container, auto-detecting the format: v3 and v2
+    /// Deserializes a container, auto-detecting the format: v4, v3 and v2
     /// bytes load strictly (any damaged frame is an error naming the
     /// chunk); v1 blobs load as a container with no checkpoints.
     ///
@@ -560,42 +501,6 @@ impl PinballContainer {
         let bytes = std::fs::read(path).map_err(|e| PinballError::Io(e.to_string()))?;
         PinballContainer::from_bytes(&bytes)
     }
-
-    /// Opens a v4 container file in paged (mapped) mode: the trailer,
-    /// index, header, and shared dictionary are read eagerly (all small);
-    /// events chunks and checkpoints are paged in on demand. This is the
-    /// load mode for pinballs too large to hold in memory — see
-    /// [`MappedContainer`](crate::view::MappedContainer).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PinballError::Io`] on filesystem errors,
-    /// [`PinballError::Format`] for non-v4 files, and
-    /// [`PinballError::Chunk`] when the trailer, index, header, or
-    /// dictionary frame is damaged.
-    pub fn open_mapped(
-        path: &std::path::Path,
-    ) -> Result<crate::view::MappedContainer, PinballError> {
-        crate::view::MappedContainer::open(path)
-    }
-}
-
-/// Rewrites a v1 single-blob pinball as a **v2** container (no checkpoints
-/// — replay it through [`PinballContainer::with_checkpoints`] to add
-/// them). Kept for tooling pinned to the v2 format; [`migrate`] targets
-/// the current format instead.
-///
-/// # Errors
-///
-/// Returns the v1 decode errors, or [`PinballError::Format`] when `bytes`
-/// is already a chunked container.
-pub fn migrate_v1(bytes: &[u8]) -> Result<Vec<u8>, PinballError> {
-    if has_container_magic(bytes) {
-        return Err(PinballError::Format(
-            "already a chunked container; nothing to migrate".into(),
-        ));
-    }
-    PinballContainer::new(Pinball::from_bytes_v1(bytes)?).to_bytes_v2()
 }
 
 /// Rewrites a v1, v2, or v3 pinball as a v4 container, preserving any
@@ -621,9 +526,13 @@ pub fn migrate(bytes: &[u8]) -> Result<Vec<u8>, PinballError> {
 ///
 /// Chunking is recomputed at the canonical interval rather than taken from
 /// any particular container, so the digest is a function of the recording
-/// alone. Serialization of these plain data types cannot fail (the same
-/// encoding backs [`Pinball::to_bytes`]), so the digest is infallible.
+/// alone. JSON serialization of these plain data types cannot fail, so
+/// the digest is infallible.
 pub(crate) fn digest_pinball(pinball: &Pinball) -> PinballDigest {
+    // The one panic site the module's lint allows: serde_json only fails
+    // on maps with non-string keys and on failing `Serialize` impls, and
+    // the pinball's fields have neither.
+    #[allow(clippy::expect_used)]
     let part = |value: &dyn erased_ser::ErasedSer| -> u32 {
         crc32(&value.to_json().expect("pinball fields JSON-serialize"))
     };
@@ -684,232 +593,9 @@ fn chunk_ranges(events: &[ReplayEvent], interval: u64) -> Vec<(usize, usize, u64
     ranges
 }
 
-fn ser<T: Serialize>(value: &T) -> Result<Vec<u8>, PinballError> {
-    serde_json::to_vec(value).map_err(|e| PinballError::Serialize(e.to_string()))
-}
-
 // ---------------------------------------------------------------------------
-// Worker pool
+// Writer
 // ---------------------------------------------------------------------------
-
-/// How many workers to spin up for `jobs` independent chunk jobs: bounded
-/// by the core count and the job count, and capped so a huge container
-/// does not oversubscribe the machine.
-fn worker_count(jobs: usize) -> usize {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    cores.min(jobs).min(8)
-}
-
-/// Runs `f(0..n)` across a scoped worker pool and returns the results in
-/// index order — the ordered-reassembly primitive both pipeline directions
-/// share. Work is distributed by an atomic cursor (dynamic load balancing:
-/// chunk sizes vary, so static striping would leave workers idle). With
-/// one core, one job, or `parallel = false`, everything runs inline on the
-/// calling thread — same results, no threads spawned.
-fn run_ordered<T, F>(n: usize, parallel: bool, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = worker_count(n);
-    if !parallel || workers <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let v = f(i);
-                *slots[i].lock().expect("slot lock") = Some(v);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("slot lock")
-                .expect("worker filled slot")
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Writers
-// ---------------------------------------------------------------------------
-
-/// Serializes a pinball (plus optional checkpoints) into v2 container
-/// bytes. A checkpoint is emitted immediately before the events chunk
-/// whose start position equals its `pos`.
-pub(crate) fn write_container_v2(
-    pinball: &Pinball,
-    checkpoints: &[ReplayCheckpoint],
-    interval: u64,
-) -> Result<Vec<u8>, PinballError> {
-    let interval = interval.max(1);
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
-    let mut index = Vec::new();
-    let mut chunk = 0usize;
-    let header = ContainerHeader {
-        meta: pinball.meta.clone(),
-        snapshot: pinball.snapshot.clone(),
-        syscalls: pinball.syscalls.clone(),
-        exit: pinball.exit,
-        num_events: pinball.events.len() as u64,
-        checkpoint_interval: interval,
-    };
-    let off = write_frame(&mut out, KIND_HEADER, &ser(&header)?);
-    index.push(IndexEntry {
-        chunk,
-        kind: ChunkKind::Header,
-        offset: off as u64,
-        instr: 0,
-    });
-    chunk += 1;
-    for (start_ev, end_ev, start_instr) in chunk_ranges(&pinball.events, interval) {
-        if let Some(cp) = checkpoints.iter().find(|cp| cp.pos == start_ev) {
-            let off = write_frame(&mut out, KIND_CHECKPOINT, &ser(cp)?);
-            index.push(IndexEntry {
-                chunk,
-                kind: ChunkKind::Checkpoint,
-                offset: off as u64,
-                instr: cp.instr,
-            });
-            chunk += 1;
-        }
-        let chunk_events: &[ReplayEvent] = &pinball.events[start_ev..end_ev];
-        let off = write_frame(&mut out, KIND_EVENTS, &ser(&chunk_events)?);
-        index.push(IndexEntry {
-            chunk,
-            kind: ChunkKind::Events,
-            offset: off as u64,
-            instr: start_instr,
-        });
-        chunk += 1;
-    }
-    index.push(IndexEntry {
-        chunk,
-        kind: ChunkKind::Index,
-        offset: 0, // patched below: the index cannot know its own offset
-        instr: 0,
-    });
-    let index_off = out.len() as u64;
-    if let Some(last) = index.last_mut() {
-        last.offset = index_off;
-    }
-    write_frame(&mut out, KIND_INDEX, &ser(&index)?);
-    out.extend_from_slice(&index_off.to_le_bytes());
-    out.extend_from_slice(TRAILER_MAGIC);
-    Ok(out)
-}
-
-/// One planned frame of a v3 container — the unit of parallel encoding.
-enum FramePlan<'a> {
-    Header(&'a ContainerHeader),
-    Checkpoint(&'a ReplayCheckpoint),
-    Events {
-        events: &'a [ReplayEvent],
-        start_instr: u64,
-    },
-}
-
-/// Encodes one complete coded frame (binser serialize → LZSS → CRC →
-/// header) into a standalone byte vector, ready for in-order concatenation.
-fn encode_plan(plan: &FramePlan<'_>) -> (ChunkKind, u64, Vec<u8>) {
-    let (kind_byte, kind, instr, payload) = match plan {
-        FramePlan::Header(h) => (KIND_HEADER, ChunkKind::Header, 0, binser::to_vec(*h)),
-        FramePlan::Checkpoint(cp) => (
-            KIND_CHECKPOINT,
-            ChunkKind::Checkpoint,
-            cp.instr,
-            binser::to_vec(*cp),
-        ),
-        FramePlan::Events {
-            events,
-            start_instr,
-        } => (
-            KIND_EVENTS,
-            ChunkKind::Events,
-            *start_instr,
-            binser::to_vec(*events),
-        ),
-    };
-    let mut bytes = Vec::new();
-    write_coded_frame(&mut bytes, kind_byte, PayloadCodec::Binary.byte(), &payload);
-    (kind, instr, bytes)
-}
-
-/// Serializes a pinball (plus optional checkpoints) into v3 container
-/// bytes: coded frames with binser payloads. With `parallel`, chunk
-/// encoding fans out across a worker pool; reassembly is in frame order,
-/// so the output is byte-identical either way. Infallible: the binary
-/// codec cannot fail on these plain data types.
-pub(crate) fn write_container_v3(
-    pinball: &Pinball,
-    checkpoints: &[ReplayCheckpoint],
-    interval: u64,
-    parallel: bool,
-) -> Vec<u8> {
-    let interval = interval.max(1);
-    let header = ContainerHeader {
-        meta: pinball.meta.clone(),
-        snapshot: pinball.snapshot.clone(),
-        syscalls: pinball.syscalls.clone(),
-        exit: pinball.exit,
-        num_events: pinball.events.len() as u64,
-        checkpoint_interval: interval,
-    };
-    let mut plans = vec![FramePlan::Header(&header)];
-    for (start_ev, end_ev, start_instr) in chunk_ranges(&pinball.events, interval) {
-        if let Some(cp) = checkpoints.iter().find(|cp| cp.pos == start_ev) {
-            plans.push(FramePlan::Checkpoint(cp));
-        }
-        plans.push(FramePlan::Events {
-            events: &pinball.events[start_ev..end_ev],
-            start_instr,
-        });
-    }
-
-    let encoded = run_ordered(plans.len(), parallel, |i| encode_plan(&plans[i]));
-
-    let total: usize = encoded.iter().map(|(_, _, b)| b.len()).sum();
-    let mut out = Vec::with_capacity(MAGIC_V3.len() + total + 64 + 32 * encoded.len());
-    out.extend_from_slice(MAGIC_V3);
-    let mut index = Vec::with_capacity(encoded.len() + 1);
-    for (chunk, (kind, instr, bytes)) in encoded.iter().enumerate() {
-        index.push(IndexEntry {
-            chunk,
-            kind: *kind,
-            offset: out.len() as u64,
-            instr: *instr,
-        });
-        out.extend_from_slice(bytes);
-    }
-    let index_off = out.len() as u64;
-    index.push(IndexEntry {
-        chunk: encoded.len(),
-        kind: ChunkKind::Index,
-        offset: index_off,
-        instr: 0,
-    });
-    write_coded_frame(
-        &mut out,
-        KIND_INDEX,
-        PayloadCodec::Binary.byte(),
-        &binser::to_vec(&index),
-    );
-    out.extend_from_slice(&index_off.to_le_bytes());
-    out.extend_from_slice(TRAILER_MAGIC);
-    out
-}
 
 /// Builds the v4 shared dictionary, deterministically: the header strings
 /// (the container's interned string table contents) followed by a prefix
@@ -930,27 +616,16 @@ fn build_dict(meta: &PinballMeta, first_chunk_payload: Option<&[u8]>) -> Vec<u8>
     dict
 }
 
-/// One planned frame of a v4 container. Unlike the v3 plan, events
-/// payloads are pre-encoded (the dictionary is trained on the first one),
-/// so the parallel stage is pure compress + frame.
-enum FramePlan4<'a> {
-    Header(Vec<u8>),
-    Dict,
-    Checkpoint(&'a ReplayCheckpoint),
-    Events { payload: Vec<u8>, start_instr: u64 },
-}
-
 /// Serializes a pinball (plus optional checkpoints) into v4 container
 /// bytes: columnar events frames compressed against a shared dictionary,
-/// everything else plain binser frames. With `parallel`, both the columnar
-/// packing and the per-frame compression fan out across a worker pool;
-/// reassembly is in frame order, so the output is byte-identical either
-/// way. Infallible: neither codec can fail on these plain data types.
+/// everything else plain binser frames, in file order. A checkpoint is
+/// emitted immediately before the events chunk whose start position
+/// equals its `pos`. Infallible: neither codec can fail on these plain
+/// data types.
 pub(crate) fn write_container_v4(
     pinball: &Pinball,
     checkpoints: &[ReplayCheckpoint],
     interval: u64,
-    parallel: bool,
 ) -> Vec<u8> {
     let interval = interval.max(1);
     let header = ContainerHeader {
@@ -962,96 +637,49 @@ pub(crate) fn write_container_v4(
         checkpoint_interval: interval,
     };
     let ranges = chunk_ranges(&pinball.events, interval);
-    // Stage 1: pack every chunk's events into columnar payloads.
-    let payloads = run_ordered(ranges.len(), parallel, |i| {
-        let (start_ev, end_ev, _) = ranges[i];
-        EventColumns::from_events(&pinball.events[start_ev..end_ev]).encode_to_vec()
-    });
+    let payloads: Vec<Vec<u8>> = ranges
+        .iter()
+        .map(|&(start_ev, end_ev, _)| {
+            EventColumns::from_events(&pinball.events[start_ev..end_ev]).encode_to_vec()
+        })
+        .collect();
     let dict = build_dict(&pinball.meta, payloads.first().map(Vec::as_slice));
 
-    let mut plans = vec![
-        FramePlan4::Header(binser::to_vec(&header)),
-        FramePlan4::Dict,
-    ];
-    for ((start_ev, _, start_instr), payload) in ranges.iter().zip(payloads) {
-        if let Some(cp) = checkpoints.iter().find(|cp| cp.pos == *start_ev) {
-            plans.push(FramePlan4::Checkpoint(cp));
-        }
-        plans.push(FramePlan4::Events {
-            payload,
-            start_instr: *start_instr,
-        });
-    }
-
-    // Stage 2: compress + frame each plan independently.
-    let encoded = run_ordered(plans.len(), parallel, |i| {
-        let mut bytes = Vec::new();
-        match &plans[i] {
-            FramePlan4::Header(payload) => {
-                write_coded_frame(
-                    &mut bytes,
-                    KIND_HEADER,
-                    PayloadCodec::Binary.byte(),
-                    payload,
-                );
-                (ChunkKind::Header, 0, bytes)
-            }
-            FramePlan4::Dict => {
-                write_coded_frame(&mut bytes, KIND_DICT, PayloadCodec::Binary.byte(), &dict);
-                (ChunkKind::Dict, 0, bytes)
-            }
-            FramePlan4::Checkpoint(cp) => {
-                write_coded_frame(
-                    &mut bytes,
-                    KIND_CHECKPOINT,
-                    PayloadCodec::Binary.byte(),
-                    &binser::to_vec(*cp),
-                );
-                (ChunkKind::Checkpoint, cp.instr, bytes)
-            }
-            FramePlan4::Events {
-                payload,
-                start_instr,
-            } => {
-                write_coded_frame_with_dict(
-                    &mut bytes,
-                    KIND_EVENTS,
-                    PayloadCodec::Columnar.byte(),
-                    &dict,
-                    payload,
-                );
-                (ChunkKind::Events, *start_instr, bytes)
-            }
-        }
-    });
-
-    let total: usize = encoded.iter().map(|(_, _, b)| b.len()).sum();
-    let mut out = Vec::with_capacity(MAGIC_V4.len() + total + 64 + 32 * encoded.len());
+    let binary = PayloadCodec::Binary.byte();
+    let mut out =
+        Vec::with_capacity(MAGIC_V4.len() + 64 + payloads.iter().map(Vec::len).sum::<usize>());
     out.extend_from_slice(MAGIC_V4);
-    let mut index = Vec::with_capacity(encoded.len() + 1);
-    for (chunk, (kind, instr, bytes)) in encoded.iter().enumerate() {
+    let mut index: Vec<IndexEntry> = Vec::with_capacity(2 * ranges.len() + 3);
+    let mut entry = |kind, instr, offset: usize| {
         index.push(IndexEntry {
-            chunk,
-            kind: *kind,
-            offset: out.len() as u64,
-            instr: *instr,
+            chunk: index.len(),
+            kind,
+            offset: offset as u64,
+            instr,
         });
-        out.extend_from_slice(bytes);
+    };
+    let off = write_coded_frame(&mut out, KIND_HEADER, binary, &binser::to_vec(&header));
+    entry(ChunkKind::Header, 0, off);
+    let off = write_coded_frame(&mut out, KIND_DICT, binary, &dict);
+    entry(ChunkKind::Dict, 0, off);
+    for (&(start_ev, _, start_instr), payload) in ranges.iter().zip(&payloads) {
+        if let Some(cp) = checkpoints.iter().find(|cp| cp.pos == start_ev) {
+            let off = write_coded_frame(&mut out, KIND_CHECKPOINT, binary, &binser::to_vec(cp));
+            entry(ChunkKind::Checkpoint, cp.instr, off);
+        }
+        let off = write_coded_frame_with_dict(
+            &mut out,
+            KIND_EVENTS,
+            PayloadCodec::Columnar.byte(),
+            &dict,
+            payload,
+        );
+        entry(ChunkKind::Events, start_instr, off);
     }
-    let index_off = out.len() as u64;
-    index.push(IndexEntry {
-        chunk: encoded.len(),
-        kind: ChunkKind::Index,
-        offset: index_off,
-        instr: 0,
-    });
-    write_coded_frame(
-        &mut out,
-        KIND_INDEX,
-        PayloadCodec::Binary.byte(),
-        &binser::to_vec(&index),
-    );
-    out.extend_from_slice(&index_off.to_le_bytes());
+    let index_off = out.len();
+    entry(ChunkKind::Index, 0, index_off);
+    write_coded_frame(&mut out, KIND_INDEX, binary, &binser::to_vec(&index));
+    out.extend_from_slice(&(index_off as u64).to_le_bytes());
     out.extend_from_slice(TRAILER_MAGIC);
     out
 }
@@ -1088,26 +716,14 @@ pub(crate) fn decode_by_codec<T: Deserialize>(
     }
 }
 
-/// A decoded body frame of the scan pipeline.
-enum BodyPayload {
-    Events(Vec<ReplayEvent>),
-    Checkpoint(ReplayCheckpoint),
-}
-
-/// Scans a v2 or v3 container, verifying every frame's CRC, and returns
-/// the recovered prefix plus the first damage found (as
-/// [`LossyLoad::damage`]). The header frame must be intact — without it
-/// there is no snapshot to replay from, so damage there is a hard error.
-///
-/// The walk over frame *headers* is sequential (frame lengths chain), but
-/// the expensive per-frame work — CRC verify, LZSS decompress, payload
-/// deserialize — fans out across a worker pool and reassembles in order.
-/// Damage is attributed to the earliest damaged chunk, exactly as a serial
-/// front-to-back scan would report it, and only events from chunks before
-/// that point are kept.
+/// Scans a v2, v3 or v4 container front to back, verifying every
+/// frame's CRC, and returns the recovered prefix plus the first damage
+/// found (as [`LossyLoad::damage`]). The header frame must be intact —
+/// without it there is no snapshot to replay from, so damage there is a
+/// hard error.
 fn scan(bytes: &[u8]) -> Result<LossyLoad, PinballError> {
     let version = detect_version(bytes);
-    let has_codec = matches!(version, ContainerVersion::V3 | ContainerVersion::V4);
+    let has_codec = version != ContainerVersion::V2;
     let mut pos = MAGIC.len();
 
     // Header frame: required, decoded strictly before anything else.
@@ -1128,218 +744,9 @@ fn scan(bytes: &[u8]) -> Result<LossyLoad, PinballError> {
             .map_err(|e| chunk_err(0, ChunkKind::Header, format!("bad header payload: {e}")))?
     };
 
-    // Sequential header walk: collect body frames without touching their
-    // payload bytes. Stops at the index frame or the first structural
-    // damage; a CRC-damaged body frame passes through here (its header is
-    // intact) and is caught by the decode stage below, at the same chunk
-    // ordinal a serial scan would report.
-    let mut chunk = 1usize;
-    let mut body: Vec<(usize, RawFrame)> = Vec::new();
-    let mut index_frame: Option<(usize, RawFrame, usize)> = None;
-    let mut walk_damage: Option<PinballError> = None;
-
-    // v4: frame 1 is the shared dictionary, which every columnar events
-    // frame below decompresses against. Damage here is attributed to chunk
-    // 1 and ends the scan — without the dictionary no events are
-    // recoverable (the intact header still loads, with an empty log).
-    let mut dict: Vec<u8> = Vec::new();
-    if version == ContainerVersion::V4 {
-        if pos >= bytes.len() {
-            walk_damage = Some(PinballError::Unsealed {
-                events_recovered: 0,
-                events_expected: header.num_events as usize,
-            });
-        } else {
-            match peek_frame(bytes, pos, true) {
-                Ok(raw)
-                    if raw.kind == KIND_DICT && raw.codec != Some(PayloadCodec::Binary.byte()) =>
-                {
-                    walk_damage = Some(chunk_err(
-                        1,
-                        ChunkKind::Dict,
-                        "dictionary frame carries a non-binary codec byte",
-                    ));
-                }
-                Ok(raw) if raw.kind == KIND_DICT => match decode_payload(bytes, &raw) {
-                    Ok(d) => {
-                        dict = d;
-                        pos += raw.encoded_len;
-                        chunk = 2;
-                    }
-                    Err(e) => walk_damage = Some(chunk_err(1, ChunkKind::Dict, e)),
-                },
-                Ok(raw) => {
-                    walk_damage = Some(chunk_err(
-                        1,
-                        kind_of(raw.kind),
-                        "second frame is not the shared dictionary",
-                    ));
-                }
-                Err(e) => walk_damage = Some(chunk_err(1, peek_kind(bytes, pos), e)),
-            }
-        }
-    }
-
-    while walk_damage.is_none() {
-        if pos >= bytes.len() {
-            // A clean walk to end-of-file with no index frame: the file is
-            // a valid but unsealed prefix (a stream still being written).
-            // The recovered count is patched after reassembly below; decode
-            // damage in an earlier chunk still overrides this marker.
-            walk_damage = Some(PinballError::Unsealed {
-                events_recovered: 0,
-                events_expected: header.num_events as usize,
-            });
-            break;
-        }
-        let frame_off = pos;
-        let raw = match peek_frame(bytes, pos, has_codec) {
-            Ok(r) => r,
-            Err(e) => {
-                walk_damage = Some(chunk_err(chunk, peek_kind(bytes, frame_off), e));
-                break;
-            }
-        };
-        pos += raw.encoded_len;
-        match raw.kind {
-            KIND_EVENTS | KIND_CHECKPOINT => {
-                body.push((chunk, raw));
-                chunk += 1;
-            }
-            KIND_INDEX => {
-                index_frame = Some((chunk, raw, frame_off));
-                break;
-            }
-            other => {
-                walk_damage = Some(chunk_err(
-                    chunk,
-                    kind_of(other),
-                    format!("unexpected frame kind {other}"),
-                ));
-                break;
-            }
-        }
-    }
-
-    // Parallel decode: CRC verify + decompress + deserialize each body
-    // frame independently; reassemble in order below. Columnar events
-    // frames (v4) decompress against the shared dictionary and decode as
-    // column arrays; the owned events are materialized from the columns —
-    // a bulk copy, not a per-record tree decode.
-    let decoded = run_ordered(body.len(), true, |i| {
-        let (chunk, raw) = &body[i];
-        if raw.codec == Some(PayloadCodec::Columnar.byte()) {
-            if raw.kind != KIND_EVENTS {
-                return Err(chunk_err(
-                    *chunk,
-                    kind_of(raw.kind),
-                    "columnar codec on a non-events frame",
-                ));
-            }
-            let payload = decode_payload_with_dict(bytes, raw, &dict)
-                .map_err(|e| chunk_err(*chunk, ChunkKind::Events, e))?;
-            return EventColumns::decode(&payload)
-                .map(|c| BodyPayload::Events(c.to_events()))
-                .map_err(|e| {
-                    chunk_err(
-                        *chunk,
-                        ChunkKind::Events,
-                        format!("bad events payload: {e}"),
-                    )
-                });
-        }
-        let payload =
-            decode_payload(bytes, raw).map_err(|e| chunk_err(*chunk, kind_of(raw.kind), e))?;
-        if raw.kind == KIND_EVENTS {
-            decode_by_codec::<Vec<ReplayEvent>>(&payload, raw.codec)
-                .map(BodyPayload::Events)
-                .map_err(|e| {
-                    chunk_err(
-                        *chunk,
-                        ChunkKind::Events,
-                        format!("bad events payload: {e}"),
-                    )
-                })
-        } else {
-            decode_by_codec::<ReplayCheckpoint>(&payload, raw.codec)
-                .map(BodyPayload::Checkpoint)
-                .map_err(|e| {
-                    chunk_err(
-                        *chunk,
-                        ChunkKind::Checkpoint,
-                        format!("bad checkpoint payload: {e}"),
-                    )
-                })
-        }
-    });
-
-    // Ordered reassembly, earliest damage wins: body frames precede any
-    // walk damage in the file, so a decode failure at chunk j overrides
-    // walk damage at chunk k > j, and events stop accumulating at the
-    // first damaged chunk — identical to a serial front-to-back scan.
     let mut events: Vec<ReplayEvent> = Vec::new();
     let mut checkpoints: Vec<ReplayCheckpoint> = Vec::new();
-    let mut damage: Option<PinballError> = None;
-    for res in decoded {
-        match res {
-            Ok(BodyPayload::Events(mut evs)) => events.append(&mut evs),
-            Ok(BodyPayload::Checkpoint(cp)) => checkpoints.push(cp),
-            Err(e) => {
-                damage = Some(e);
-                break;
-            }
-        }
-    }
-    if damage.is_none() {
-        damage = walk_damage;
-    }
-    if let Some(PinballError::Unsealed {
-        events_recovered, ..
-    }) = &mut damage
-    {
-        *events_recovered = events.len();
-    }
-
-    // Index frame and trailer: the index contents are advisory (offsets
-    // for random access — nothing above depends on them), but the frame
-    // must verify and parse, and the trailer must check out, for the file
-    // to count as intact. Parsing per codec also catches a damaged codec
-    // byte, which the CRC (covering only the payload) cannot see.
-    if damage.is_none() {
-        if let Some((ichunk, ref raw, frame_off)) = index_frame {
-            let index_ok = decode_payload(bytes, raw)
-                .map_err(|e| e.to_string())
-                .and_then(|payload| decode_by_codec::<Vec<IndexEntry>>(&payload, raw.codec));
-            if let Err(e) = index_ok {
-                damage = Some(chunk_err(
-                    ichunk,
-                    ChunkKind::Index,
-                    format!("bad index payload: {e}"),
-                ));
-            } else {
-                let trailer = &bytes[pos..];
-                let ok = trailer.len() == 12
-                    && &trailer[8..] == TRAILER_MAGIC
-                    && u64::from_le_bytes(trailer[..8].try_into().expect("8-byte slice"))
-                        == frame_off as u64;
-                if !ok {
-                    damage = Some(chunk_err(
-                        ichunk,
-                        ChunkKind::Index,
-                        "bad trailer (index offset or magic mismatch)",
-                    ));
-                }
-            }
-        }
-    }
-
-    if damage.is_none() && events.len() as u64 != header.num_events {
-        damage = Some(PinballError::Format(format!(
-            "event count mismatch: header promises {}, chunks hold {}",
-            header.num_events,
-            events.len()
-        )));
-    }
+    let damage = scan_body(bytes, pos, version, &header, &mut events, &mut checkpoints).err();
 
     // Keep only checkpoints the recovered prefix actually reaches.
     checkpoints.retain(|cp| cp.pos <= events.len());
@@ -1362,6 +769,168 @@ fn scan(bytes: &[u8]) -> Result<LossyLoad, PinballError> {
         events_recovered,
         events_expected: header.num_events as usize,
     })
+}
+
+/// Decodes every frame after the header, starting at `pos`, into `events`
+/// and `checkpoints`, and stops at the first damage, which it returns:
+/// a [`PinballError::Chunk`] naming the damaged frame,
+/// [`PinballError::Unsealed`] for a clean walk to end-of-file with no
+/// index frame (a stream still being written), or
+/// [`PinballError::Format`] when the sealed file holds fewer or more
+/// events than its header promises. Everything decoded before the damage
+/// stays in `events` and `checkpoints`.
+fn scan_body(
+    bytes: &[u8],
+    mut pos: usize,
+    version: ContainerVersion,
+    header: &ContainerHeader,
+    events: &mut Vec<ReplayEvent>,
+    checkpoints: &mut Vec<ReplayCheckpoint>,
+) -> Result<(), PinballError> {
+    let has_codec = version != ContainerVersion::V2;
+    let unsealed = |events: &Vec<ReplayEvent>| PinballError::Unsealed {
+        events_recovered: events.len(),
+        events_expected: header.num_events as usize,
+    };
+    let mut chunk = 1usize;
+
+    // v4: frame 1 is the shared dictionary, which every columnar events
+    // frame below decompresses against. Without it no events are
+    // recoverable (the intact header still loads, with an empty log).
+    let mut dict: Vec<u8> = Vec::new();
+    if version == ContainerVersion::V4 {
+        if pos >= bytes.len() {
+            return Err(unsealed(events));
+        }
+        let raw =
+            peek_frame(bytes, pos, true).map_err(|e| chunk_err(1, peek_kind(bytes, pos), e))?;
+        if raw.kind != KIND_DICT {
+            return Err(chunk_err(
+                1,
+                kind_of(raw.kind),
+                "second frame is not the shared dictionary",
+            ));
+        }
+        if raw.codec != Some(PayloadCodec::Binary.byte()) {
+            return Err(chunk_err(
+                1,
+                ChunkKind::Dict,
+                "dictionary frame carries a non-binary codec byte",
+            ));
+        }
+        dict = decode_payload(bytes, &raw).map_err(|e| chunk_err(1, ChunkKind::Dict, e))?;
+        pos += raw.encoded_len;
+        chunk = 2;
+    }
+
+    loop {
+        if pos >= bytes.len() {
+            return Err(unsealed(events));
+        }
+        let frame_off = pos;
+        let raw = peek_frame(bytes, pos, has_codec)
+            .map_err(|e| chunk_err(chunk, peek_kind(bytes, frame_off), e))?;
+        pos += raw.encoded_len;
+        match raw.kind {
+            KIND_EVENTS | KIND_CHECKPOINT => {
+                decode_body_frame(bytes, &raw, chunk, &dict, events, checkpoints)?;
+                chunk += 1;
+            }
+            KIND_INDEX => {
+                // The index contents are advisory (offsets for random
+                // access — nothing above depends on them), but the frame
+                // must verify and parse, and the trailer must check out,
+                // for the file to count as intact. Parsing per codec also
+                // catches a damaged codec byte, which the CRC (covering
+                // only the payload) cannot see.
+                decode_payload(bytes, &raw)
+                    .map_err(|e| e.to_string())
+                    .and_then(|payload| decode_by_codec::<Vec<IndexEntry>>(&payload, raw.codec))
+                    .map_err(|e| {
+                        chunk_err(chunk, ChunkKind::Index, format!("bad index payload: {e}"))
+                    })?;
+                if !trailer_points_at(&bytes[pos..], frame_off) {
+                    return Err(chunk_err(
+                        chunk,
+                        ChunkKind::Index,
+                        "bad trailer (index offset or magic mismatch)",
+                    ));
+                }
+                break;
+            }
+            other => {
+                return Err(chunk_err(
+                    chunk,
+                    kind_of(other),
+                    format!("unexpected frame kind {other}"),
+                ));
+            }
+        }
+    }
+    if events.len() as u64 != header.num_events {
+        return Err(PinballError::Format(format!(
+            "event count mismatch: header promises {}, chunks hold {}",
+            header.num_events,
+            events.len()
+        )));
+    }
+    Ok(())
+}
+
+/// Verifies, decompresses and decodes one events or checkpoint frame,
+/// appending its contents. Columnar events frames (v4) decompress against
+/// the shared dictionary and decode as column arrays, from which the
+/// owned events are built in one pass.
+fn decode_body_frame(
+    bytes: &[u8],
+    raw: &RawFrame,
+    chunk: usize,
+    dict: &[u8],
+    events: &mut Vec<ReplayEvent>,
+    checkpoints: &mut Vec<ReplayCheckpoint>,
+) -> Result<(), PinballError> {
+    let bad_events =
+        |e: String| chunk_err(chunk, ChunkKind::Events, format!("bad events payload: {e}"));
+    if raw.codec == Some(PayloadCodec::Columnar.byte()) {
+        if raw.kind != KIND_EVENTS {
+            return Err(chunk_err(
+                chunk,
+                kind_of(raw.kind),
+                "columnar codec on a non-events frame",
+            ));
+        }
+        let payload = decode_payload_with_dict(bytes, raw, dict)
+            .map_err(|e| chunk_err(chunk, ChunkKind::Events, e))?;
+        events.append(
+            &mut EventColumns::decode(&payload)
+                .map_err(bad_events)?
+                .to_events(),
+        );
+        return Ok(());
+    }
+    let payload = decode_payload(bytes, raw).map_err(|e| chunk_err(chunk, kind_of(raw.kind), e))?;
+    if raw.kind == KIND_EVENTS {
+        events.append(&mut decode_by_codec(&payload, raw.codec).map_err(bad_events)?);
+    } else {
+        checkpoints.push(decode_by_codec(&payload, raw.codec).map_err(|e| {
+            chunk_err(
+                chunk,
+                ChunkKind::Checkpoint,
+                format!("bad checkpoint payload: {e}"),
+            )
+        })?);
+    }
+    Ok(())
+}
+
+/// Whether `trailer` is exactly the 12-byte trailer — the index frame's
+/// offset, then `PBIX` — for an index frame at `index_off`.
+pub(crate) fn trailer_points_at(trailer: &[u8], index_off: usize) -> bool {
+    trailer
+        .split_first_chunk::<8>()
+        .is_some_and(|(offset, magic)| {
+            magic == TRAILER_MAGIC && u64::from_le_bytes(*offset) == index_off as u64
+        })
 }
 
 /// Best-effort kind of the frame starting at `offset` (for error reports
@@ -1505,7 +1074,8 @@ pub fn inspect(bytes: &[u8]) -> Result<ContainerReport, PinballError> {
     let version = detect_version(bytes);
     if version == ContainerVersion::V1 {
         let pinball = Pinball::from_bytes_v1(bytes)?;
-        let json = ser(&pinball)?;
+        let json =
+            serde_json::to_vec(&pinball).map_err(|e| PinballError::Serialize(e.to_string()))?;
         return Ok(ContainerReport {
             version,
             file_len: bytes.len(),
@@ -1595,7 +1165,9 @@ pub fn inspect(bytes: &[u8]) -> Result<ContainerReport, PinballError> {
             break;
         }
     }
-    let header = header.expect("loop decoded the header before breaking");
+    // The loop only breaks after frame 0, which must be the header.
+    let header =
+        header.ok_or_else(|| chunk_err(0, ChunkKind::Header, "no header frame decoded"))?;
     Ok(ContainerReport {
         version,
         file_len: bytes.len(),
@@ -1657,6 +1229,19 @@ mod tests {
         (program, rec.pinball)
     }
 
+    /// v1–v4 saves of one recording, written before the v1–v3 writers
+    /// were deleted (see `tests/fixtures/README.md`; `container_prop`
+    /// checks them against a fresh recording).
+    const V1: &[u8] = include_bytes!("../tests/fixtures/fuzz_v1.drpb");
+    const V2: &[u8] = include_bytes!("../tests/fixtures/fuzz_v2.drpb");
+    const V3: &[u8] = include_bytes!("../tests/fixtures/fuzz_v3.drpb");
+    const V4: &[u8] = include_bytes!("../tests/fixtures/fuzz_v4.drpb");
+
+    /// The fixtures' container, as the v4 save holds it.
+    fn fixture() -> PinballContainer {
+        PinballContainer::from_bytes(V4).unwrap()
+    }
+
     #[test]
     fn chunk_ranges_cover_the_log_exactly() {
         let (_, pinball) = record();
@@ -1685,58 +1270,29 @@ mod tests {
     }
 
     #[test]
-    fn v3_roundtrip_preserves_pinball_and_checkpoints() {
-        let (program, pinball) = record();
-        let c = PinballContainer::with_checkpoints(pinball, &program, 128);
+    fn legacy_fixtures_load_as_the_v4_fixture() {
+        let c = fixture();
         assert!(!c.checkpoints.is_empty());
-        let bytes = c.to_bytes_v3().unwrap();
-        assert!(bytes.starts_with(MAGIC_V3));
-        let d = PinballContainer::from_bytes(&bytes).unwrap();
-        assert_eq!(c, d);
-    }
-
-    #[test]
-    fn v2_roundtrip_preserves_pinball_and_checkpoints() {
-        let (program, pinball) = record();
-        let c = PinballContainer::with_checkpoints(pinball, &program, 128);
-        let bytes = c.to_bytes_v2().unwrap();
-        assert!(bytes.starts_with(MAGIC));
-        let d = PinballContainer::from_bytes(&bytes).unwrap();
-        assert_eq!(c, d);
-    }
-
-    #[test]
-    fn parallel_and_serial_encoders_agree() {
-        let (program, pinball) = record();
-        let c = PinballContainer::with_checkpoints(pinball, &program, 128);
-        assert_eq!(c.to_bytes().unwrap(), c.to_bytes_serial().unwrap());
-    }
-
-    #[test]
-    fn v3_is_smaller_than_v2() {
-        let (program, pinball) = record();
-        let c = PinballContainer::with_checkpoints(pinball, &program, 128);
-        let v3 = c.to_bytes_v3().unwrap();
-        let v2 = c.to_bytes_v2().unwrap();
-        assert!(
-            v3.len() <= v2.len(),
-            "v3 ({}) should not exceed v2 ({})",
-            v3.len(),
-            v2.len()
-        );
+        for (bytes, version) in [(V2, ContainerVersion::V2), (V3, ContainerVersion::V3)] {
+            assert_eq!(detect_version(bytes), version);
+            assert_eq!(PinballContainer::from_bytes(bytes).unwrap(), c, "{version}");
+        }
+        // v1 holds no checkpoints: it loads as the bare pinball.
+        assert_eq!(detect_version(V1), ContainerVersion::V1);
+        let v1 = PinballContainer::from_bytes(V1).unwrap();
+        assert_eq!(v1.pinball, c.pinball);
+        assert!(v1.checkpoints.is_empty());
+        assert_eq!(Pinball::from_bytes(V1).unwrap(), c.pinball);
     }
 
     #[test]
     fn v4_is_not_larger_than_v3() {
-        let (program, pinball) = record();
-        let c = PinballContainer::with_checkpoints(pinball, &program, 128);
-        let v4 = c.to_bytes().unwrap();
-        let v3 = c.to_bytes_v3().unwrap();
+        let v4 = fixture().to_bytes().unwrap();
         assert!(
-            v4.len() <= v3.len(),
+            v4.len() <= V3.len(),
             "v4 ({}) should not exceed v3 ({})",
             v4.len(),
-            v3.len()
+            V3.len()
         );
     }
 
@@ -1745,98 +1301,50 @@ mod tests {
         let (program, pinball) = record();
         let container = PinballContainer::with_checkpoints(pinball, &program, 256);
         let v4 = container.to_bytes().unwrap();
-        assert_eq!(
-            PinballContainer::from_bytes(&v4)
-                .unwrap()
-                .to_bytes()
-                .unwrap(),
-            v4
-        );
-        let v3 = container.to_bytes_v3().unwrap();
-        assert_eq!(
-            PinballContainer::from_bytes(&v3)
-                .unwrap()
-                .to_bytes_v3()
-                .unwrap(),
-            v3
-        );
-        let v2 = container.to_bytes_v2().unwrap();
-        assert_eq!(
-            PinballContainer::from_bytes(&v2)
-                .unwrap()
-                .to_bytes_v2()
-                .unwrap(),
-            v2
-        );
-    }
-
-    #[test]
-    fn v1_blob_autodetects() {
-        let (_, pinball) = record();
-        let v1 = pinball.to_bytes_v1().unwrap();
-        assert_eq!(detect_version(&v1), ContainerVersion::V1);
-        let c = PinballContainer::from_bytes(&v1).unwrap();
-        assert_eq!(c.pinball, pinball);
-        assert!(c.checkpoints.is_empty());
-    }
-
-    #[test]
-    fn migrate_v1_produces_loadable_v2() {
-        let (_, pinball) = record();
-        let v1 = pinball.to_bytes_v1().unwrap();
-        let v2 = migrate_v1(&v1).unwrap();
-        assert!(v2.starts_with(MAGIC));
-        assert_eq!(PinballContainer::from_bytes(&v2).unwrap().pinball, pinball);
-        assert!(matches!(migrate_v1(&v2), Err(PinballError::Format(_))));
+        for bytes in [v4.as_slice(), V4] {
+            assert_eq!(
+                PinballContainer::from_bytes(bytes)
+                    .unwrap()
+                    .to_bytes()
+                    .unwrap(),
+                bytes
+            );
+        }
     }
 
     #[test]
     fn migrate_upgrades_older_formats_to_v4() {
-        let (program, pinball) = record();
-        let digest = pinball.digest();
+        let c = fixture();
+        let digest = c.digest();
 
-        let v1 = pinball.to_bytes_v1().unwrap();
-        let from_v1 = migrate(&v1).unwrap();
+        let from_v1 = migrate(V1).unwrap();
         assert_eq!(detect_version(&from_v1), ContainerVersion::V4);
         assert_eq!(
-            PinballContainer::from_bytes(&from_v1).unwrap().pinball,
-            pinball
+            from_v1,
+            PinballContainer::new(c.pinball.clone()).to_bytes().unwrap(),
+            "v1 -> v4 is a checkpoint-free save"
         );
 
-        let c = PinballContainer::with_checkpoints(pinball, &program, 128);
-        let v2 = c.to_bytes_v2().unwrap();
-        let from_v2 = migrate(&v2).unwrap();
-        assert_eq!(detect_version(&from_v2), ContainerVersion::V4);
-        let upgraded = PinballContainer::from_bytes(&from_v2).unwrap();
-        assert_eq!(upgraded, c, "migration preserves checkpoints and interval");
-        assert_eq!(upgraded.digest(), digest);
+        for (tag, bytes) in [("v2", V2), ("v3", V3)] {
+            let upgraded = migrate(bytes).unwrap();
+            assert_eq!(upgraded, V4, "{tag} -> v4 equals a direct save");
+            let loaded = PinballContainer::from_bytes(&upgraded).unwrap();
+            assert_eq!(loaded, c, "migration preserves checkpoints and interval");
+            assert_eq!(loaded.digest(), digest);
+        }
 
-        let v3 = c.to_bytes_v3().unwrap();
-        let from_v3 = migrate(&v3).unwrap();
-        assert_eq!(detect_version(&from_v3), ContainerVersion::V4);
-        assert_eq!(PinballContainer::from_bytes(&from_v3).unwrap(), c);
-        assert_eq!(
-            from_v3,
-            c.to_bytes().unwrap(),
-            "v3 -> v4 migrate round-trip"
-        );
-
-        assert!(matches!(migrate(&from_v2), Err(PinballError::Format(_))));
+        assert!(matches!(migrate(V4), Err(PinballError::Format(_))));
     }
 
     #[test]
     fn corrupt_chunk_is_named() {
         let (program, pinball) = record();
-        for bytes in [
-            PinballContainer::with_checkpoints(pinball.clone(), &program, 128)
-                .to_bytes()
-                .unwrap(),
-            PinballContainer::with_checkpoints(pinball, &program, 128)
-                .to_bytes_v2()
-                .unwrap(),
-        ] {
+        let v4 = PinballContainer::with_checkpoints(pinball, &program, 128)
+            .to_bytes()
+            .unwrap();
+        for bytes in [v4.as_slice(), V2] {
             // Flip a bit well past the header frame.
-            let mut bad = bytes.clone();
+            let mut bad = bytes.to_vec();
             let target = bytes.len() * 3 / 4;
             bad[target] ^= 0x10;
             let err = PinballContainer::from_bytes(&bad).unwrap_err();
@@ -1880,15 +1388,11 @@ mod tests {
 
     #[test]
     fn digest_is_container_version_independent() {
-        let (program, pinball) = record();
-        let base = pinball.digest();
-        let c = PinballContainer::with_checkpoints(pinball, &program, 128);
-        let via_v2 = PinballContainer::from_bytes(&c.to_bytes_v2().unwrap()).unwrap();
-        let via_v3 = PinballContainer::from_bytes(&c.to_bytes_v3().unwrap()).unwrap();
-        let via_v4 = PinballContainer::from_bytes(&c.to_bytes().unwrap()).unwrap();
-        assert_eq!(via_v2.digest(), base);
-        assert_eq!(via_v3.digest(), base);
-        assert_eq!(via_v4.digest(), base);
+        let base = fixture().digest();
+        for bytes in [V1, V2, V3, V4] {
+            let loaded = PinballContainer::from_bytes(bytes).unwrap();
+            assert_eq!(loaded.digest(), base, "{}", detect_version(bytes));
+        }
     }
 
     #[test]
@@ -1945,12 +1449,13 @@ mod tests {
         assert!(rendered4.contains("shared dictionary"));
         assert!(rendered4.contains("event columns"));
 
-        let v3 = c.to_bytes_v3().unwrap();
-        let report = inspect(&v3).unwrap();
+        let f = fixture();
+        let report = inspect(V3).unwrap();
         assert_eq!(report.version, ContainerVersion::V3);
-        assert_eq!(report.file_len, v3.len());
-        assert_eq!(report.num_events, c.pinball.events.len() as u64);
-        assert_eq!(report.checkpoints, c.checkpoints.len());
+        assert_eq!(report.file_len, V3.len());
+        assert_eq!(report.num_events, f.pinball.events.len() as u64);
+        assert_eq!(report.checkpoints, f.checkpoints.len());
+        assert_eq!(report.checkpoint_interval, 32);
         assert!(report.frames.len() > 3);
         assert_eq!(report.frames[0].kind, ChunkKind::Header);
         assert_eq!(report.frames.last().unwrap().kind, ChunkKind::Index);
@@ -1965,19 +1470,20 @@ mod tests {
         assert!(rendered.contains("container v3"));
         assert!(rendered.contains("binary"));
 
-        let v2 = c.to_bytes_v2().unwrap();
-        let report2 = inspect(&v2).unwrap();
+        let report2 = inspect(V2).unwrap();
         assert_eq!(report2.version, ContainerVersion::V2);
         assert!(report2
             .frames
             .iter()
             .all(|fr| fr.codec == PayloadCodec::Json));
         assert_eq!(report2.num_events, report.num_events);
+        assert_eq!(report2.checkpoints, report.checkpoints);
 
-        let v1 = c.pinball.to_bytes_v1().unwrap();
-        let report1 = inspect(&v1).unwrap();
+        let report1 = inspect(V1).unwrap();
         assert_eq!(report1.version, ContainerVersion::V1);
         assert_eq!(report1.frames.len(), 1);
+        assert_eq!(report1.file_len, V1.len());
+        assert_eq!(report1.num_events, report.num_events);
     }
 
     #[test]
@@ -1996,16 +1502,20 @@ mod tests {
     fn detect_version_distinguishes_formats() {
         assert_eq!(detect_version(b"DRPB2\nrest"), ContainerVersion::V2);
         assert_eq!(detect_version(b"DRPB3\nrest"), ContainerVersion::V3);
+        assert_eq!(detect_version(b"DRPB4\nrest"), ContainerVersion::V4);
         assert_eq!(detect_version(b"anything else"), ContainerVersion::V1);
         assert_eq!(detect_version(b""), ContainerVersion::V1);
     }
 
     #[test]
-    fn run_ordered_preserves_order() {
-        for parallel in [false, true] {
-            let out = run_ordered(37, parallel, |i| i * i);
-            assert_eq!(out, (0..37).map(|i| i * i).collect::<Vec<_>>());
-        }
-        assert!(run_ordered(0, true, |i| i).is_empty());
+    fn trailer_must_be_exact() {
+        let mut trailer = 77u64.to_le_bytes().to_vec();
+        trailer.extend_from_slice(TRAILER_MAGIC);
+        assert!(trailer_points_at(&trailer, 77));
+        assert!(!trailer_points_at(&trailer, 78));
+        assert!(!trailer_points_at(&trailer[..11], 77));
+        trailer.push(0);
+        assert!(!trailer_points_at(&trailer, 77));
+        assert!(!trailer_points_at(&[], 0));
     }
 }

@@ -59,18 +59,16 @@ pub mod region;
 pub mod relog;
 pub mod replay;
 pub mod stream;
-pub mod view;
 
-pub use columns::{ColumnSizes, EventColumns, EventRef, PairsRef};
+pub use columns::{ColumnSizes, EventColumns};
 pub use container::{
-    detect_version, inspect, migrate, migrate_v1, ChunkKind, ContainerReport, ContainerVersion,
-    FrameReport, LossyLoad, PayloadCodec, PinballContainer, PinballDigest, ReplayCheckpoint,
+    detect_version, inspect, migrate, ChunkKind, ContainerReport, ContainerVersion, FrameReport,
+    LossyLoad, PayloadCodec, PinballContainer, PinballDigest, ReplayCheckpoint,
     DEFAULT_CHECKPOINT_INTERVAL, MAGIC, MAGIC_V3, MAGIC_V4,
 };
 pub use logger::{record_region, record_whole_program, LogError, Recording};
 pub use pinball::{Pinball, PinballError, PinballMeta, RecordedExit, ReplayEvent, ScheduleBuilder};
 pub use region::{EndTrigger, EndWatch, RegionSpec, StartTrigger, StartWatch};
 pub use relog::{relog, relog_container, ExclusionRegion, RelogStats};
-pub use replay::{EventLog, ReplayStatus, Replayer, SeekOutcome};
+pub use replay::{ReplayStatus, Replayer, SeekOutcome};
 pub use stream::{StreamReader, StreamWriter};
-pub use view::{ContainerView, MappedContainer, MappedEvents};

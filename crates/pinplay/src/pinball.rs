@@ -119,39 +119,25 @@ impl Pinball {
     }
 
     /// Serializes the pinball in the chunked v4 container format (the bytes
-    /// written by [`Pinball::save`]), without embedded checkpoints — use
+    /// written by [`Pinball::save`]) without embedded checkpoints — use
     /// [`PinballContainer::with_checkpoints`](crate::PinballContainer) to
-    /// add those. Chunks are encoded on a worker pool when more than one
-    /// core is available; the output is byte-identical either way.
+    /// add those. Equal to
+    /// [`PinballContainer::new`](crate::PinballContainer::new)`(pinball).to_bytes()`.
     ///
     /// # Errors
     ///
-    /// Infallible in practice; the `Result` is kept for API stability with
-    /// the fallible JSON-backed paths.
+    /// Infallible in practice; the `Result` keeps the signature every
+    /// caller already handles.
     pub fn to_bytes(&self) -> Result<Vec<u8>, PinballError> {
         Ok(crate::container::write_container_v4(
             self,
             &[],
             crate::container::DEFAULT_CHECKPOINT_INTERVAL,
-            true,
         ))
     }
 
-    /// Serializes in the legacy v1 format: one LZSS blob over the whole
-    /// JSON-encoded pinball. Kept for compatibility tooling (see
-    /// [`migrate_v1`](crate::container::migrate_v1)); new pinballs should
-    /// use [`Pinball::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PinballError::Serialize`] when JSON encoding fails.
-    pub fn to_bytes_v1(&self) -> Result<Vec<u8>, PinballError> {
-        let json = serde_json::to_vec(self).map_err(|e| PinballError::Serialize(e.to_string()))?;
-        Ok(pinzip::compress(&json))
-    }
-
-    /// Deserializes a pinball, auto-detecting the container magic (v3 or
-    /// v2) and falling back to the v1 single-blob format. Embedded
+    /// Deserializes a pinball, auto-detecting the container magic (v4, v3
+    /// or v2) and falling back to the v1 single-blob format. Embedded
     /// checkpoints are dropped — load a
     /// [`PinballContainer`](crate::PinballContainer) to keep them.
     ///
@@ -176,11 +162,12 @@ impl Pinball {
         serde_json::from_slice(&json).map_err(|e| PinballError::Format(e.to_string()))
     }
 
-    /// Compressed on-disk size in bytes (the paper's "Space (MB)" metric).
+    /// Compressed on-disk size in bytes (the paper's "Space (MB)" metric):
+    /// the length of [`Pinball::to_bytes`].
     ///
     /// # Errors
     ///
-    /// Returns [`PinballError::Serialize`] when JSON encoding fails.
+    /// As [`Pinball::to_bytes`].
     pub fn size_bytes(&self) -> Result<usize, PinballError> {
         Ok(self.to_bytes()?.len())
     }
@@ -380,11 +367,12 @@ mod tests {
     }
 
     #[test]
-    fn v1_bytes_roundtrip() {
-        let p = sample_pinball();
-        let bytes = p.to_bytes_v1().unwrap();
-        let q = Pinball::from_bytes(&bytes).unwrap();
-        assert_eq!(p, q, "legacy blobs auto-detect and load");
+    fn v1_blob_autodetects_and_loads() {
+        // The committed v1 and v4 saves of one recording (see
+        // tests/fixtures/README.md) load as the same pinball.
+        let v1 = Pinball::from_bytes(include_bytes!("../tests/fixtures/fuzz_v1.drpb")).unwrap();
+        let v4 = Pinball::from_bytes(include_bytes!("../tests/fixtures/fuzz_v4.drpb")).unwrap();
+        assert_eq!(v1, v4, "legacy blobs auto-detect and load");
     }
 
     #[test]

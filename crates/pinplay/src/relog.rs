@@ -174,7 +174,7 @@ pub fn relog(
     (pinball, stats)
 }
 
-/// [`relog`], lifted to the v3 container: replays the container's region
+/// [`relog`], lifted to the container: replays the container's region
 /// pinball under the exclusions and packages the resulting slice pinball as
 /// a [`PinballContainer`] with embedded checkpoints at `checkpoint_interval`
 /// retired instructions — so the slice pinball is immediately seekable,

@@ -9,65 +9,10 @@
 
 use std::sync::Arc;
 
-use minivm::{Executor, Program, Reg, ScriptedEnv, Snapshot, Tool, ToolControl, VmError};
+use minivm::{Executor, Program, ScriptedEnv, Tool, ToolControl, VmError};
 
-use crate::columns::{EventColumns, EventRef};
 use crate::container::{PinballContainer, ReplayCheckpoint};
 use crate::pinball::{Pinball, RecordedExit, ReplayEvent};
-use crate::view::MappedEvents;
-
-/// Where a replayer reads its event log from.
-///
-/// Historically every `Replayer` cloned the pinball's `Vec<ReplayEvent>`;
-/// with the v4 columnar container the log can instead be *borrowed* from a
-/// shared container, a columnar chunk set, or a lazily-paged mapped file —
-/// the replayer reads events in place via [`EventRef`] and never owns them.
-#[derive(Debug, Clone)]
-pub enum EventLog {
-    /// An owned event vector (shared among clones of this replayer).
-    Owned(Arc<Vec<ReplayEvent>>),
-    /// Events borrowed from a shared loaded container — many replayers
-    /// (debug sessions, slicing collectors) read one copy of the log.
-    Shared(Arc<PinballContainer>),
-    /// Events read in place from columnar storage (v4 loads).
-    Columns(Arc<EventColumns>),
-    /// Events paged on demand from an on-disk v4 container
-    /// ([`PinballContainer::open_mapped`](crate::view::MappedContainer)).
-    Mapped(MappedEvents),
-}
-
-impl EventLog {
-    /// Number of events in the log.
-    pub fn len(&self) -> usize {
-        match self {
-            EventLog::Owned(v) => v.len(),
-            EventLog::Shared(c) => c.pinball.events.len(),
-            EventLog::Columns(c) => c.len(),
-            EventLog::Mapped(m) => m.len(),
-        }
-    }
-
-    /// Whether the log holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Borrows event `i`. Takes `&mut self` because the mapped variant may
-    /// page in a chunk; the other variants never mutate.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i >= self.len()`, or (mapped) when the backing file has
-    /// been corrupted since `open_mapped` validated it.
-    pub fn get(&mut self, i: usize) -> EventRef<'_> {
-        match self {
-            EventLog::Owned(v) => EventRef::of(&v[i]),
-            EventLog::Shared(c) => EventRef::of(&c.pinball.events[i]),
-            EventLog::Columns(c) => c.get(i),
-            EventLog::Mapped(m) => m.get(i),
-        }
-    }
-}
 
 /// Why a replay stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,64 +48,40 @@ pub struct SeekOutcome {
 #[derive(Debug, Clone)]
 pub struct Replayer {
     exec: Executor,
-    log: EventLog,
-    expected_exit: RecordedExit,
+    /// The recording being replayed. Clones of this replayer, and every
+    /// replayer built by [`Replayer::shared`] from the same container,
+    /// share this one copy of the event log.
+    recording: Arc<PinballContainer>,
     pos: usize,
     done_in_event: u64,
     env: ScriptedEnv,
 }
 
 impl Replayer {
-    /// Prepares a replay of `pinball` for `program`.
+    /// Prepares a replay of `pinball` for `program`. The pinball is copied
+    /// once; clones of the replayer share that copy.
     pub fn new(program: Arc<Program>, pinball: &Pinball) -> Replayer {
-        Replayer::from_parts(
-            program,
-            &pinball.snapshot,
-            &pinball.syscalls,
-            pinball.exit,
-            EventLog::Owned(Arc::new(pinball.events.clone())),
-        )
+        Replayer::shared(program, Arc::new(PinballContainer::new(pinball.clone())))
     }
 
-    /// Prepares a replay that reads events from `log` — the zero-copy
-    /// constructor: the snapshot and syscall queues are still copied (both
-    /// small), but the event log, which dominates a pinball's size, is read
-    /// in place.
-    pub fn from_parts(
-        program: Arc<Program>,
-        snapshot: &Snapshot,
-        syscalls: &[Vec<i64>],
-        exit: RecordedExit,
-        log: EventLog,
-    ) -> Replayer {
-        let exec = Executor::from_snapshot(program, snapshot);
+    /// Prepares a replay that reads the event log from a shared container
+    /// — clones of the `Arc`, not of the log.
+    pub fn shared(program: Arc<Program>, container: Arc<PinballContainer>) -> Replayer {
+        let pinball = &container.pinball;
+        let exec = Executor::from_snapshot(program, &pinball.snapshot);
         let mut env = ScriptedEnv::new();
-        for (tid, results) in syscalls.iter().enumerate() {
+        for (tid, results) in pinball.syscalls.iter().enumerate() {
             for &v in results {
                 env.push(tid as u32, v);
             }
         }
         Replayer {
             exec,
-            log,
-            expected_exit: exit,
+            recording: container,
             pos: 0,
             done_in_event: 0,
             env,
         }
-    }
-
-    /// Prepares a replay that borrows the event log from a shared container
-    /// — clones of the `Arc`, not of the log.
-    pub fn shared(program: Arc<Program>, container: Arc<PinballContainer>) -> Replayer {
-        let log = EventLog::Shared(Arc::clone(&container));
-        Replayer::from_parts(
-            program,
-            &container.pinball.snapshot,
-            &container.pinball.syscalls,
-            container.pinball.exit,
-            log,
-        )
     }
 
     /// The executor being replayed (for state inspection — the debugger's
@@ -171,12 +92,7 @@ impl Replayer {
 
     /// Whether the whole replay log has been consumed.
     pub fn finished(&self) -> bool {
-        self.pos >= self.log.len()
-    }
-
-    /// The event log this replayer reads from.
-    pub fn log(&self) -> &EventLog {
-        &self.log
+        self.pos >= self.recording.pinball.events.len()
     }
 
     /// Instructions retired so far in this replay.
@@ -186,7 +102,7 @@ impl Replayer {
 
     /// The exit recorded at log time, for divergence checking.
     pub fn expected_exit(&self) -> RecordedExit {
-        self.expected_exit
+        self.recording.pinball.exit
     }
 
     /// Replays until the log is consumed, the recorded trap reproduces, or
@@ -200,43 +116,51 @@ impl Replayer {
     /// indicates a broken pinball (or a bug in the logger) and must not be
     /// silently ignored: determinism is the tool's core guarantee.
     pub fn run(&mut self, tool: &mut dyn Tool) -> ReplayStatus {
-        while self.pos < self.log.len() {
-            match self.log.get(self.pos) {
-                EventRef::Skip { tid, to_pc, regs } => {
+        self.replay_until(self.recording.pinball.events.len(), tool)
+    }
+
+    /// The replay loop [`Replayer::run`] and [`Replayer::run_to_event`]
+    /// share: applies events until the log position reaches event `end`,
+    /// handing every retired instruction to `tool`. Stops early when
+    /// `tool` asks to pause or the recorded trap reproduces.
+    fn replay_until<T: Tool + ?Sized>(&mut self, end: usize, tool: &mut T) -> ReplayStatus {
+        let events = &self.recording.pinball.events;
+        while self.pos < end {
+            match &events[self.pos] {
+                ReplayEvent::Skip { tid, to_pc, regs } => {
                     // Excluded code region: teleport past it and restore its
                     // register side effects (paper Fig. 6(b)).
-                    for (r, v) in regs.iter() {
-                        self.exec.inject_reg(tid, Reg(r as u8), v);
+                    for &(r, v) in regs {
+                        self.exec.inject_reg(*tid, r, v);
                     }
-                    self.exec.set_pc(tid, to_pc);
+                    self.exec.set_pc(*tid, *to_pc);
                     self.pos += 1;
                 }
-                EventRef::Inject { mems } => {
+                ReplayEvent::Inject { mems } => {
                     // Memory side effects of excluded code, at their
                     // original position in the global order.
-                    for (a, v) in mems.iter() {
+                    for &(a, v) in mems {
                         self.exec.inject_mem(a, v);
                     }
                     self.pos += 1;
                 }
-                EventRef::Run { tid, steps } => {
-                    if self.done_in_event >= steps {
+                ReplayEvent::Run { tid, steps } => {
+                    if self.done_in_event >= *steps {
                         self.pos += 1;
                         self.done_in_event = 0;
                         continue;
                     }
-                    match self.exec.step(tid, &mut self.env) {
+                    self.done_in_event += 1;
+                    match self.exec.step(*tid, &mut self.env) {
                         Ok((ev, _)) => {
-                            self.done_in_event += 1;
                             if tool.on_event(&ev) == ToolControl::Stop {
                                 return ReplayStatus::Paused;
                             }
                         }
                         Err((ev, e)) => {
-                            self.done_in_event += 1;
                             let _ = tool.on_event(&ev);
                             assert_eq!(
-                                self.expected_exit,
+                                self.recording.pinball.exit,
                                 RecordedExit::Trap(e),
                                 "replay divergence: unexpected trap {e}"
                             );
@@ -246,7 +170,11 @@ impl Replayer {
                 }
             }
         }
-        ReplayStatus::Completed
+        if self.finished() {
+            ReplayStatus::Completed
+        } else {
+            ReplayStatus::Paused
+        }
     }
 
     /// Captures the replayer's full state as a serializable checkpoint.
@@ -344,48 +272,8 @@ impl Replayer {
     ///
     /// Panics on replay divergence, as [`Replayer::run`].
     pub fn run_to_event(&mut self, target: usize) -> ReplayStatus {
-        let target = target.min(self.log.len());
-        while self.pos < target {
-            match self.log.get(self.pos) {
-                EventRef::Skip { tid, to_pc, regs } => {
-                    for (r, v) in regs.iter() {
-                        self.exec.inject_reg(tid, Reg(r as u8), v);
-                    }
-                    self.exec.set_pc(tid, to_pc);
-                    self.pos += 1;
-                }
-                EventRef::Inject { mems } => {
-                    for (a, v) in mems.iter() {
-                        self.exec.inject_mem(a, v);
-                    }
-                    self.pos += 1;
-                }
-                EventRef::Run { tid, steps } => {
-                    if self.done_in_event >= steps {
-                        self.pos += 1;
-                        self.done_in_event = 0;
-                        continue;
-                    }
-                    match self.exec.step(tid, &mut self.env) {
-                        Ok(_) => self.done_in_event += 1,
-                        Err((_, e)) => {
-                            self.done_in_event += 1;
-                            assert_eq!(
-                                self.expected_exit,
-                                RecordedExit::Trap(e),
-                                "replay divergence: unexpected trap {e}"
-                            );
-                            return ReplayStatus::Trapped(e);
-                        }
-                    }
-                }
-            }
-        }
-        if self.pos >= self.log.len() {
-            ReplayStatus::Completed
-        } else {
-            ReplayStatus::Paused
-        }
+        let target = target.min(self.recording.pinball.events.len());
+        self.replay_until(target, &mut minivm::NullTool)
     }
 
     /// Repositions the replay at exactly `target` retired instructions,
@@ -419,14 +307,8 @@ impl Replayer {
             };
         }
         // Seeking backwards with no checkpoint to land on: full restart —
-        // reuse the existing log handle rather than re-cloning the events.
-        *self = Replayer::from_parts(
-            Arc::clone(self.exec.program()),
-            &container.pinball.snapshot,
-            &container.pinball.syscalls,
-            container.pinball.exit,
-            self.log.clone(),
-        );
+        // reuse the shared recording rather than re-cloning the events.
+        *self = Replayer::shared(Arc::clone(self.exec.program()), Arc::clone(&self.recording));
         self.run_steps(target, &mut minivm::NullTool);
         SeekOutcome {
             target,

@@ -20,11 +20,9 @@
 //!   reconnect is always safe, which is what makes uploads resumable.
 //! * [`StreamReader`] absorbs bytes in arbitrary increments and decodes
 //!   each frame as soon as it is complete, without re-reading the prefix.
-//!   Absorbed events accumulate in columnar form ([`EventColumns`]) — for
-//!   a v4 stream each events frame is one bulk column append with no
-//!   per-record tree decode, which is what lifted absorb throughput well
-//!   past the old v3 record-stream path (v2/v3 streams still absorb
-//!   through the owned-record decoder for compatibility).
+//!   It reads v4 streams only — nothing writes older stream formats.
+//!   Absorbed events accumulate in columnar form ([`EventColumns`]): each
+//!   events frame is one bulk column append with no per-record decode.
 //!   At any moment [`StreamReader::partial_container`] yields the intact
 //!   prefix as a replayable [`PinballContainer`] — this is what lets a
 //!   consumer slice or live-tail a recording that is still uploading.
@@ -35,21 +33,23 @@
 //! strict loader as [`PinballError::Unsealed`] — typed, never a panic —
 //! while [`PinballContainer::from_bytes_lossy`] recovers the prefix.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::ops::Range;
 
 use pinzip::frame::{decode_payload, decode_payload_with_dict, peek_frame, FrameError};
 
 use crate::columns::EventColumns;
 use crate::container::{
-    chunk_err, decode_by_codec, detect_version, kind_of, ChunkKind, ContainerHeader,
-    ContainerVersion, PayloadCodec, PinballContainer, PinballDigest, KIND_CHECKPOINT, KIND_DICT,
-    KIND_EVENTS, KIND_HEADER, KIND_INDEX, MAGIC, MAGIC_V3, MAGIC_V4, TRAILER_MAGIC,
+    chunk_err, decode_by_codec, detect_version, kind_of, trailer_points_at, ChunkKind,
+    ContainerHeader, ContainerVersion, IndexEntry, PayloadCodec, PinballContainer, PinballDigest,
+    ReplayCheckpoint, KIND_CHECKPOINT, KIND_DICT, KIND_EVENTS, KIND_HEADER, KIND_INDEX, MAGIC_V4,
 };
-use crate::pinball::{Pinball, PinballError, ReplayEvent};
+use crate::pinball::{Pinball, PinballError};
 
 /// Plans a container as resumable chunks plus a sealing footer.
 ///
-/// The writer serializes once (via the parallel v3 encoder) and then
+/// The writer serializes once (via [`PinballContainer::to_bytes`]) and then
 /// *slices* the result at frame-group boundaries, so every chunk is a
 /// deterministic, re-requestable view into the same buffer and the
 /// concatenation of all chunks plus [`StreamWriter::footer`] is
@@ -71,30 +71,24 @@ pub struct StreamWriter {
 impl StreamWriter {
     /// Plans `container` for streaming. The serialized form is the v4
     /// container, so sealing reproduces a batch save exactly.
+    ///
+    /// # Errors
+    ///
+    /// Infallible in practice: the bytes come from the v4 writer, so a
+    /// failed walk over them is a bug, reported as a typed
+    /// [`PinballError::Chunk`] rather than a panic.
     pub fn new(container: &PinballContainer) -> Result<StreamWriter, PinballError> {
-        StreamWriter::plan(container, container.to_bytes()?)
-    }
-
-    /// Plans `container` as a v3 stream — the previous generation's wire
-    /// format, kept for compatibility tests and as the before/after
-    /// baseline in the absorb-throughput bench.
-    pub fn new_v3(container: &PinballContainer) -> Result<StreamWriter, PinballError> {
-        StreamWriter::plan(container, container.to_bytes_v3()?)
-    }
-
-    fn plan(container: &PinballContainer, bytes: Vec<u8>) -> Result<StreamWriter, PinballError> {
+        let bytes = container.to_bytes()?;
         let digest = container.digest();
         let instructions = container.pinball.logged_instructions();
 
-        // Walk frame headers to find group boundaries. The buffer was
-        // produced by our own encoder, so any walk failure is a bug, but
-        // errors stay typed rather than panicking.
+        // Walk frame headers to find group boundaries; the walk ends at the
+        // index frame, where the footer begins.
         let mut groups: Vec<Range<usize>> = Vec::new();
-        let mut footer_at = None;
         let mut group_start = 0usize;
-        let mut pos = MAGIC.len();
+        let mut pos = MAGIC_V4.len();
         let mut frame = 0usize;
-        while footer_at.is_none() {
+        let footer_at = loop {
             if pos >= bytes.len() {
                 return Err(chunk_err(
                     frame,
@@ -110,7 +104,7 @@ impl StreamWriter {
                     groups.push(group_start..pos + raw.encoded_len);
                     group_start = pos + raw.encoded_len;
                 }
-                KIND_INDEX => footer_at = Some(pos),
+                KIND_INDEX => break pos,
                 other => {
                     return Err(chunk_err(
                         frame,
@@ -121,8 +115,7 @@ impl StreamWriter {
             }
             pos += raw.encoded_len;
             frame += 1;
-        }
-        let footer_at = footer_at.expect("loop exits only once the index frame is found");
+        };
         if groups.is_empty() {
             // Empty log: the lone group is the magic + header frame.
             groups.push(0..footer_at);
@@ -201,20 +194,16 @@ pub struct StreamReader {
     parsed: usize,
     /// Frame ordinal for error attribution (0 = header frame).
     frames: usize,
-    /// The container generation, once the magic has been validated.
-    version: Option<ContainerVersion>,
-    /// Shared LZSS dictionary (v4 streams; empty until the dict frame).
+    /// Shared LZSS dictionary (empty until the dict frame).
     dict: Vec<u8>,
     header: Option<ContainerHeader>,
-    /// Absorbed events, accumulated columnar (bulk appends for v4 frames;
-    /// v2/v3 record streams are packed on arrival).
+    /// Absorbed events, accumulated columnar (one bulk append per frame).
     events: EventColumns,
     /// Checkpoint payloads, CRC-checked and decompressed on arrival but
     /// structurally decoded only when [`StreamReader::partial_container`]
     /// asks for them. Live-tail consumers never touch checkpoints, so
     /// absorb throughput should not pay for materializing every
-    /// [`ReplayCheckpoint`](crate::container::ReplayCheckpoint) (full
-    /// executor state each) on the upload path.
+    /// [`ReplayCheckpoint`] (full executor state each) on the upload path.
     checkpoints: Vec<PendingCheckpoint>,
     instructions: u64,
     sealed: bool,
@@ -238,8 +227,8 @@ impl StreamReader {
 
     /// Appends `bytes` to the stream and decodes every newly completed
     /// frame. Incomplete tails are kept pending for the next call; real
-    /// damage (bad magic, CRC mismatch, undecodable payload, data after
-    /// the trailer) is a typed error.
+    /// damage (a magic other than v4's, CRC mismatch, undecodable payload,
+    /// data after the trailer) is a typed error.
     pub fn absorb(&mut self, bytes: &[u8]) -> Result<(), PinballError> {
         if self.sealed && !bytes.is_empty() {
             return Err(PinballError::Format(
@@ -251,29 +240,26 @@ impl StreamReader {
     }
 
     fn advance(&mut self) -> Result<(), PinballError> {
-        let version = match self.version {
-            Some(v) => v,
-            None => {
-                if self.buf.len() < MAGIC.len() {
-                    return Ok(());
-                }
-                let v = detect_version(&self.buf);
-                if v == ContainerVersion::V1 {
-                    return Err(PinballError::Format(format!(
-                        "stream does not open with a container magic ({:?}, {:?} or {:?})",
-                        MAGIC, MAGIC_V3, MAGIC_V4
-                    )));
-                }
-                self.version = Some(v);
-                self.parsed = MAGIC.len();
-                v
+        if self.parsed == 0 {
+            if self.buf.len() < MAGIC_V4.len() {
+                return Ok(());
             }
-        };
-        let has_codec = matches!(version, ContainerVersion::V3 | ContainerVersion::V4);
+            if !self.buf.starts_with(MAGIC_V4) {
+                let found = match detect_version(&self.buf) {
+                    ContainerVersion::V1 => "no container magic".to_string(),
+                    v => format!("a {v} container"),
+                };
+                return Err(PinballError::Format(format!(
+                    "a stream must open with the v4 magic `{}`, found {found}",
+                    MAGIC_V4.escape_ascii()
+                )));
+            }
+            self.parsed = MAGIC_V4.len();
+        }
 
         while !self.sealed && self.parsed < self.buf.len() {
             let frame_off = self.parsed;
-            let raw = match peek_frame(&self.buf, frame_off, has_codec) {
+            let raw = match peek_frame(&self.buf, frame_off, true) {
                 Ok(r) => r,
                 // An incomplete frame header or payload: wait for more
                 // bytes. Streaming cannot distinguish a pending tail from
@@ -283,7 +269,7 @@ impl StreamReader {
                     return Err(chunk_err(self.frames, self.peek_kind(frame_off), e));
                 }
             };
-            let awaiting_dict = version == ContainerVersion::V4 && self.frames == 1;
+            let awaiting_dict = self.frames == 1;
             if awaiting_dict && raw.kind != KIND_DICT {
                 return Err(chunk_err(
                     1,
@@ -313,41 +299,24 @@ impl StreamReader {
                         .map_err(|e| chunk_err(1, ChunkKind::Dict, e))?;
                 }
                 KIND_EVENTS if self.frames > 0 => {
-                    if raw.codec == Some(PayloadCodec::Columnar.byte()) {
-                        // v4: one bulk column append, no per-record decode.
-                        let payload = decode_payload_with_dict(&self.buf, &raw, &self.dict)
-                            .map_err(|e| chunk_err(self.frames, ChunkKind::Events, e))?;
-                        let cols = EventColumns::decode(&payload).map_err(|e| {
-                            chunk_err(
-                                self.frames,
-                                ChunkKind::Events,
-                                format!("bad events payload: {e}"),
-                            )
-                        })?;
-                        self.instructions += cols.instructions();
-                        self.events.extend_from(&cols);
-                    } else {
-                        let payload = decode_payload(&self.buf, &raw)
-                            .map_err(|e| chunk_err(self.frames, ChunkKind::Events, e))?;
-                        let evs: Vec<ReplayEvent> =
-                            decode_by_codec(&payload, raw.codec).map_err(|e| {
-                                chunk_err(
-                                    self.frames,
-                                    ChunkKind::Events,
-                                    format!("bad events payload: {e}"),
-                                )
-                            })?;
-                        self.instructions += evs
-                            .iter()
-                            .map(|e| match e {
-                                ReplayEvent::Run { steps, .. } => *steps,
-                                _ => 0,
-                            })
-                            .sum::<u64>();
-                        for e in &evs {
-                            self.events.push_event(e);
-                        }
+                    if raw.codec != Some(PayloadCodec::Columnar.byte()) {
+                        return Err(chunk_err(
+                            self.frames,
+                            ChunkKind::Events,
+                            "events frame does not carry the columnar codec",
+                        ));
                     }
+                    let payload = decode_payload_with_dict(&self.buf, &raw, &self.dict)
+                        .map_err(|e| chunk_err(self.frames, ChunkKind::Events, e))?;
+                    let cols = EventColumns::decode(&payload).map_err(|e| {
+                        chunk_err(
+                            self.frames,
+                            ChunkKind::Events,
+                            format!("bad events payload: {e}"),
+                        )
+                    })?;
+                    self.instructions += cols.instructions();
+                    self.events.extend_from(&cols);
                 }
                 KIND_CHECKPOINT if self.frames > 0 => {
                     let payload = decode_payload(&self.buf, &raw)
@@ -398,25 +367,19 @@ impl StreamReader {
         let ichunk = self.frames;
         let payload =
             decode_payload(&self.buf, raw).map_err(|e| chunk_err(ichunk, ChunkKind::Index, e))?;
-        decode_by_codec::<Vec<crate::container::IndexEntry>>(&payload, raw.codec)
+        decode_by_codec::<Vec<IndexEntry>>(&payload, raw.codec)
             .map_err(|e| chunk_err(ichunk, ChunkKind::Index, format!("bad index payload: {e}")))?;
-        let trailer = &self.buf[end..];
-        let ok = trailer.len() == 12
-            && &trailer[8..] == TRAILER_MAGIC
-            && u64::from_le_bytes(trailer[..8].try_into().expect("8-byte slice"))
-                == frame_off as u64;
-        if !ok {
+        if !trailer_points_at(&self.buf[end..], frame_off) {
             return Err(chunk_err(
                 ichunk,
                 ChunkKind::Index,
                 "bad trailer (index offset or magic mismatch)",
             ));
         }
-        let expected = self
-            .header
-            .as_ref()
-            .expect("frame 0 is always the header")
-            .num_events;
+        // An index frame is only accepted after frame 0, the header.
+        let expected = self.events_expected().ok_or_else(|| {
+            PinballError::Format("index frame arrived before the header".to_string())
+        })?;
         if self.events.len() as u64 != expected {
             return Err(PinballError::Format(format!(
                 "event count mismatch: header promises {expected}, chunks hold {}",
@@ -491,7 +454,7 @@ impl StreamReader {
             .ok_or_else(|| PinballError::Format("stream header not yet absorbed".to_string()))?;
         let mut checkpoints = Vec::with_capacity(self.checkpoints.len());
         for pending in &self.checkpoints {
-            let cp: crate::container::ReplayCheckpoint =
+            let cp: ReplayCheckpoint =
                 decode_by_codec(&pending.payload, pending.codec).map_err(|e| {
                     chunk_err(
                         pending.frame,
@@ -513,12 +476,6 @@ impl StreamReader {
             checkpoints,
             checkpoint_interval: header.checkpoint_interval.max(1),
         })
-    }
-
-    /// The absorbed prefix of the event log in columnar form — the
-    /// zero-copy view streaming consumers index from directly.
-    pub fn columns(&self) -> &EventColumns {
-        &self.events
     }
 }
 
@@ -684,19 +641,22 @@ mod tests {
     }
 
     #[test]
-    fn v3_streams_still_absorb_and_seal() {
-        let (_, container) = record();
-        let writer = StreamWriter::new_v3(&container).expect("plans v3");
-        assert_eq!(writer.sealed_bytes(), container.to_bytes_v3().unwrap());
-        let mut reader = StreamReader::new();
-        for piece in writer.chunks(5) {
-            reader.absorb(piece).expect("absorbs");
+    fn older_stream_formats_are_a_typed_format_error() {
+        // The committed v3 save (see tests/fixtures/README.md): streams
+        // carry v4 only, so its magic alone is enough to refuse it.
+        let v3 = include_bytes!("../tests/fixtures/fuzz_v3.drpb");
+        for bytes in [&v3[..], &v3[..6], b"DRPB2\n", b"not a pinball"] {
+            let mut reader = StreamReader::new();
+            match reader.absorb(bytes) {
+                Err(PinballError::Format(msg)) => {
+                    assert!(msg.contains("`DRPB4\\n`"), "{msg}");
+                }
+                other => panic!("expected a Format error, got {other:?}"),
+            }
         }
-        reader.absorb(writer.footer()).expect("footer");
-        assert!(reader.is_sealed());
-        let got = reader.partial_container().expect("container");
-        assert_eq!(got, container);
-        assert_eq!(got.digest(), writer.digest());
+        let mut reader = StreamReader::new();
+        let err = reader.absorb(v3).unwrap_err().to_string();
+        assert!(err.contains("found a v3 container"), "{err}");
     }
 
     #[test]

@@ -1,25 +1,28 @@
-//! Property tests for the chunked pinball containers (v2, v3, and v4).
+//! Property tests for the chunked pinball container.
 //!
 //! Over randomized multi-threaded recordings (worker count, per-worker
 //! loop length, scheduler seed and quantum, checkpoint interval all
 //! drawn by proptest):
 //!
 //! 1. **Byte-identical round-trip** — `to_bytes` → `from_bytes` →
-//!    `to_bytes` reproduces the exact container bytes, in every format.
-//!    Chunk boundaries, embedded checkpoints, the shared dictionary, and
-//!    the footer index are all deterministic functions of the log, so a
-//!    load/save cycle is the identity.
-//! 2. **Differential encoders** — the parallel v4 chunk pipeline emits
-//!    bytes identical to the serial reference encoder, and the v2, v3,
-//!    and v4 serializations of one container load back to equal
-//!    containers with equal digests.
-//! 3. **Differential loaders** — the zero-copy [`ContainerView`], the
-//!    paged [`MappedContainer`], and the owned loader agree on every
-//!    recording, and `migrate` of v2/v3 bytes equals a direct v4 save.
-//! 4. **Seek equivalence** — restoring any embedded checkpoint via
+//!    `to_bytes` reproduces the exact container bytes. Chunk boundaries,
+//!    embedded checkpoints, the shared dictionary, and the footer index
+//!    are all deterministic functions of the log, so a load/save cycle is
+//!    the identity.
+//! 2. **Batch ≡ streamed** — a chunked upload, killed and resumed at any
+//!    point, reseals to the batch bytes.
+//! 3. **Seek equivalence** — restoring any embedded checkpoint via
 //!    `Replayer::seek_to` and replaying to the end retires the same
 //!    instruction count and lands on bit-identical final state as a
 //!    cold replay of the whole region.
+//!
+//! The older generations, which nothing writes any more, are covered by
+//! the committed v1–v3 fixtures of one recording (see
+//! `fixtures/README.md`): each loads as the re-recorded container with
+//! the same digest, reports its version through `inspect`, and migrates
+//! to exactly the v4 writer's bytes.
+
+mod fixtures;
 
 use std::sync::Arc;
 
@@ -27,8 +30,8 @@ use proptest::prelude::*;
 
 use minivm::{assemble, LiveEnv, NullTool, Program, RandomSched};
 use pinplay::{
-    record_whole_program, ContainerView, Pinball, PinballContainer, ReplayStatus, Replayer,
-    StreamReader, StreamWriter,
+    detect_version, inspect, migrate, record_whole_program, ContainerVersion, Pinball,
+    PinballContainer, ReplayStatus, Replayer, StreamReader, StreamWriter,
 };
 
 /// A main thread plus `workers` xadd-looping threads over one shared
@@ -103,7 +106,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn save_load_is_byte_identical_in_both_formats(
+    fn save_load_is_byte_identical(
         workers in 1usize..4,
         iters in 5u64..60,
         sched_seed in any::<u64>(),
@@ -117,106 +120,12 @@ proptest! {
         let v4 = container.to_bytes().expect("v4 serializes");
         let reloaded = PinballContainer::from_bytes(&v4).expect("v4 loads");
         prop_assert_eq!(&reloaded, &container, "v4 round-trips");
+        prop_assert_eq!(reloaded.digest(), container.digest());
         prop_assert_eq!(
             reloaded.to_bytes().expect("re-serializes"),
             v4,
             "v4 load -> save is byte-identical"
         );
-
-        let v3 = container.to_bytes_v3().expect("v3 serializes");
-        let reloaded3 = PinballContainer::from_bytes(&v3).expect("v3 loads");
-        prop_assert_eq!(&reloaded3, &container, "v3 round-trips");
-        prop_assert_eq!(
-            reloaded3.to_bytes_v3().expect("re-serializes"),
-            v3,
-            "v3 load -> save is byte-identical"
-        );
-
-        let v2 = container.to_bytes_v2().expect("v2 serializes");
-        let reloaded2 = PinballContainer::from_bytes(&v2).expect("v2 loads");
-        prop_assert_eq!(&reloaded2, &container, "v2 round-trips");
-        prop_assert_eq!(
-            reloaded2.to_bytes_v2().expect("re-serializes"),
-            v2,
-            "v2 load -> save is byte-identical"
-        );
-    }
-
-    #[test]
-    fn parallel_encoder_matches_serial_reference(
-        workers in 1usize..4,
-        iters in 5u64..60,
-        sched_seed in any::<u64>(),
-        quantum in 1u32..16,
-        interval in 8u64..200,
-    ) {
-        let (program, pinball) = record(workers, iters, sched_seed, quantum, 7);
-        let container = PinballContainer::with_checkpoints(pinball, &program, interval);
-
-        let parallel = container.to_bytes().expect("parallel serializes");
-        let serial = container.to_bytes_serial().expect("serial serializes");
-        prop_assert_eq!(&parallel, &serial, "pipeline output is byte-identical");
-
-        // The three container generations carry the same recording: equal
-        // containers, equal digests, and the binary formats never larger
-        // (v4 gets a fixed allowance for its dictionary frame, which tiny
-        // recordings cannot amortize; real workloads shrink — the codec
-        // speedup gate enforces v4 <= v3 at size).
-        let v2 = container.to_bytes_v2().expect("v2 serializes");
-        let v3 = container.to_bytes_v3().expect("v3 serializes");
-        let via_v2 = PinballContainer::from_bytes(&v2).expect("v2 loads");
-        let via_v3 = PinballContainer::from_bytes(&v3).expect("v3 loads");
-        let via_v4 = PinballContainer::from_bytes(&parallel).expect("v4 loads");
-        prop_assert_eq!(&via_v2, &via_v3, "v2/v3 agree on contents");
-        prop_assert_eq!(&via_v3, &via_v4, "v3/v4 agree on contents");
-        prop_assert_eq!(via_v2.digest(), via_v3.digest(), "v2/v3 agree on digest");
-        prop_assert_eq!(via_v3.digest(), via_v4.digest(), "v3/v4 agree on digest");
-        prop_assert!(
-            v3.len() <= v2.len(),
-            "v3 ({}) must not exceed v2 ({})", v3.len(), v2.len()
-        );
-        prop_assert!(
-            parallel.len() <= v3.len() + pinzip::DICT_MAX + 64,
-            "v4 ({}) must not exceed v3 ({}) plus the dictionary allowance",
-            parallel.len(), v3.len()
-        );
-    }
-
-    #[test]
-    fn zero_copy_and_mapped_loads_agree_with_owned_and_migrate(
-        workers in 1usize..4,
-        iters in 5u64..60,
-        sched_seed in any::<u64>(),
-        quantum in 1u32..16,
-        interval in 8u64..200,
-    ) {
-        let (program, pinball) = record(workers, iters, sched_seed, quantum, 7);
-        let container = PinballContainer::with_checkpoints(pinball, &program, interval);
-        let v4 = container.to_bytes().expect("v4 serializes");
-
-        // Zero-copy view == owned load.
-        let view = ContainerView::from_bytes(&v4).expect("view loads");
-        prop_assert_eq!(view.num_events(), container.pinball.events.len());
-        prop_assert_eq!(&view.to_container(), &container, "view == owned");
-        prop_assert_eq!(view.digest(), container.digest());
-
-        // Paged load == bytes load.
-        let path = std::env::temp_dir().join(format!(
-            "pinplay-prop-{}-{:x}.pb", std::process::id(), sched_seed
-        ));
-        std::fs::write(&path, &v4).expect("writes temp container");
-        let mapped = PinballContainer::open_mapped(&path).expect("mapped opens");
-        let via_mapped = mapped.to_container().expect("mapped materializes");
-        std::fs::remove_file(&path).ok();
-        prop_assert_eq!(&via_mapped, &container, "mapped == owned");
-
-        // Migrating older formats reproduces the direct v4 save exactly.
-        let from_v3 = pinplay::migrate(&container.to_bytes_v3().expect("v3"))
-            .expect("v3 migrates");
-        prop_assert_eq!(&from_v3, &v4, "migrate(v3) == to_bytes()");
-        let from_v2 = pinplay::migrate(&container.to_bytes_v2().expect("v2"))
-            .expect("v2 migrates");
-        prop_assert_eq!(&from_v2, &v4, "migrate(v2) == to_bytes()");
     }
 
     #[test]
@@ -302,4 +211,60 @@ proptest! {
             prop_assert_eq!(&got.2, &want.2, "bit-identical final state");
         }
     }
+}
+
+#[test]
+fn legacy_fixtures_load_digest_inspect_and_migrate_like_the_recording() {
+    let (_, container) = fixtures::record();
+    let v4 = container.to_bytes().expect("v4 serializes");
+    assert_eq!(v4, fixtures::V4, "the v4 writer's bytes are pinned");
+    let digest = container.digest();
+
+    for (bytes, version) in [
+        (fixtures::V2, ContainerVersion::V2),
+        (fixtures::V3, ContainerVersion::V3),
+    ] {
+        assert_eq!(detect_version(bytes), version);
+        let loaded = PinballContainer::from_bytes(bytes).expect("fixture loads");
+        assert_eq!(loaded, container, "{version} loads as the recording");
+        assert_eq!(loaded.digest(), digest, "{version} digest is format-free");
+
+        let report = inspect(bytes).expect("fixture inspects");
+        assert_eq!(report.version, version);
+        assert_eq!(report.file_len, bytes.len());
+        assert_eq!(report.num_events, container.pinball.events.len() as u64);
+        assert_eq!(report.checkpoints, container.checkpoints.len());
+        assert_eq!(report.checkpoint_interval, container.checkpoint_interval);
+
+        assert_eq!(
+            migrate(bytes).expect("fixture migrates"),
+            v4,
+            "migrate({version}) == to_bytes()"
+        );
+    }
+
+    // v1 holds no checkpoints: the bare pinball, the same digest.
+    assert_eq!(detect_version(fixtures::V1), ContainerVersion::V1);
+    let v1 = PinballContainer::from_bytes(fixtures::V1).expect("v1 loads");
+    assert_eq!(v1.pinball, container.pinball);
+    assert!(v1.checkpoints.is_empty());
+    assert_eq!(v1.digest(), digest);
+    assert_eq!(
+        inspect(fixtures::V1).expect("v1 inspects").num_events,
+        container.pinball.events.len() as u64
+    );
+    assert_eq!(
+        migrate(fixtures::V1).expect("v1 migrates"),
+        PinballContainer::new(container.pinball.clone())
+            .to_bytes()
+            .expect("v4 serializes")
+    );
+
+    // The current format is no larger than the one it replaced.
+    assert!(
+        v4.len() <= fixtures::V3.len(),
+        "v4 ({}) must not exceed v3 ({})",
+        v4.len(),
+        fixtures::V3.len()
+    );
 }

@@ -4,75 +4,30 @@
 //! surface as a typed [`PinballError`] — never a panic — and flips
 //! inside the framed region must name the damaged chunk. Truncations
 //! additionally exercise lossy loading: the intact prefix must still
-//! replay deterministically. All chunked container generations run
-//! through the same harness: v3 adds a per-frame codec byte and binary
-//! payloads, v4 adds the shared-dictionary frame and columnar events,
-//! and each must be exactly as tamper-evident as the format it replaces.
-//! The paged loader gets its own truncation sweep: a damaged or cut file
-//! must fail [`PinballContainer::open_mapped`] with a typed error too.
+//! replay deterministically. Every chunked generation the loader reads
+//! runs through the same harness: the v4 writer's output, and the
+//! committed v2 and v3 fixtures of the same recording (see
+//! `fixtures/README.md`) — v3 adds a per-frame codec byte and binary
+//! payloads, v4 the shared-dictionary frame and columnar events, and
+//! each must be exactly as tamper-evident as the format it replaced.
+
+mod fixtures;
 
 use std::sync::Arc;
 
-use minivm::{assemble, LiveEnv, NullTool, Program, RoundRobin};
+use fixtures::record;
+use minivm::NullTool;
 use pinplay::{
-    detect_version, migrate, record_whole_program, ContainerVersion, PinballContainer,
-    PinballError, ReplayStatus, Replayer, StreamWriter,
+    detect_version, migrate, ContainerVersion, PinballContainer, PinballError, ReplayStatus,
+    Replayer, StreamWriter,
 };
-
-fn record() -> (Arc<Program>, PinballContainer) {
-    let program = Arc::new(
-        assemble(
-            r"
-            .data
-            acc: .word 0
-            .text
-            .func main
-                movi r1, 1
-                spawn r2, worker, r1
-                movi r1, 2
-                spawn r3, worker, r1
-                join r2
-                join r3
-                la r4, acc
-                load r5, r4, 0
-                print r5
-                halt
-            .endfunc
-            .func worker
-                movi r3, 24
-            loop:
-                la r1, acc
-                xadd r2, r1, r0
-                subi r3, r3, 1
-                bgti r3, 0, loop
-                halt
-            .endfunc
-            ",
-        )
-        .expect("assembles"),
-    );
-    let rec = record_whole_program(
-        &program,
-        &mut RoundRobin::new(5),
-        &mut LiveEnv::new(3),
-        1_000_000,
-        "fuzz",
-    )
-    .expect("records");
-    let container = PinballContainer::with_checkpoints(rec.pinball, &program, 32);
-    assert!(
-        !container.checkpoints.is_empty(),
-        "fuzz target should carry embedded checkpoints"
-    );
-    (program, container)
-}
 
 /// The chunked serializations of one container, tagged for messages.
 fn encodings(container: &PinballContainer) -> [(&'static str, Vec<u8>); 3] {
     [
         ("v4", container.to_bytes().expect("v4 serializes")),
-        ("v3", container.to_bytes_v3().expect("v3 serializes")),
-        ("v2", container.to_bytes_v2().expect("v2 serializes")),
+        ("v3", fixtures::V3.to_vec()),
+        ("v2", fixtures::V2.to_vec()),
     ]
 }
 
@@ -173,14 +128,11 @@ fn every_truncation_is_typed_and_lossy_load_replays_the_prefix() {
 }
 
 #[test]
-fn migrate_upgrades_v2_and_v3_to_v4_roundtripping_exactly() {
+fn migrate_upgrades_every_fixture_to_v4_exactly() {
     let (_, container) = record();
     let direct = container.to_bytes().expect("v4 serializes");
-    for (tag, bytes) in [
-        ("v2", container.to_bytes_v2().expect("v2 serializes")),
-        ("v3", container.to_bytes_v3().expect("v3 serializes")),
-    ] {
-        let v4 = migrate(&bytes).unwrap_or_else(|e| panic!("{tag} migrates to v4: {e}"));
+    for (tag, bytes) in [("v2", fixtures::V2), ("v3", fixtures::V3)] {
+        let v4 = migrate(bytes).unwrap_or_else(|e| panic!("{tag} migrates to v4: {e}"));
         assert_eq!(detect_version(&v4), ContainerVersion::V4);
 
         // Migration preserves the whole container — events, checkpoints,
@@ -191,59 +143,22 @@ fn migrate_upgrades_v2_and_v3_to_v4_roundtripping_exactly() {
         assert_eq!(v4, direct, "{tag} migration == direct v4 save");
     }
 
+    // v1 carries no checkpoints, so it lands on a checkpoint-free save.
+    let from_v1 = migrate(fixtures::V1).expect("v1 migrates to v4");
+    let bare = PinballContainer::new(container.pinball.clone());
+    assert_eq!(from_v1, bare.to_bytes().expect("v4 serializes"));
+    assert_eq!(
+        PinballContainer::from_bytes(&from_v1)
+            .expect("migrated container loads")
+            .digest(),
+        container.digest()
+    );
+
     // Migrating a v4 container again is a typed error, not a silent rewrite.
-    assert!(matches!(migrate(&direct), Err(PinballError::Format(_))));
-}
-
-#[test]
-fn mapped_open_never_panics_on_truncation_or_tail_flips() {
-    let (_, container) = record();
-    let bytes = container.to_bytes().expect("v4 serializes");
-    let path = std::env::temp_dir().join(format!("pinplay-fuzz-mapped-{}.pb", std::process::id()));
-
-    // Every truncation must fail `open_mapped` with a typed error: the
-    // paged loader validates the trailer, index, header, and dictionary
-    // before returning, and a cut file always damages one of those.
-    for len in 0..bytes.len() {
-        std::fs::write(&path, &bytes[..len]).expect("writes truncated file");
-        let err = PinballContainer::open_mapped(&path)
-            .map(|_| ())
-            .expect_err(&format!("truncation to {len} bytes must not open"));
-        assert!(
-            matches!(
-                err,
-                PinballError::Chunk { .. } | PinballError::Format(_) | PinballError::Io(_)
-            ),
-            "truncation to {len}: unexpected error {err}"
-        );
-    }
-
-    // Flips in the skeleton the loader touches eagerly (trailer, index,
-    // header, dictionary) must also surface as typed errors at open time.
-    let idx_off =
-        u64::from_le_bytes(bytes[bytes.len() - 12..bytes.len() - 4].try_into().unwrap()) as usize;
-    for offset in (0..64).chain(idx_off..bytes.len()) {
-        for bit in 0..8 {
-            let mut bad = bytes.clone();
-            bad[offset] ^= 1 << bit;
-            std::fs::write(&path, &bad).expect("writes damaged file");
-            // Damage may be caught at open (skeleton) or deferred to a
-            // chunk read (events bytes sharing the first 64 bytes); both
-            // must stay typed. `open_mapped` + full materialization covers
-            // both paths.
-            if let Ok(mapped) = PinballContainer::open_mapped(&path) {
-                let err = mapped
-                    .to_container()
-                    .map(|_| ())
-                    .expect_err(&format!("flip at {offset}.{bit} must not materialize"));
-                assert!(
-                    matches!(err, PinballError::Chunk { .. } | PinballError::Format(_)),
-                    "flip at {offset}.{bit}: unexpected error {err}"
-                );
-            }
-        }
-    }
-    std::fs::remove_file(&path).ok();
+    assert!(matches!(
+        migrate(fixtures::V4),
+        Err(PinballError::Format(_))
+    ));
 }
 
 #[test]

@@ -54,19 +54,19 @@ const TABLES: [[u32; 256]; 8] = {
 /// matching zlib's `crc32()`), eight bytes per step.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc = u32::MAX;
-    let mut chunks = data.chunks_exact(8);
-    for chunk in &mut chunks {
-        let lo = u32::from_le_bytes(chunk[..4].try_into().expect("4-byte slice")) ^ crc;
+    let (chunks, remainder) = data.as_chunks::<8>();
+    for &[b0, b1, b2, b3, b4, b5, b6, b7] in chunks {
+        let lo = u32::from_le_bytes([b0, b1, b2, b3]) ^ crc;
         crc = TABLES[7][(lo & 0xff) as usize]
             ^ TABLES[6][((lo >> 8) & 0xff) as usize]
             ^ TABLES[5][((lo >> 16) & 0xff) as usize]
             ^ TABLES[4][(lo >> 24) as usize]
-            ^ TABLES[3][chunk[4] as usize]
-            ^ TABLES[2][chunk[5] as usize]
-            ^ TABLES[1][chunk[6] as usize]
-            ^ TABLES[0][chunk[7] as usize];
+            ^ TABLES[3][b4 as usize]
+            ^ TABLES[2][b5 as usize]
+            ^ TABLES[1][b6 as usize]
+            ^ TABLES[0][b7 as usize];
     }
-    for &b in chunks.remainder() {
+    for &b in remainder {
         crc = (crc >> 8) ^ TABLES[0][((crc ^ u32::from(b)) & 0xff) as usize];
     }
     crc ^ u32::MAX

@@ -18,7 +18,7 @@
 //! +------+----------------+------------+----------------------+
 //! ```
 //!
-//! *Coded* frames (the v3 pinball container) add one **codec byte** after
+//! *Coded* frames (pinball containers v3 and v4) add one **codec byte** after
 //! the kind, naming how the payload was serialized *before* compression —
 //! so a reader can dispatch JSON vs [`crate::binser`] per frame:
 //!
@@ -29,11 +29,10 @@
 //! +------+-------+----------------+------------+----------------------+
 //! ```
 //!
-//! Both layouts decode in two stages, which is what lets the container
-//! pipeline multi-chunk work across threads: [`peek_frame`] walks frame
-//! *headers* without touching payload bytes (cheap, strictly sequential),
-//! and [`decode_payload`] does the expensive CRC verify + decompress for
-//! one frame in isolation (freely parallel).
+//! Both layouts decode in two stages: [`peek_frame`] walks a frame
+//! *header* without touching payload bytes (cheap — a reader can skip
+//! frames it does not need), and [`decode_payload`] does the expensive
+//! CRC verify + decompress for one frame in isolation.
 
 use std::fmt;
 use std::ops::Range;
@@ -176,17 +175,19 @@ pub fn peek_frame(buf: &[u8], offset: usize, has_codec: bool) -> Result<RawFrame
         None
     };
     let clen = varint::read_u64(buf, &mut pos).ok_or(FrameError::Truncated)? as usize;
-    let crc_bytes: [u8; 4] = buf
-        .get(pos..pos + 4)
-        .ok_or(FrameError::Truncated)?
-        .try_into()
-        .expect("4-byte slice");
-    let crc = u32::from_le_bytes(crc_bytes);
+    let crc_bytes = buf
+        .get(pos..)
+        .and_then(<[u8]>::first_chunk::<4>)
+        .ok_or(FrameError::Truncated)?;
+    let crc = u32::from_le_bytes(*crc_bytes);
     pos += 4;
-    if buf.get(pos..pos + clen).is_none() {
+    // A hostile length can exceed the address space: that is a payload
+    // past the end of the buffer, not an overflow.
+    let end = pos.checked_add(clen).ok_or(FrameError::Truncated)?;
+    if end > buf.len() {
         return Err(FrameError::Truncated);
     }
-    let payload = pos..pos + clen;
+    let payload = pos..end;
     Ok(RawFrame {
         kind,
         codec,
@@ -271,11 +272,13 @@ pub fn read_frame_at(buf: &[u8], offset: usize) -> Result<(Frame, usize), FrameE
 /// See [`read_frame`].
 pub fn read_coded_frame(buf: &[u8], pos: &mut usize) -> Result<CodedFrame, FrameError> {
     let raw = peek_frame(buf, *pos, true)?;
+    // `peek_frame` reads the codec byte of every coded frame it returns.
+    let codec = raw.codec.ok_or(FrameError::Truncated)?;
     let payload = decode_payload(buf, &raw)?;
     *pos += raw.encoded_len;
     Ok(CodedFrame {
         kind: raw.kind,
-        codec: raw.codec.expect("coded frame carries a codec byte"),
+        codec,
         payload,
     })
 }
@@ -283,6 +286,17 @@ pub fn read_coded_frame(buf: &[u8], pos: &mut usize) -> Result<CodedFrame, Frame
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_length_past_the_address_space_is_truncation() {
+        for has_codec in [false, true] {
+            let mut buf = vec![1u8, 0];
+            buf.truncate(if has_codec { 2 } else { 1 });
+            varint::write_u64(&mut buf, u64::MAX);
+            buf.extend_from_slice(&[0; 4]);
+            assert_eq!(peek_frame(&buf, 0, has_codec), Err(FrameError::Truncated));
+        }
+    }
 
     #[test]
     fn frame_roundtrip() {

@@ -22,6 +22,9 @@
 //! an interned string table instead of JSON text.
 
 #![warn(missing_docs)]
+// Every decoder here reads bytes from disk or the wire: hostile input must
+// come back as a typed error, never reach a panic.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod binser;
 pub mod column;

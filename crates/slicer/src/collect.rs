@@ -20,10 +20,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use minivm::{Program, Snapshot, ToolControl};
-use pinplay::{
-    relog, ContainerView, EventLog, ExclusionRegion, Pinball, RecordedExit, RelogStats, Replayer,
-};
+use minivm::{Program, ToolControl};
+use pinplay::{relog, ExclusionRegion, Pinball, RelogStats, Replayer};
 use repro_cfg::Cfg;
 
 use crate::control::ControlTracker;
@@ -86,28 +84,6 @@ pub struct SliceSession {
     metrics: SliceMetrics,
 }
 
-/// Where a collection pass reads its replay from: the event log (shared,
-/// never copied per pass — every replayer built from one source clones an
-/// `Arc`, not the events) plus the small entry state.
-struct ReplaySource<'a> {
-    snapshot: &'a Snapshot,
-    syscalls: &'a [Vec<i64>],
-    exit: RecordedExit,
-    log: EventLog,
-}
-
-impl ReplaySource<'_> {
-    fn replayer(&self, program: &Arc<Program>) -> Replayer {
-        Replayer::from_parts(
-            Arc::clone(program),
-            self.snapshot,
-            self.syscalls,
-            self.exit,
-            self.log.clone(),
-        )
-    }
-}
-
 impl SliceSession {
     /// Replays `pinball` and collects everything slicing needs: per-thread
     /// def/use traces merged into the global trace, dynamic control
@@ -117,40 +93,9 @@ impl SliceSession {
         pinball: &Pinball,
         options: SlicerOptions,
     ) -> SliceSession {
-        // One Arc over the events, shared by every replay pass — the
-        // single copy here is the only one made.
-        let source = ReplaySource {
-            snapshot: &pinball.snapshot,
-            syscalls: &pinball.syscalls,
-            exit: pinball.exit,
-            log: EventLog::Owned(Arc::new(pinball.events.clone())),
-        };
-        SliceSession::collect_source(program, source, options)
-    }
-
-    /// As [`SliceSession::collect`], but reading the replay log straight
-    /// out of a zero-copy [`ContainerView`] — no owned event vector is
-    /// ever materialized; every pass borrows the one columnar log the v4
-    /// load produced.
-    pub fn collect_view(
-        program: Arc<Program>,
-        view: &ContainerView,
-        options: SlicerOptions,
-    ) -> SliceSession {
-        let source = ReplaySource {
-            snapshot: &view.snapshot,
-            syscalls: &view.syscalls,
-            exit: view.exit,
-            log: EventLog::Columns(Arc::clone(&view.events)),
-        };
-        SliceSession::collect_source(program, source, options)
-    }
-
-    fn collect_source(
-        program: Arc<Program>,
-        source: ReplaySource<'_>,
-        options: SlicerOptions,
-    ) -> SliceSession {
+        // The one copy of the events every replay pass reads: clones of
+        // this replayer share it.
+        let mut replayer = Replayer::new(Arc::clone(&program), pinball);
         let collect_start = Instant::now();
         let mut cfg = Cfg::build(&program);
 
@@ -166,7 +111,7 @@ impl SliceSession {
                 }
                 ToolControl::Continue
             };
-            source.replayer(&program).run(&mut observe);
+            replayer.clone().run(&mut observe);
         }
 
         // Pass 2: full collection.
@@ -192,7 +137,7 @@ impl SliceSession {
             });
             ToolControl::Continue
         };
-        source.replayer(&program).run(&mut collect);
+        replayer.run(&mut collect);
         let (pairs, cfg) = (detector.finish(), tracker.into_cfg());
         let collect_wall = collect_start.elapsed();
         let n_records = records.len() as u64;
@@ -362,30 +307,6 @@ mod collection_tests {
         )
         .unwrap();
         (program, rec.pinball)
-    }
-
-    /// Collecting straight from a zero-copy v4 [`ContainerView`] must
-    /// reproduce the owned-pinball collection exactly — every trace
-    /// record, every pair, and every slice.
-    #[test]
-    fn view_collection_matches_pinball_collection() {
-        let (program, pinball) = record_mt();
-        let container = pinplay::PinballContainer::new(pinball.clone());
-        let bytes = container.to_bytes().unwrap();
-        let view = ContainerView::from_bytes(&bytes).unwrap();
-
-        let opts = SlicerOptions::default();
-        let owned = SliceSession::collect(Arc::clone(&program), &pinball, opts);
-        let viewed = SliceSession::collect_view(Arc::clone(&program), &view, opts);
-        assert_eq!(owned.trace().records(), viewed.trace().records());
-        assert_eq!(owned.pairs(), viewed.pairs());
-
-        let fail = owned.failure_record().unwrap().id;
-        let a = owned.slice(Criterion::Record { id: fail });
-        let b = viewed.slice(Criterion::Record { id: fail });
-        assert_eq!(a.records, b.records);
-        assert_eq!(a.data_edges, b.data_edges);
-        assert_eq!(a.control_edges, b.control_edges);
     }
 
     /// Pipeline metrics cover every stage after collection.
