@@ -103,13 +103,19 @@ pub fn replay_time(program: &Arc<Program>, pinball: &Pinball) -> Duration {
 }
 
 /// Collects the slicing session for a pinball, returning the collection
-/// (dynamic-information tracing) time.
+/// (dynamic-information tracing) time. That time includes the LP block
+/// summaries — the preprocessing LP does while tracing — which the trace
+/// otherwise builds on the first LP slice.
 pub fn collect_session(
     program: &Arc<Program>,
     pinball: &Pinball,
     options: SlicerOptions,
 ) -> (SliceSession, Duration) {
-    timed(|| SliceSession::collect(Arc::clone(program), pinball, options))
+    timed(|| {
+        let session = SliceSession::collect(Arc::clone(program), pinball, options);
+        session.trace().blocks();
+        session
+    })
 }
 
 /// Criteria for "the last `n` read instructions (spread across threads)"

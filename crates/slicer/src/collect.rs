@@ -142,7 +142,8 @@ impl SliceSession {
         let collect_wall = collect_start.elapsed();
         let n_records = records.len() as u64;
 
-        let (trace, build) = GlobalTrace::build_instrumented(
+        let merge_start = Instant::now();
+        let trace = GlobalTrace::build_with(
             records,
             options.block_size,
             options.track_sp,
@@ -150,9 +151,7 @@ impl SliceSession {
         );
         let metrics = SliceMetrics {
             collect: StageMetrics::new(collect_wall, n_records),
-            merge: StageMetrics::new(build.merge_wall, n_records),
-            summarize: StageMetrics::new(build.summarize_wall, n_records),
-            summary_workers: build.summary_workers,
+            merge: StageMetrics::new(merge_start.elapsed(), n_records),
             ..SliceMetrics::default()
         };
         SliceSession {
@@ -170,8 +169,8 @@ impl SliceSession {
         &self.program
     }
 
-    /// Pipeline metrics for this session's collect/merge/summarize stages
-    /// (the traverse stage is per-query; fold a query's
+    /// Pipeline metrics for this session's collect and merge stages (the
+    /// traverse stage is per-query; fold a query's
     /// [`SliceStats`](crate::SliceStats) in with
     /// [`SliceMetrics::with_traversal`]).
     pub fn metrics(&self) -> &SliceMetrics {
@@ -221,11 +220,12 @@ impl SliceSession {
 
     /// The last *retired* record of the trace — for buggy pinballs this is
     /// the trapping instruction, i.e. the failure point. (Record ids are
-    /// the retire order; the clustered global order may legally place other
-    /// threads' independent records after the trap, so position is the
-    /// wrong key here.)
+    /// the dense retire order, so this is the record with id `len - 1`; the
+    /// clustered global order may legally place other threads' independent
+    /// records after the trap, so position is the wrong key here.)
     pub fn failure_record(&self) -> Option<&TraceRecord> {
-        self.trace.records().iter().max_by_key(|r| r.id)
+        let last = self.trace.records().len().checked_sub(1)?;
+        self.trace.record(last as RecordId)
     }
 
     /// The last execution of `pc` (any thread), the common interactive
@@ -318,7 +318,11 @@ mod collection_tests {
         let m = session.metrics();
         assert_eq!(m.collect.records, session.trace().records().len() as u64);
         assert_eq!(m.merge.records, m.collect.records);
-        assert!(m.summary_workers >= 1);
+        assert_eq!(
+            m.summarize,
+            StageMetrics::default(),
+            "summaries wait for LP"
+        );
         let fail = session.failure_record().unwrap().id;
         let slice = session.slice(Criterion::Record { id: fail });
         let folded = m.with_traversal(&slice.stats, std::time::Duration::from_micros(1));

@@ -19,15 +19,19 @@
 //! walked by a cursor over its own records. Only the cross-thread
 //! constraints (spawn and conflicting accesses) are stored.
 //!
-//! The result is segmented into fixed-size blocks, each summarising the set
-//! of locations it defines — the block summaries the Limited Preprocessing
-//! traversal uses to skip irrelevant blocks (Zhang et al., paper §3 step
-//! iii). Large traces are summarized in parallel over disjoint block
-//! ranges.
+//! Record ids are the replay's retire sequence, dense from 0, so a record's
+//! position is one `u32` looked up by id. The trace is segmented into
+//! fixed-size blocks, each summarising the set of locations it defines —
+//! the block summaries the Limited Preprocessing traversal uses to skip
+//! irrelevant blocks (Zhang et al., paper §3 step iii). Only that traversal
+//! reads them, so they are built on its first call. The per-key definition
+//! lists slicing resolves dependences from belong to
+//! [`DepIndex`](crate::DepIndex).
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use std::sync::OnceLock;
 
 use minivm::Tid;
 
@@ -35,26 +39,6 @@ use crate::trace::{LocKey, RecordId, TraceRecord};
 
 /// Default LP block size (records per block).
 pub const DEFAULT_BLOCK_SIZE: usize = 1024;
-
-/// Traces below this many records are summarized serially — thread spawn
-/// overhead dominates for small traces.
-pub const PAR_SUMMARY_THRESHOLD: usize = 16_384;
-
-/// Upper bound on summary workers (beyond this the atomic work queue is the
-/// bottleneck, not the scanning).
-const MAX_SUMMARY_WORKERS: usize = 16;
-
-/// Timings from one [`GlobalTrace`] build, for the pipeline metrics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BuildMetrics {
-    /// Wall time of the topological cluster merge (none with clustering
-    /// off) plus the record id → position map.
-    pub merge_wall: Duration,
-    /// Wall time of block summarization + definition indexing.
-    pub summarize_wall: Duration,
-    /// Workers used for summarization (1 = serial).
-    pub summary_workers: usize,
-}
 
 /// Summary of one LP block.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,14 +56,11 @@ pub struct BlockSummary {
 #[derive(Debug)]
 pub struct GlobalTrace {
     records: Vec<TraceRecord>,
-    /// record id -> position in `records`.
-    pos_of: HashMap<RecordId, usize>,
-    blocks: Vec<BlockSummary>,
+    /// Record id -> position in `records` (ids are dense `0..n`).
+    pos_of: Vec<u32>,
+    /// The LP block summaries, built by the first [`GlobalTrace::blocks`].
+    blocks: OnceLock<Vec<BlockSummary>>,
     block_size: usize,
-    /// location key -> ascending positions of its definitions. Precomputed
-    /// alongside the block summaries, this is the per-key definition list
-    /// [`DepIndex`](crate::DepIndex) resolves reaching definitions from.
-    def_index: HashMap<LocKey, Vec<usize>>,
     track_sp: bool,
 }
 
@@ -88,6 +69,10 @@ impl GlobalTrace {
     /// the replay interleaving: one valid topological order). The records
     /// are re-ordered by the clustering merge, then segmented into blocks of
     /// `block_size`.
+    ///
+    /// # Panics
+    ///
+    /// As [`GlobalTrace::build_with`].
     pub fn build(collected: Vec<TraceRecord>, block_size: usize, track_sp: bool) -> GlobalTrace {
         GlobalTrace::build_with(collected, block_size, track_sp, true)
     }
@@ -97,58 +82,38 @@ impl GlobalTrace {
     /// traces for each thread to the extent possible to improve the
     /// locality of \[the\] LP algorithm"). With `cluster` off, the trace
     /// keeps the raw replay interleaving (still a valid topological order).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block_size` is zero, if the record ids are not the dense
+    /// retire sequence `0..n` in collection order, or if there are
+    /// `u32::MAX` or more records.
     pub fn build_with(
         collected: Vec<TraceRecord>,
         block_size: usize,
         track_sp: bool,
         cluster: bool,
     ) -> GlobalTrace {
-        GlobalTrace::build_instrumented(collected, block_size, track_sp, cluster).0
-    }
-
-    /// Like [`GlobalTrace::build_with`], also reporting per-stage timings
-    /// for the pipeline metrics.
-    pub fn build_instrumented(
-        collected: Vec<TraceRecord>,
-        block_size: usize,
-        track_sp: bool,
-        cluster: bool,
-    ) -> (GlobalTrace, BuildMetrics) {
         assert!(block_size > 0, "block size must be positive");
-        let merge_start = Instant::now();
-        // Unclustered, the collection order is kept as is — and so is the
-        // vector, with whatever spare capacity a later `extend` can use.
-        let records: Vec<TraceRecord> = if cluster {
-            let order = cluster_merge(&collected, track_sp);
-            order.into_iter().map(|i| collected[i]).collect()
-        } else {
-            collected
+        let mut trace = GlobalTrace {
+            records: Vec::new(),
+            pos_of: Vec::new(),
+            blocks: OnceLock::new(),
+            block_size,
+            track_sp,
         };
-        let mut pos_of = HashMap::with_capacity(records.len());
-        for (pos, r) in records.iter().enumerate() {
-            pos_of.insert(r.id, pos);
+        if cluster {
+            check_ids(&collected, 0);
+            let order = cluster_merge(&collected, track_sp);
+            trace.pos_of = vec![0; order.len()];
+            for (pos, &i) in order.iter().enumerate() {
+                trace.pos_of[i] = pos as u32;
+            }
+            trace.records = order.into_iter().map(|i| collected[i]).collect();
+        } else {
+            trace.extend(collected);
         }
-        let merge_wall = merge_start.elapsed();
-
-        let summarize_start = Instant::now();
-        let (blocks, def_index, summary_workers) = build_summaries(&records, block_size, track_sp);
-        let summarize_wall = summarize_start.elapsed();
-
-        (
-            GlobalTrace {
-                records,
-                pos_of,
-                blocks,
-                block_size,
-                def_index,
-                track_sp,
-            },
-            BuildMetrics {
-                merge_wall,
-                summarize_wall,
-                summary_workers,
-            },
-        )
+        trace
     }
 
     /// Appends `new_records` to the trace without disturbing the positions
@@ -159,47 +124,30 @@ impl GlobalTrace {
     /// batch [`GlobalTrace::build_with`] of the full record list only when
     /// clustering is off (`cluster = false` keeps the raw interleaving,
     /// which appending preserves; the clustering merge may interleave new
-    /// records among old positions). Block summaries are re-derived for
-    /// the trailing partial block plus the new records, and the per-key
-    /// definition index grows in place — both byte-identical to a batch
-    /// build of the concatenation.
+    /// records among old positions). Block summaries built before are
+    /// dropped; the next [`GlobalTrace::blocks`] builds them anew.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the new records' ids do not continue the trace's dense
+    /// retire sequence (`len..len + new_records.len()`, in order), or if
+    /// the trace would reach `u32::MAX` records.
     pub fn extend(&mut self, new_records: Vec<TraceRecord>) {
         if new_records.is_empty() {
             return;
         }
         let old_n = self.records.len();
-        for (i, r) in new_records.iter().enumerate() {
-            let prev = self.pos_of.insert(r.id, old_n + i);
-            debug_assert!(prev.is_none(), "appended record id already in the trace");
+        check_ids(&new_records, old_n);
+        self.pos_of
+            .extend(old_n as u32..(old_n + new_records.len()) as u32);
+        if self.records.is_empty() {
+            // Keep the caller's vector, and any spare capacity a later
+            // `extend` can use.
+            self.records = new_records;
+        } else {
+            self.records.extend(new_records);
         }
-        self.records.extend(new_records);
-
-        // The batch build pushes (key, position) pairs in block order, and
-        // blocks in position order — so per-key position lists grow exactly
-        // as an in-order append does.
-        for pos in old_n..self.records.len() {
-            for (k, _) in self.records[pos].def_keys(self.track_sp) {
-                self.def_index.entry(k).or_default().push(pos);
-            }
-        }
-
-        // Re-summarize from the start of the trailing partial block (its
-        // summary covers new records now); full blocks before it are
-        // untouched.
-        let resummarize_from = old_n - (old_n % self.block_size);
-        self.blocks.truncate(resummarize_from / self.block_size);
-        let mut start = resummarize_from;
-        while start < self.records.len() {
-            let end = (start + self.block_size).min(self.records.len());
-            let mut defs = HashSet::new();
-            for r in &self.records[start..end] {
-                for (k, _) in r.def_keys(self.track_sp) {
-                    defs.insert(k);
-                }
-            }
-            self.blocks.push(BlockSummary { start, end, defs });
-            start = end;
-        }
+        self.blocks = OnceLock::new();
     }
 
     /// Whether stack-pointer registers participate in dependence tracking.
@@ -212,9 +160,24 @@ impl GlobalTrace {
         &self.records
     }
 
-    /// The LP block summaries, in position order.
+    /// The LP block summaries, in position order. The first call builds
+    /// them; later calls, until the next [`GlobalTrace::extend`], return
+    /// the same summaries.
     pub fn blocks(&self) -> &[BlockSummary] {
-        &self.blocks
+        self.blocks.get_or_init(|| {
+            self.records
+                .chunks(self.block_size)
+                .enumerate()
+                .map(|(b, block)| BlockSummary {
+                    start: b * self.block_size,
+                    end: b * self.block_size + block.len(),
+                    defs: block
+                        .iter()
+                        .flat_map(|r| r.def_keys(self.track_sp).map(|(k, _)| k))
+                        .collect(),
+                })
+                .collect()
+        })
     }
 
     /// The block size the trace was segmented with (block of position `p`
@@ -223,21 +186,17 @@ impl GlobalTrace {
         self.block_size
     }
 
-    /// Ascending positions of every definition of `key` — the precomputed
-    /// per-key summary [`DepIndex`](crate::DepIndex) builds its definition
-    /// table from.
-    pub fn def_positions(&self, key: &LocKey) -> &[usize] {
-        self.def_index.get(key).map_or(&[], Vec::as_slice)
-    }
-
-    /// Position of a record id in the global order.
+    /// Position of a record id in the global order, or `None` for an id
+    /// at or past the end of the trace.
     pub fn position(&self, id: RecordId) -> Option<usize> {
-        self.pos_of.get(&id).copied()
+        let slot = usize::try_from(id).ok()?;
+        self.pos_of.get(slot).map(|&p| p as usize)
     }
 
-    /// The record with the given id.
+    /// The record with the given id, or `None` for an id at or past the end
+    /// of the trace.
     pub fn record(&self, id: RecordId) -> Option<&TraceRecord> {
-        self.position(id).map(|p| &self.records[p])
+        self.position(id).and_then(|p| self.records.get(p))
     }
 
     /// Finds the last record (by global position) satisfying `pred` — used
@@ -247,103 +206,23 @@ impl GlobalTrace {
     }
 }
 
-/// Builds the LP block summaries and the per-key definition index over
-/// disjoint block ranges, in parallel for large traces.
-///
-/// Workers claim block indices from a shared atomic counter (work
-/// stealing: a worker stalled on a summary-heavy block does not hold the
-/// rest of the range hostage). Per-block results are merged in block-index
-/// order, so the output is byte-for-byte independent of the worker count —
-/// the serial path and every parallel schedule produce identical summaries
-/// and indices.
-#[allow(clippy::type_complexity)]
-fn build_summaries(
-    records: &[TraceRecord],
-    block_size: usize,
-    track_sp: bool,
-) -> (Vec<BlockSummary>, HashMap<LocKey, Vec<usize>>, usize) {
-    let n_blocks = records.len().div_ceil(block_size);
-    let workers = if records.len() >= PAR_SUMMARY_THRESHOLD {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-            .clamp(1, n_blocks.clamp(1, MAX_SUMMARY_WORKERS))
-    } else {
-        1
-    };
-    build_summaries_with(records, block_size, track_sp, workers)
-}
-
-/// [`build_summaries`] with an explicit worker count (exposed to the
-/// determinism tests).
-#[allow(clippy::type_complexity)]
-fn build_summaries_with(
-    records: &[TraceRecord],
-    block_size: usize,
-    track_sp: bool,
-    workers: usize,
-) -> (Vec<BlockSummary>, HashMap<LocKey, Vec<usize>>, usize) {
-    let n_blocks = records.len().div_ceil(block_size);
-
-    let summarize_block = |b: usize| {
-        let start = b * block_size;
-        let end = (start + block_size).min(records.len());
-        let mut defs = HashSet::new();
-        let mut def_positions: Vec<(LocKey, usize)> = Vec::new();
-        for (pos, r) in records[start..end].iter().enumerate() {
-            for (k, _) in r.def_keys(track_sp) {
-                defs.insert(k);
-                def_positions.push((k, start + pos));
-            }
-        }
-        (BlockSummary { start, end, defs }, def_positions)
-    };
-
-    let mut per_block: Vec<Option<(BlockSummary, Vec<(LocKey, usize)>)>> =
-        (0..n_blocks).map(|_| None).collect();
-    if workers <= 1 {
-        for (b, slot) in per_block.iter_mut().enumerate() {
-            *slot = Some(summarize_block(b));
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        let partials = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut mine = Vec::new();
-                        loop {
-                            let b = next.fetch_add(1, Ordering::Relaxed);
-                            if b >= n_blocks {
-                                break;
-                            }
-                            mine.push((b, summarize_block(b)));
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("summary worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        for (b, result) in partials {
-            per_block[b] = Some(result);
-        }
+/// Checks that `records` carry the ids `first..first + records.len()`, in
+/// order: the replay's retire counter starts at 0 at region entry and
+/// rises by one per retired instruction, and collection keeps one record
+/// per retired instruction, so a record's id is its collection index.
+fn check_ids(records: &[TraceRecord], first: usize) {
+    assert!(
+        first + records.len() < u32::MAX as usize,
+        "trace too large for u32 positions"
+    );
+    for (i, r) in records.iter().enumerate() {
+        assert!(
+            r.id == (first + i) as RecordId,
+            "record ids must be the dense retire sequence: record {} has id {}",
+            first + i,
+            r.id
+        );
     }
-
-    let mut blocks = Vec::with_capacity(n_blocks);
-    let mut def_index: HashMap<LocKey, Vec<usize>> = HashMap::new();
-    // Merging in block order keeps every per-key position list ascending.
-    for slot in per_block {
-        let (summary, defs_at) = slot.expect("every block summarized");
-        blocks.push(summary);
-        for (k, pos) in defs_at {
-            def_index.entry(k).or_default().push(pos);
-        }
-    }
-    (blocks, def_index, workers)
 }
 
 /// Computes the clustered topological order; returns indices into
@@ -441,9 +320,14 @@ fn cluster_merge(collected: &[TraceRecord], track_sp: bool) -> Vec<usize> {
     while order.len() < n {
         let ready = |t: usize| runs[t].get(cursor[t]).is_some_and(|&i| unmet[i] == 0);
         if !ready(current) {
-            current = (0..runs.len())
+            // Every constraint points from an earlier collected record to a
+            // later one, so no cycle can form: the earliest record not yet
+            // placed is always ready.
+            #[allow(clippy::expect_used)]
+            let next = (0..runs.len())
                 .find(|&t| ready(t))
                 .expect("topological sort stalled: constraint cycle");
+            current = next;
         }
         let i = runs[current][cursor[current]];
         cursor[current] += 1;
@@ -765,45 +649,66 @@ mod tests {
     }
 
     #[test]
-    fn def_index_lists_positions_ascending() {
+    #[should_panic(expected = "dense retire sequence")]
+    fn build_rejects_ids_that_are_not_dense() {
         let collected = vec![
-            rec(0, 0, &[], &[(Loc::Mem(0x1000), 1)]),
-            rec(1, 0, &[], &[(Loc::Reg(Reg(1)), 2)]),
-            rec(2, 0, &[], &[(Loc::Mem(0x1000), 3)]),
-            rec(3, 0, &[], &[(Loc::Mem(0x1000), 4)]),
+            rec(0, 0, &[], &[(Loc::Reg(Reg(1)), 1)]),
+            rec(2, 0, &[], &[(Loc::Reg(Reg(1)), 2)]),
         ];
-        let gt = GlobalTrace::build(collected, 2, false);
-        assert_eq!(gt.def_positions(&LocKey::Mem(0x1000)), &[0, 2, 3]);
-        assert_eq!(gt.def_positions(&LocKey::Reg(0, Reg(1))), &[1]);
-        assert_eq!(gt.def_positions(&LocKey::Mem(0x9999)), &[] as &[usize]);
-        assert_eq!(gt.block_size(), 2);
+        let _ = GlobalTrace::build(collected, 16, false);
     }
 
     #[test]
-    fn parallel_summaries_match_serial() {
-        // Big single-thread trace; defs rotate over a few keys so blocks
-        // and the index have real content.
-        let collected: Vec<TraceRecord> = (0..5000)
-            .map(|i| {
-                let def = match i % 3 {
-                    0 => (Loc::Reg(Reg((i % 7) as u8 + 1)), i as i64),
-                    1 => (Loc::Mem(0x1000 + (i % 11) as u64 * 8), i as i64),
-                    _ => (Loc::Reg(Reg(9)), i as i64),
-                };
-                rec(i as RecordId, 0, &[], &[def])
-            })
+    #[should_panic(expected = "dense retire sequence")]
+    fn extend_rejects_a_repeated_id() {
+        let mut gt = GlobalTrace::build_with(
+            vec![rec(0, 0, &[], &[(Loc::Reg(Reg(1)), 1)])],
+            16,
+            false,
+            false,
+        );
+        gt.extend(vec![rec(0, 0, &[], &[(Loc::Reg(Reg(1)), 2)])]);
+    }
+
+    #[test]
+    fn ids_at_or_past_the_end_have_no_position() {
+        let collected: Vec<TraceRecord> = (0..5)
+            .map(|i| rec(i, (i % 2) as Tid, &[], &[(Loc::Reg(Reg(1)), i as i64)]))
             .collect();
-        let (serial_blocks, serial_index, _) = build_summaries_with(&collected, 64, false, 1);
-        let (par_blocks, par_index, _) = build_summaries_with(&collected, 64, false, 4);
-        assert_eq!(serial_blocks.len(), par_blocks.len());
-        for (a, b) in serial_blocks.iter().zip(&par_blocks) {
-            assert_eq!((a.start, a.end), (b.start, b.end));
-            assert_eq!(a.defs, b.defs);
+        for cluster in [true, false] {
+            let mut gt = GlobalTrace::build_with(collected[..3].to_vec(), 2, false, cluster);
+            for id in [3, u64::MAX] {
+                assert_eq!(gt.position(id), None, "id {id}, cluster {cluster}");
+                assert!(gt.record(id).is_none(), "id {id}, cluster {cluster}");
+            }
+            gt.extend(collected[3..].to_vec());
+            for id in [5, u64::MAX] {
+                assert_eq!(gt.position(id), None, "id {id}, cluster {cluster}");
+                assert!(gt.record(id).is_none(), "id {id}, cluster {cluster}");
+            }
+            for r in &collected {
+                assert_eq!(gt.record(r.id), Some(r), "cluster {cluster}");
+            }
         }
-        assert_eq!(serial_index, par_index);
-        for positions in par_index.values() {
-            assert!(positions.windows(2).all(|w| w[0] < w[1]));
-        }
+    }
+
+    #[test]
+    fn extend_drops_stale_summaries() {
+        let collected = vec![
+            rec(0, 0, &[], &[(Loc::Reg(Reg(1)), 1)]),
+            rec(1, 0, &[], &[(Loc::Mem(0x1000), 2)]),
+            rec(2, 0, &[], &[(Loc::Reg(Reg(2)), 3)]),
+        ];
+        let mut gt = GlobalTrace::build_with(collected[..1].to_vec(), 2, false, false);
+        assert_eq!(gt.block_size(), 2);
+        assert_eq!(gt.blocks().len(), 1);
+        assert!(!gt.blocks()[0].defs.contains(&LocKey::Mem(0x1000)));
+        gt.extend(collected[1..].to_vec());
+        let batch = GlobalTrace::build_with(collected, 2, false, false);
+        assert_eq!(gt.blocks(), batch.blocks());
+        assert_eq!(gt.blocks().len(), 2);
+        assert!(gt.blocks()[0].defs.contains(&LocKey::Mem(0x1000)));
+        assert_eq!((gt.blocks()[1].start, gt.blocks()[1].end), (2, 3));
     }
 
     #[test]
@@ -836,19 +741,8 @@ mod tests {
             assert_eq!(grown.blocks(), batch.blocks());
             for r in &collected {
                 assert_eq!(grown.position(r.id), batch.position(r.id));
-                for (k, _) in r.def_keys(false) {
-                    assert_eq!(grown.def_positions(&k), batch.def_positions(&k));
-                }
             }
         }
-    }
-
-    #[test]
-    fn build_metrics_report_stage_walls() {
-        let collected = vec![rec(0, 0, &[], &[(Loc::Reg(Reg(1)), 1)])];
-        let (gt, metrics) = GlobalTrace::build_instrumented(collected, 16, false, true);
-        assert_eq!(gt.records().len(), 1);
-        assert_eq!(metrics.summary_workers, 1, "tiny trace summarized serially");
     }
 
     #[test]

@@ -16,16 +16,20 @@
 //! edges, control edges) to the LP scan, [`compute_slice_lp`].
 //!
 //! The index pays for itself only when a trace is sliced more than once:
-//! on the 112k-record churn trace, building it costs about as much as
-//! seventeen one-shot LP slices, and each query after that is about a
-//! thousand times faster than LP. A one-shot slice therefore stays on LP.
+//! on the 112k-record churn trace, building it costs about as much as two
+//! one-shot LP slices, each on a fresh trace (where an LP slice also
+//! builds the block summaries), and each query after that is several
+//! hundred times faster than an LP traversal. A one-shot slice therefore
+//! stays on LP.
 //!
-//! One body builds the index: [`DepIndex::build`] grows an empty index over
-//! the whole trace, and [`DepIndex::append`] grows it over a streamed
-//! suffix. The edge fill runs in parallel over disjoint record ranges with
-//! the same atomic-work-queue + deterministic in-order merge used by the LP
-//! block summaries in [`crate::global`], so its contents are byte-for-byte
-//! independent of the worker count.
+//! One serial forward sweep over the trace builds the index, and the index
+//! is the trace's only per-key definition table. For each record in
+//! position order, every key is interned once; every non-pruned use
+//! resolves in O(1) from its key's latest definition slot, which already
+//! holds the bypass-resolved target; only then are the record's own
+//! definitions pushed, so a use at position `p` sees only definitions below
+//! `p`. [`DepIndex::build`] runs the sweep over the whole trace, and
+//! [`DepIndex::append`] continues it over a streamed suffix.
 //!
 //! Traversal statistics on an indexed slice are a deterministic function of
 //! the index and the criterion, but they are *advisory* relative to the
@@ -36,8 +40,9 @@
 //!
 //! [`compute_slice_lp`]: crate::slice::compute_slice_lp
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::global::GlobalTrace;
@@ -46,17 +51,6 @@ use crate::trace::{LocKey, RecordId};
 
 /// Sentinel for "no position" in the u32-packed arrays.
 const NONE: u32 = u32::MAX;
-
-/// Traces below this many records are indexed serially — thread spawn
-/// overhead dominates for small traces (mirrors the summarize stage).
-const PAR_INDEX_THRESHOLD: usize = 16_384;
-
-/// Upper bound on index-build workers.
-const MAX_INDEX_WORKERS: usize = 16;
-
-/// Records per work unit claimed from the shared queue during the parallel
-/// edge fill.
-const INDEX_SHARD: usize = 1024;
 
 /// Timings and sizes from one [`DepIndex::build`] or [`DepIndex::append`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -70,49 +64,65 @@ pub struct IndexBuildStats {
     /// Save/restore bypass links folded into edge targets (each chased
     /// chain hop counts once).
     pub bypass_links: u64,
-    /// Workers used for the parallel edge fill (1 = serial).
-    pub workers: usize,
+}
+
+/// One resolved data dependence of a record: a use of key `key` whose
+/// reaching definition is at position `def`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Edge {
+    /// Position of the reaching definition, with §5.2 bypass chains
+    /// already chased.
+    def: u32,
+    /// Interned key id the value flowed through.
+    key: u32,
+    /// Bypass links chased to resolve the edge (0 = direct definition).
+    hops: u32,
+}
+
+/// One definition of a key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct DefSlot {
+    /// Position of the defining record.
+    pos: u32,
+    /// Where a use this definition reaches resolves to: `pos` itself, or,
+    /// for a bypassed restore, the definition below its save ([`NONE`] when
+    /// the bypass chain falls off the start of the trace).
+    resolved: u32,
+    /// Bypass links chased to get from `pos` to `resolved`.
+    hops: u32,
 }
 
 /// The precomputed dynamic dependence graph of one `(GlobalTrace,
 /// SliceOptions)` pair.
 ///
 /// Positions are u32 indices into the global trace order; keys are u32
-/// indices into the interned key table. All per-record data lives in
+/// indices into the interned key table. Per-record data lives in
 /// struct-of-arrays CSR form so a slice query is pointer-chasing over flat
 /// memory.
 #[derive(Debug)]
 pub struct DepIndex {
     /// Position -> record id, in global trace order.
     record_ids: Vec<RecordId>,
-    /// Record id -> position (the query-time criterion lookup).
-    pos_of: HashMap<RecordId, u32>,
+    /// Record id -> position (ids are dense `0..n`): the query-time
+    /// criterion lookup.
+    pos_of: Vec<u32>,
     /// Position -> position of the record's dynamic control parent
     /// ([`NONE`] when absent or not in the trace).
     cd_parent_pos: Vec<u32>,
     /// Interned key table (key id -> key).
     keys: Vec<LocKey>,
-    /// Reverse interning map, used by `Criterion::Value` resolution.
+    /// Reverse interning map.
     key_ids: HashMap<LocKey, u32>,
-    /// CSR row offsets into `edges`/`edge_keys`/`edge_hops`, one row per
-    /// record position (length `records + 1`).
+    /// Key id -> whether the options prune the key's uses (the Fig. 9
+    /// "Prune Vars" set).
+    key_pruned: Vec<bool>,
+    /// Key id -> the key's definitions in ascending position.
+    key_defs: Vec<Vec<DefSlot>>,
+    /// CSR row offsets into `edges`, one row per record position (length
+    /// `records + 1`).
     edge_offsets: Vec<u32>,
-    /// Resolved reaching-definition *position* of each (non-pruned) use,
-    /// with §5.2 bypass chains already chased.
-    edges: Vec<u32>,
-    /// Interned key id each edge flowed through.
-    edge_keys: Vec<u32>,
-    /// Bypass links chased to resolve each edge (0 = direct definition).
-    edge_hops: Vec<u32>,
-    /// Per-key definition CSR: row offsets into `key_defs`.
-    key_def_offsets: Vec<u32>,
-    /// Ascending definition positions, grouped by key id.
-    key_defs: Vec<u32>,
-    /// Bypass-resolved target of each definition slot ([`NONE`] when the
-    /// bypass chain falls off the start of the trace).
-    key_resolved: Vec<u32>,
-    /// Bypass links chased for each definition slot.
-    key_hops: Vec<u32>,
+    /// Every record's resolved (non-pruned) uses, row by row.
+    edges: Vec<Edge>,
     /// LP block size of the source trace (kept for stats parity).
     block_size: usize,
     /// [`SliceOptions::fingerprint`] of the options the index was built
@@ -123,9 +133,10 @@ pub struct DepIndex {
 }
 
 impl DepIndex {
-    /// Builds the dependence index for `trace` under `options`: an empty
-    /// index grown over the whole trace by the body [`DepIndex::append`]
-    /// runs on a suffix.
+    /// Builds the dependence index for `trace` under `options`: one forward
+    /// sweep over the whole trace from an empty index, the sweep
+    /// [`DepIndex::append`] continues over a suffix. The built index holds
+    /// no spare capacity.
     ///
     /// `pairs` maps verified restore record ids to their save record ids
     /// (as for [`crate::slice::compute_slice_lp`]); with §5.2 pruning
@@ -140,25 +151,31 @@ impl DepIndex {
         pairs: &HashMap<RecordId, RecordId>,
         options: &SliceOptions,
     ) -> DepIndex {
+        let started = Instant::now();
         let mut index = DepIndex {
             record_ids: Vec::new(),
-            pos_of: HashMap::new(),
+            pos_of: Vec::new(),
             cd_parent_pos: Vec::new(),
             keys: Vec::new(),
             key_ids: HashMap::new(),
+            key_pruned: Vec::new(),
+            key_defs: Vec::new(),
             edge_offsets: vec![0],
             edges: Vec::new(),
-            edge_keys: Vec::new(),
-            edge_hops: Vec::new(),
-            key_def_offsets: vec![0],
-            key_defs: Vec::new(),
-            key_resolved: Vec::new(),
-            key_hops: Vec::new(),
             block_size: trace.block_size(),
             options_fingerprint: options.fingerprint(),
             stats: IndexBuildStats::default(),
         };
-        index.extend_over(trace, pairs, options);
+        index.sweep(trace, pairs, options);
+        // A built index is cached as is, many to a server shard, so the
+        // growth slack of the sweep is handed back.
+        index.keys.shrink_to_fit();
+        index.key_ids.shrink_to_fit();
+        index.key_pruned.shrink_to_fit();
+        index.key_defs.shrink_to_fit();
+        index.key_defs.iter_mut().for_each(Vec::shrink_to_fit);
+        index.edges.shrink_to_fit();
+        index.stats.wall = started.elapsed();
         index
     }
 
@@ -169,19 +186,11 @@ impl DepIndex {
     /// `trace` must be the old trace grown in place by
     /// [`GlobalTrace::extend`] (prefix positions unchanged — built with
     /// clustering off), under the *same* options the index was built with,
-    /// and `pairs` must cover the full trace. The result is then identical
-    /// in every array to a batch [`DepIndex::build`] over the full trace:
-    /// key interning is in trace order, so the prefix of the key table is
-    /// unchanged; a definition's bypass resolution chases strictly earlier
-    /// definitions, so prefix slots resolve identically; and a use at
-    /// position `p` depends only on definitions below `p`, so prefix edge
-    /// rows are already correct and only suffix rows are filled. The
-    /// per-key definition CSR is re-laid-out (rows must stay contiguous),
-    /// but old rows are copied rather than re-resolved — the append pays
-    /// O(copy + suffix), never the full build's resolution cost. Only
-    /// [`DepIndex::stats`] differs from the batch build (it reports the
-    /// append, not a full build); [`DepIndex::same_graph`] checks exactly
-    /// this equivalence.
+    /// and `pairs` must cover the full trace. The sweep then picks up where
+    /// it stopped, and the result is identical in every array to a batch
+    /// [`DepIndex::build`] over the full trace. Only [`DepIndex::stats`]
+    /// differs from the batch build (it reports the append, not a full
+    /// build); [`DepIndex::same_graph`] checks exactly this equivalence.
     ///
     /// # Panics
     ///
@@ -215,14 +224,13 @@ impl DepIndex {
             "trace prefix changed under the index"
         );
         if records.len() > old_n {
-            self.extend_over(trace, pairs, options);
+            self.sweep(trace, pairs, options);
         }
     }
 
     /// The body shared by [`DepIndex::build`] and [`DepIndex::append`]:
-    /// interns the suffix's keys, lays out the per-key definition CSR with
-    /// §5.2 bypass chains resolved, and fills the suffix's edge rows.
-    fn extend_over(
+    /// the forward sweep over the records the index does not yet cover.
+    fn sweep(
         &mut self,
         trace: &GlobalTrace,
         pairs: &HashMap<RecordId, RecordId>,
@@ -237,211 +245,97 @@ impl DepIndex {
             "trace too large for a u32-packed index"
         );
         let track_sp = trace.track_sp();
-
-        // Suffix interning: prefix records are unchanged, so their
-        // encounter order — and therefore the prefix of the key table —
-        // is exactly the batch build's.
         self.record_ids.reserve(n - old_n);
-        self.pos_of.reserve(n - old_n);
         self.cd_parent_pos.reserve(n - old_n);
-        for (pos, r) in records[old_n..].iter().enumerate() {
-            let pos = old_n + pos;
+        self.edge_offsets.reserve(n - old_n);
+        // The trace's ids are dense, so every slot up to `n` is filled below.
+        self.pos_of.resize(n, NONE);
+        let mut bypass_links = 0u64;
+
+        for (pos, r) in records.iter().enumerate().skip(old_n) {
             self.record_ids.push(r.id);
-            self.pos_of.insert(r.id, pos as u32);
-            for (k, _) in r.def_keys(track_sp).chain(r.use_keys(track_sp)) {
-                self.key_ids.entry(k).or_insert_with(|| {
-                    self.keys.push(k);
-                    (self.keys.len() - 1) as u32
-                });
-            }
-        }
-        // A control parent always precedes its dependent in the unclustered
-        // order, so prefix rows cannot gain a parent from the suffix.
-        for r in &records[old_n..] {
-            let cd = r
-                .cd_parent
-                .and_then(|cd| trace.position(cd))
-                .map_or(NONE, |p| p as u32);
-            self.cd_parent_pos.push(cd);
-        }
-
-        // Lay out the per-key definition CSR. Per-key rows must stay
-        // contiguous as definitions land in old keys' rows, so the flat
-        // arrays are rebuilt — but prefix slots are identical to the batch
-        // build's (bypass chains only chase earlier definitions), so old
-        // rows are copied verbatim and only definitions landing in the
-        // suffix pay resolution. This keeps an append's CSR cost at
-        // O(copy + suffix), not O(re-resolving every definition): on a
-        // long stream the copy is a few memmoves while re-resolution
-        // would approach the full-build cost it exists to avoid. Chains
-        // move strictly downward, so resolving each key's slots in
-        // ascending order sees every chain target already resolved.
-        let old_keys = self.key_def_offsets.len() - 1;
-        let mut key_def_offsets: Vec<u32> = Vec::with_capacity(self.keys.len() + 1);
-        let mut key_defs: Vec<u32> = Vec::with_capacity(self.key_defs.len());
-        let mut key_resolved: Vec<u32> = Vec::with_capacity(self.key_resolved.len());
-        let mut key_hops: Vec<u32> = Vec::with_capacity(self.key_hops.len());
-        let mut bypass_links: u64 = 0;
-        key_def_offsets.push(0);
-        for (kid, &key) in self.keys.iter().enumerate() {
-            let defs = trace.def_positions(&key);
-            let base = key_defs.len();
-            let copied = if kid < old_keys {
-                let row =
-                    self.key_def_offsets[kid] as usize..self.key_def_offsets[kid + 1] as usize;
-                key_defs.extend_from_slice(&self.key_defs[row.clone()]);
-                key_resolved.extend_from_slice(&self.key_resolved[row.clone()]);
-                key_hops.extend_from_slice(&self.key_hops[row]);
-                key_defs.len() - base
-            } else {
-                0
-            };
-            debug_assert_eq!(
-                copied,
-                defs.partition_point(|&p| p < old_n),
-                "old CSR row length disagrees with the prefix's definitions"
+            self.pos_of[r.id as usize] = pos as u32;
+            // A control parent retires before its dependent, so a row never
+            // needs a parent from a later append.
+            self.cd_parent_pos.push(
+                r.cd_parent
+                    .and_then(|cd| trace.position(cd))
+                    .map_or(NONE, |p| p as u32),
             );
-            for (i, &p) in defs.iter().enumerate().skip(copied) {
-                let r = &records[p];
-                let bypass_to = if options.prune_save_restore && matches!(key, LocKey::Reg(..)) {
-                    pairs
-                        .get(&r.id)
-                        .and_then(|&save| trace.position(save))
-                        .filter(|&sp| sp < p)
-                } else {
-                    None
-                };
-                key_defs.push(p as u32);
-                match bypass_to {
-                    Some(save_pos) => {
-                        // The query resumes strictly below the save, exactly
-                        // as the LP scan defers it: the next candidate is
-                        // the greatest definition below
-                        // `save_pos.saturating_sub(1) + 1`.
-                        let limit = save_pos.saturating_sub(1) + 1;
-                        let j = defs[..i].partition_point(|&q| q < limit);
-                        if j == 0 {
-                            key_resolved.push(NONE);
-                            key_hops.push(1);
-                        } else {
-                            key_resolved.push(key_resolved[base + j - 1]);
-                            key_hops.push(1 + key_hops[base + j - 1]);
-                        }
+
+            // Uses first: each resolves against the latest definition of
+            // its key, which lies strictly below `pos`.
+            for (k, _) in r.use_keys(track_sp) {
+                let kid = self.intern(k, options);
+                if self.key_pruned[kid as usize] {
+                    continue;
+                }
+                if let Some(&slot) = self.key_defs[kid as usize].last() {
+                    if slot.resolved != NONE {
+                        self.edges.push(Edge {
+                            def: slot.resolved,
+                            key: kid,
+                            hops: slot.hops,
+                        });
+                    }
+                }
+            }
+            self.edge_offsets.push(self.edges.len() as u32);
+
+            // Then the record's own definitions. A restore of a verified
+            // pair bypasses to the definition below its save, exactly as
+            // the LP scan defers it: the greatest definition below
+            // `save_pos.saturating_sub(1) + 1`, whose slot is already
+            // resolved (chains move strictly downward).
+            let save_pos = if options.prune_save_restore {
+                pairs
+                    .get(&r.id)
+                    .and_then(|&save| trace.position(save))
+                    .filter(|&sp| sp < pos)
+            } else {
+                None
+            };
+            for (k, _) in r.def_keys(track_sp) {
+                let kid = self.intern(k, options);
+                let row = &mut self.key_defs[kid as usize];
+                let slot = match save_pos {
+                    Some(save_pos) if matches!(k, LocKey::Reg(..)) => {
                         bypass_links += 1;
+                        let limit = save_pos.saturating_sub(1) + 1;
+                        let below = row[..row.partition_point(|d| (d.pos as usize) < limit)].last();
+                        DefSlot {
+                            pos: pos as u32,
+                            resolved: below.map_or(NONE, |d| d.resolved),
+                            hops: 1 + below.map_or(0, |d| d.hops),
+                        }
                     }
-                    None => {
-                        key_resolved.push(p as u32);
-                        key_hops.push(0);
-                    }
-                }
-            }
-            key_def_offsets.push(key_defs.len() as u32);
-        }
-        self.key_def_offsets = key_def_offsets;
-        self.key_defs = key_defs;
-        self.key_resolved = key_resolved;
-        self.key_hops = key_hops;
-
-        // Edge fill over the suffix: workers claim record shards from a
-        // shared atomic counter and resolve every non-pruned use against
-        // the per-key CSR; shard results merge in shard order, so the
-        // arrays are identical for every worker count. A use at position
-        // `p` resolves against definitions strictly below `p` only, so
-        // prefix rows are already exactly what a batch build would
-        // produce.
-        let suffix = n - old_n;
-        let workers = if suffix >= PAR_INDEX_THRESHOLD {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-                .clamp(1, MAX_INDEX_WORKERS)
-        } else {
-            1
-        };
-        let n_shards = suffix.div_ceil(INDEX_SHARD).max(1);
-        // One shard's result: per-record row lengths + flat (def, key, hops).
-        type ShardEdges = (Vec<u32>, Vec<(u32, u32, u32)>);
-        let index = &*self;
-        let fill_shard = |shard: usize| -> ShardEdges {
-            let start = old_n + shard * INDEX_SHARD;
-            let end = (start + INDEX_SHARD).min(n);
-            let mut rows: Vec<u32> = Vec::with_capacity(end - start);
-            let mut flat: Vec<(u32, u32, u32)> = Vec::new();
-            for (pos, r) in records[start..end].iter().enumerate() {
-                let pos = start + pos;
-                let before = flat.len();
-                for (k, _) in r.use_keys(track_sp) {
-                    if options.prune_keys.contains(&k) {
-                        continue;
-                    }
-                    if let Some((def, hops)) = index.resolve_interned(&k, pos) {
-                        flat.push((def, index.key_ids[&k], hops));
-                    }
-                }
-                rows.push((flat.len() - before) as u32);
-            }
-            (rows, flat)
-        };
-
-        let mut per_shard: Vec<Option<ShardEdges>> = (0..n_shards).map(|_| None).collect();
-        if workers <= 1 {
-            for (s, slot) in per_shard.iter_mut().enumerate() {
-                *slot = Some(fill_shard(s));
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let partials = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        s.spawn(|| {
-                            let mut mine = Vec::new();
-                            loop {
-                                let shard = next.fetch_add(1, Ordering::Relaxed);
-                                if shard >= n_shards {
-                                    break;
-                                }
-                                mine.push((shard, fill_shard(shard)));
-                            }
-                            mine
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("index worker panicked"))
-                    .collect::<Vec<_>>()
-            });
-            for (s, result) in partials {
-                per_shard[s] = Some(result);
+                    _ => DefSlot {
+                        pos: pos as u32,
+                        resolved: pos as u32,
+                        hops: 0,
+                    },
+                };
+                row.push(slot);
             }
         }
-
-        self.edge_offsets.reserve(suffix);
-        for slot in per_shard {
-            let (rows, flat) = slot.expect("every shard filled");
-            for len in rows {
-                let last = self.edge_offsets.last().copied().unwrap_or(0);
-                self.edge_offsets.push(last + len);
-            }
-            for (def, kid, hops) in flat {
-                self.edges.push(def);
-                self.edge_keys.push(kid);
-                self.edge_hops.push(hops);
-            }
-        }
-        debug_assert_eq!(self.edge_offsets.len(), n + 1);
-        debug_assert_eq!(
-            *self.edge_offsets.last().unwrap() as usize,
-            self.edges.len()
-        );
 
         self.stats = IndexBuildStats {
             wall: started.elapsed(),
             keys: self.keys.len(),
             edges: self.edges.len(),
             bypass_links,
-            workers,
         };
+    }
+
+    /// The id of `key`, interned (with its pruning flag and an empty
+    /// definition row) on first sight.
+    fn intern(&mut self, key: LocKey, options: &SliceOptions) -> u32 {
+        *self.key_ids.entry(key).or_insert_with(|| {
+            self.keys.push(key);
+            self.key_pruned.push(options.prune_keys.contains(&key));
+            self.key_defs.push(Vec::new());
+            (self.keys.len() - 1) as u32
+        })
     }
 
     /// Whether two indexes hold the same dependence graph: every array and
@@ -454,46 +348,38 @@ impl DepIndex {
             && self.cd_parent_pos == other.cd_parent_pos
             && self.keys == other.keys
             && self.key_ids == other.key_ids
+            && self.key_pruned == other.key_pruned
+            && self.key_defs == other.key_defs
             && self.edge_offsets == other.edge_offsets
             && self.edges == other.edges
-            && self.edge_keys == other.edge_keys
-            && self.edge_hops == other.edge_hops
-            && self.key_def_offsets == other.key_def_offsets
-            && self.key_defs == other.key_defs
-            && self.key_resolved == other.key_resolved
-            && self.key_hops == other.key_hops
             && self.block_size == other.block_size
             && self.options_fingerprint == other.options_fingerprint
     }
 
-    /// Resolves the reaching definition of `key` strictly below `limit`,
-    /// with bypass chains applied: the (position, bypass hops) pair, or
-    /// `None` when no definition reaches.
-    fn resolve_interned(&self, key: &LocKey, limit: usize) -> Option<(u32, u32)> {
+    /// The reaching definition of `key` strictly below position `limit`,
+    /// with bypass chains applied, as an edge — or `None` when no
+    /// definition reaches.
+    fn resolve(&self, key: &LocKey, limit: usize) -> Option<Edge> {
         let &kid = self.key_ids.get(key)?;
-        self.resolve_key_id(kid, limit)
+        let row = &self.key_defs[kid as usize];
+        let below = row[..row.partition_point(|d| (d.pos as usize) < limit)].last()?;
+        (below.resolved != NONE).then_some(Edge {
+            def: below.resolved,
+            key: kid,
+            hops: below.hops,
+        })
     }
 
-    /// [`Self::resolve_interned`] by interned key id.
-    fn resolve_key_id(&self, kid: u32, limit: usize) -> Option<(u32, u32)> {
-        let lo = self.key_def_offsets[kid as usize] as usize;
-        let hi = self.key_def_offsets[kid as usize + 1] as usize;
-        let defs = &self.key_defs[lo..hi];
-        let i = defs.partition_point(|&p| (p as usize) < limit);
-        if i == 0 {
-            return None;
-        }
-        let resolved = self.key_resolved[lo + i - 1];
-        if resolved == NONE {
-            return None;
-        }
-        Some((resolved, self.key_hops[lo + i - 1]))
+    /// The resolved data dependences of the record at `pos`.
+    fn row(&self, pos: usize) -> &[Edge] {
+        &self.edges[self.edge_offsets[pos] as usize..self.edge_offsets[pos + 1] as usize]
     }
 
     /// Position of a record id in the indexed trace order, or `None` when
     /// the index does not cover the record.
     pub fn position(&self, id: RecordId) -> Option<usize> {
-        self.pos_of.get(&id).map(|&p| p as usize)
+        let slot = usize::try_from(id).ok()?;
+        self.pos_of.get(slot).map(|&p| p as usize)
     }
 
     /// Number of records the index covers.
@@ -512,30 +398,30 @@ impl DepIndex {
         self.options_fingerprint
     }
 
-    /// Build statistics (wall time, sizes, workers).
+    /// Build statistics (wall time, sizes).
     pub fn stats(&self) -> IndexBuildStats {
         self.stats
     }
 
-    /// Approximate resident size of the index in bytes (flat arrays plus
-    /// an estimate for the two hash maps) — what the server's index cache
-    /// accounts against its budget.
+    /// Approximate resident size of the index in bytes (the arrays'
+    /// capacities plus an estimate for the key map) — what the server's
+    /// index cache accounts against its budget.
     pub fn approx_bytes(&self) -> u64 {
         use std::mem::size_of;
-        let flat = self.record_ids.len() * size_of::<RecordId>()
-            + self.cd_parent_pos.len() * size_of::<u32>()
-            + self.keys.len() * size_of::<LocKey>()
-            + self.edge_offsets.len() * size_of::<u32>()
-            + self.edges.len() * size_of::<u32>()
-            + self.edge_keys.len() * size_of::<u32>()
-            + self.edge_hops.len() * size_of::<u32>()
-            + self.key_def_offsets.len() * size_of::<u32>()
-            + self.key_defs.len() * size_of::<u32>()
-            + self.key_resolved.len() * size_of::<u32>()
-            + self.key_hops.len() * size_of::<u32>();
-        let maps = self.pos_of.len() * (size_of::<RecordId>() + size_of::<u32>() + 8)
-            + self.key_ids.len() * (size_of::<LocKey>() + size_of::<u32>() + 8);
-        (flat + maps) as u64
+        fn held<T>(v: &Vec<T>) -> usize {
+            v.capacity() * size_of::<T>()
+        }
+        let flat = held(&self.record_ids)
+            + held(&self.pos_of)
+            + held(&self.cd_parent_pos)
+            + held(&self.keys)
+            + held(&self.key_pruned)
+            + held(&self.key_defs)
+            + self.key_defs.iter().map(held).sum::<usize>()
+            + held(&self.edge_offsets)
+            + held(&self.edges);
+        let map = self.key_ids.capacity() * (size_of::<LocKey>() + size_of::<u32>() + 8);
+        (flat + map) as u64
     }
 }
 
@@ -554,99 +440,82 @@ impl DepIndex {
 /// Panics if the criterion's record id is not present in the index; check
 /// untrusted criteria with [`DepIndex::position`] first.
 pub fn compute_slice_indexed(index: &DepIndex, criterion: Criterion) -> Slice {
+    // The documented panic: every caller passes an id taken from the trace
+    // or checked with `DepIndex::position` first.
+    #[allow(clippy::expect_used)]
     let crit_pos = index
         .position(criterion.record_id())
         .expect("criterion record not in trace");
 
+    // The criterion's dependences seed the walk. An explicit criterion key
+    // overrides user pruning, so it resolves through the key's definitions
+    // rather than the (pruned) record row.
+    let seed;
+    let crit_edges = match criterion {
+        Criterion::Record { .. } => index.row(crit_pos),
+        Criterion::Value { key, .. } => {
+            seed = index.resolve(&key, crit_pos);
+            seed.as_slice()
+        }
+    };
+    let edges_of = |pos: usize| {
+        if pos == crit_pos {
+            crit_edges
+        } else {
+            index.row(pos)
+        }
+    };
+
+    // Walk first, collecting the slice's positions and counting its edges,
+    // so that the output is allocated once, at its final size.
+    let mut visited = vec![false; index.len()];
+    let mut order: Vec<u32> = Vec::new();
+    let mut stack: Vec<u32> = vec![crit_pos as u32];
+    let mut n_edges = 0;
+    visited[crit_pos] = true;
+    while let Some(next) = stack.pop() {
+        order.push(next);
+        let pos = next as usize;
+        let edges = edges_of(pos);
+        n_edges += edges.len();
+        let cd = index.cd_parent_pos[pos];
+        let parent = (cd != NONE && (cd as usize) < pos).then_some(cd);
+        for p in edges.iter().map(|e| e.def).chain(parent) {
+            if !visited[p as usize] {
+                visited[p as usize] = true;
+                stack.push(p);
+            }
+        }
+    }
+
     let mut slice = Slice {
         criterion,
-        records: HashSet::new(),
-        data_edges: Vec::new(),
+        records: order
+            .iter()
+            .map(|&p| index.record_ids[p as usize])
+            .collect(),
+        data_edges: Vec::with_capacity(n_edges),
         control_edges: Vec::new(),
         stats: SliceStats::default(),
     };
-
-    let mut visited = vec![false; index.len()];
-    let mut order: Vec<u32> = Vec::new();
-    let mut stack: Vec<u32> = Vec::new();
-
-    visited[crit_pos] = true;
-    order.push(crit_pos as u32);
-    slice.records.insert(index.record_ids[crit_pos]);
-
-    let push = |p: u32, visited: &mut Vec<bool>, stack: &mut Vec<u32>| {
-        if !visited[p as usize] {
-            visited[p as usize] = true;
-            stack.push(p);
-        }
-    };
-
-    // Seed with the criterion record's dependences.
-    match criterion {
-        Criterion::Record { .. } => {
-            let lo = index.edge_offsets[crit_pos] as usize;
-            let hi = index.edge_offsets[crit_pos + 1] as usize;
-            for e in lo..hi {
-                let def = index.edges[e];
-                slice.data_edges.push(DataEdge {
-                    user: index.record_ids[crit_pos],
-                    def: index.record_ids[def as usize],
-                    key: index.keys[index.edge_keys[e] as usize],
-                });
-                slice.stats.bypasses += index.edge_hops[e] as u64;
-                push(def, &mut visited, &mut stack);
-            }
-        }
-        Criterion::Value { key, .. } => {
-            // An explicit criterion key overrides user pruning, so resolve
-            // through the per-key CSR rather than the (pruned) record row.
-            if let Some((def, hops)) = index.resolve_interned(&key, crit_pos) {
-                slice.data_edges.push(DataEdge {
-                    user: index.record_ids[crit_pos],
-                    def: index.record_ids[def as usize],
-                    key,
-                });
-                slice.stats.bypasses += hops as u64;
-                push(def, &mut visited, &mut stack);
-            }
-        }
-    }
-    let cd = index.cd_parent_pos[crit_pos];
-    if cd != NONE && (cd as usize) < crit_pos {
-        push(cd, &mut visited, &mut stack);
-    }
-
-    while let Some(pos) = stack.pop() {
-        let pos = pos as usize;
-        order.push(pos as u32);
-        slice.records.insert(index.record_ids[pos]);
-        let lo = index.edge_offsets[pos] as usize;
-        let hi = index.edge_offsets[pos + 1] as usize;
-        for e in lo..hi {
-            let def = index.edges[e];
-            slice.data_edges.push(DataEdge {
-                user: index.record_ids[pos],
-                def: index.record_ids[def as usize],
-                key: index.keys[index.edge_keys[e] as usize],
-            });
-            slice.stats.bypasses += index.edge_hops[e] as u64;
-            push(def, &mut visited, &mut stack);
-        }
-        let cd = index.cd_parent_pos[pos];
-        if cd != NONE && (cd as usize) < pos {
-            push(cd, &mut visited, &mut stack);
-        }
-    }
-
-    // Control edges are a pure function of the included set: emit
-    // (dependent, parent) whenever both ends made it in.
     for &pos in &order {
-        let cd = index.cd_parent_pos[pos as usize];
+        let pos = pos as usize;
+        let user = index.record_ids[pos];
+        for e in edges_of(pos) {
+            slice.data_edges.push(DataEdge {
+                user,
+                def: index.record_ids[e.def as usize],
+                key: index.keys[e.key as usize],
+            });
+            slice.stats.bypasses += e.hops as u64;
+        }
+        // Control edges are a pure function of the included set: emit
+        // (dependent, parent) whenever both ends made it in.
+        let cd = index.cd_parent_pos[pos];
         if cd != NONE && visited[cd as usize] {
-            slice.control_edges.push((
-                index.record_ids[pos as usize],
-                index.record_ids[cd as usize],
-            ));
+            slice
+                .control_edges
+                .push((user, index.record_ids[cd as usize]));
         }
     }
     slice.control_edges.sort_unstable();
@@ -666,4 +535,125 @@ pub fn compute_slice_indexed(index: &DepIndex, criterion: Criterion) -> Slice {
     slice.stats.blocks_visited = blocks.len();
     slice.stats.blocks_skipped = (crit_pos / index.block_size + 1) - blocks.len();
     slice
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use minivm::{Instr, Loc, Reg, Tid};
+
+    use crate::trace::TraceRecord;
+
+    fn rec(id: RecordId, tid: Tid, uses: &[(Loc, i64)], defs: &[(Loc, i64)]) -> TraceRecord {
+        TraceRecord {
+            id,
+            tid,
+            pc: id as u32,
+            instance: 1,
+            instr: Instr::Nop,
+            next_pc: id as u32 + 1,
+            uses: uses.iter().copied().collect(),
+            defs: defs.iter().copied().collect(),
+            spawned: None,
+            cd_parent: None,
+            line: 0,
+        }
+    }
+
+    /// Two threads; every record defines one of a few memory words or a
+    /// register, and some use one.
+    fn trace_records(n: usize) -> Vec<TraceRecord> {
+        (0..n)
+            .map(|i| {
+                let word = Loc::Mem(0x1000 + (i % 3) as u64 * 8);
+                let def = if i % 4 == 3 {
+                    (Loc::Reg(Reg(1)), i as i64)
+                } else {
+                    (word, i as i64)
+                };
+                let uses = if i % 5 == 0 { vec![(word, 0)] } else { vec![] };
+                rec(i as RecordId, (i / 7 % 2) as Tid, &uses, &[def])
+            })
+            .collect()
+    }
+
+    #[test]
+    fn ids_at_or_past_the_end_have_no_position() {
+        let records = trace_records(40);
+        let pairs = HashMap::new();
+        let opts = SliceOptions::new();
+        let mut trace = GlobalTrace::build_with(records[..25].to_vec(), 8, false, false);
+        let mut index = DepIndex::build(&trace, &pairs, &opts);
+        for id in [25, u64::MAX] {
+            assert_eq!(index.position(id), None, "id {id} before append");
+        }
+        trace.extend(records[25..].to_vec());
+        index.append(&trace, &pairs, &opts);
+        for id in [40, u64::MAX] {
+            assert_eq!(index.position(id), None, "id {id} after append");
+        }
+        for r in &records {
+            assert_eq!(index.position(r.id), trace.position(r.id));
+        }
+    }
+
+    /// A `Value` criterion resolves its key's greatest definition below the
+    /// criterion's position — pruned or not, clustered or not.
+    #[test]
+    fn value_criterion_resolves_the_greatest_earlier_definition() {
+        let records = trace_records(60);
+        let keys = [
+            LocKey::Mem(0x1000),
+            LocKey::Mem(0x1008),
+            LocKey::Mem(0x1010),
+            LocKey::Reg(0, Reg(1)),
+            LocKey::Reg(1, Reg(1)),
+            LocKey::Mem(0x9999),
+        ];
+        for cluster in [true, false] {
+            let trace = GlobalTrace::build_with(records.clone(), 8, false, cluster);
+            for opts in [
+                SliceOptions::new(),
+                SliceOptions::new().prune_key(LocKey::Mem(0x1000)),
+            ] {
+                let index = DepIndex::build(&trace, &HashMap::new(), &opts);
+                for (pos, r) in trace.records().iter().enumerate() {
+                    for key in keys {
+                        let expected = trace.records()[..pos]
+                            .iter()
+                            .rev()
+                            .find(|d| d.def_keys(false).any(|(k, _)| k == key))
+                            .map(|d| d.id);
+                        let slice =
+                            compute_slice_indexed(&index, Criterion::Value { id: r.id, key });
+                        let resolved: Vec<RecordId> = slice
+                            .data_edges
+                            .iter()
+                            .filter(|e| e.user == r.id && e.key == key)
+                            .map(|e| e.def)
+                            .collect();
+                        assert_eq!(
+                            resolved,
+                            expected.into_iter().collect::<Vec<_>>(),
+                            "{key} at position {pos}, cluster {cluster}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_built_index_holds_no_spare_capacity() {
+        let trace = GlobalTrace::build(trace_records(300), 8, false);
+        let index = DepIndex::build(&trace, &HashMap::new(), &SliceOptions::new());
+        assert!(!index.edges.is_empty());
+        assert_eq!(index.edges.capacity(), index.edges.len());
+        assert_eq!(index.key_defs.capacity(), index.key_defs.len());
+        for row in &index.key_defs {
+            assert_eq!(row.capacity(), row.len());
+        }
+        assert_eq!(index.record_ids.capacity(), trace.records().len());
+        assert_eq!(index.edge_offsets.capacity(), trace.records().len() + 1);
+    }
 }

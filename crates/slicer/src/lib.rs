@@ -9,12 +9,13 @@
 //!   shared-memory access order (step ii), with thread clustering for LP
 //!   locality;
 //! * [`slice`](mod@slice) — backward traversal of the global trace with Limited
-//!   Preprocessing block skipping (step iii), producing the dynamic
+//!   Preprocessing block skipping (step iii), over block summaries the
+//!   trace builds on the first such traversal, producing the dynamic
 //!   dependence graph the DrDebug GUI lets users navigate;
 //! * [`index`] — the reusable dependence index: the full dependence graph
-//!   built once per `(GlobalTrace, SliceOptions)`, answering every
-//!   subsequent slice criterion with a pure BFS (the cyclic-debugging hot
-//!   path);
+//!   built once per `(GlobalTrace, SliceOptions)` in one forward sweep,
+//!   answering every subsequent slice criterion with a pure BFS (the
+//!   cyclic-debugging hot path);
 //! * [`control`] — dynamic control dependences via the Xin–Zhang online
 //!   algorithm over a CFG refined with observed indirect-jump targets
 //!   (§5.1's precision fix);
@@ -78,9 +79,7 @@ pub mod trace;
 
 pub use collect::{SliceSession, SlicerOptions};
 pub use control::ControlTracker;
-pub use global::{
-    is_valid_topological_order, BlockSummary, BuildMetrics, GlobalTrace, DEFAULT_BLOCK_SIZE,
-};
+pub use global::{is_valid_topological_order, BlockSummary, GlobalTrace, DEFAULT_BLOCK_SIZE};
 pub use index::{compute_slice_indexed, DepIndex, IndexBuildStats};
 pub use metrics::{SliceMetrics, StageMetrics};
 pub use pairs::{PairCandidates, PairDetector};

@@ -2,12 +2,12 @@
 //!
 //! The slicing pipeline has four stages — *collect* (one serial replay of
 //! the region pinball, gathering per-thread def/use traces), *merge* (the
-//! topological cluster merge into the global trace), *summarize* (LP block
-//! summaries plus the per-key definition index, in parallel for large
-//! traces), and *traverse* (one backward slice query). [`SliceMetrics`] carries per-stage wall time and work counters
-//! through `collect → global → slice` so the debugger's `metrics` command
-//! and `drdebug_cli` can report where time went and how much work the LP
-//! skipping and save/restore pruning avoided.
+//! topological cluster merge into the global trace), *index* (the
+//! dependence index, one forward sweep over the trace), and *traverse* (one
+//! backward slice query). [`SliceMetrics`] carries per-stage wall time and
+//! work counters through `collect → global → slice` so the debugger's
+//! `metrics` command and `drdebug_cli` can report where time went and how
+//! much work the LP skipping and save/restore pruning avoided.
 
 use std::fmt;
 use std::time::Duration;
@@ -31,7 +31,7 @@ impl StageMetrics {
 
 /// End-to-end metrics for one slicing pipeline run.
 ///
-/// The collect/merge/summarize stages are filled once per
+/// The collect/merge stages are filled once per
 /// [`SliceSession::collect`](crate::SliceSession::collect); the traverse
 /// stage describes the most recent slice query combined in by the caller
 /// (each query returns its own [`SliceStats`](crate::SliceStats)).
@@ -41,7 +41,11 @@ pub struct SliceMetrics {
     pub collect: StageMetrics,
     /// Topological merge into the global trace.
     pub merge: StageMetrics,
-    /// LP block summaries and the per-key definition index.
+    /// LP block summaries. Zero from
+    /// [`SliceSession::collect`](crate::SliceSession::collect): the
+    /// summaries are built on first LP use
+    /// ([`GlobalTrace::blocks`](crate::GlobalTrace::blocks)), and the
+    /// debugger's indexed slices never make it.
     pub summarize: StageMetrics,
     /// Dependence-index construction for the most recent slice (zero when
     /// the query was answered from a warm index — the build cost is paid at
@@ -52,8 +56,6 @@ pub struct SliceMetrics {
     pub warm_index: bool,
     /// The most recent backward traversal (zero until a slice is computed).
     pub traverse: StageMetrics,
-    /// Workers used for block summaries (1 = serial summarization).
-    pub summary_workers: usize,
     /// Blocks scanned record by record in the last traversal.
     pub blocks_visited: usize,
     /// Blocks skipped via summaries in the last traversal.
@@ -102,8 +104,8 @@ impl fmt::Display for SliceMetrics {
         )?;
         writeln!(
             f,
-            "summarize  {:>12?}  {:>10} records  {} worker(s)",
-            self.summarize.wall, self.summarize.records, self.summary_workers
+            "summarize  {:>12?}  {:>10} records",
+            self.summarize.wall, self.summarize.records
         )?;
         writeln!(
             f,
@@ -138,7 +140,6 @@ mod tests {
     fn traversal_stats_fold_in() {
         let base = SliceMetrics {
             collect: StageMetrics::new(Duration::from_millis(5), 100),
-            summary_workers: 1,
             ..SliceMetrics::default()
         };
         let stats = SliceStats {
