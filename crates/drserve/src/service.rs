@@ -858,11 +858,11 @@ fn try_execute(
                     reason: "footer bytes are incomplete; stream is still unsealed".to_string(),
                 });
             }
+            // The reader ran the same frame walk a batch load runs, so
+            // its container — and its digest — is exactly what a batch
+            // upload of the same bytes would have stored.
+            let container = Arc::new(st.reader.finish()?);
             let bytes = st.reader.sealed_bytes().expect("sealed reader has bytes");
-            // Re-parsing the reassembled bytes guarantees the published
-            // container — and its digest — is exactly what a batch
-            // upload of the same file would have stored.
-            let container = Arc::new(PinballContainer::from_bytes(bytes)?);
             let digest = container.digest();
             let instructions = container.pinball.logged_instructions();
             // A stream that never announced its digest could not be

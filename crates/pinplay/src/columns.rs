@@ -4,8 +4,7 @@
 //! v4 instead stores the log as parallel columns — one array per field —
 //! which encode smaller and decode with a handful of bulk varint scans;
 //! [`EventColumns::to_events`] then builds the owned events the replayer,
-//! the slicer and the relogger read. The stream reader also accumulates
-//! absorbed events in this form, one bulk column append per frame.
+//! the slicer and the relogger read.
 //!
 //! Column layout, per event `i`:
 //!
@@ -135,28 +134,6 @@ impl EventColumns {
                 }
             })
             .collect()
-    }
-
-    /// Total instructions the log retires (sum of `Run` steps).
-    pub fn instructions(&self) -> u64 {
-        self.kinds
-            .iter()
-            .zip(&self.args)
-            .filter(|(k, _)| **k == KIND_RUN)
-            .map(|(_, a)| *a)
-            .sum()
-    }
-
-    /// Appends all of `other`'s events, re-basing its pair offsets.
-    pub fn extend_from(&mut self, other: &EventColumns) {
-        let base = self.pair_keys.len() as u32;
-        self.kinds.extend_from_slice(&other.kinds);
-        self.tids.extend_from_slice(&other.tids);
-        self.args.extend_from_slice(&other.args);
-        self.pair_ends
-            .extend(other.pair_ends.iter().map(|e| base + e));
-        self.pair_keys.extend_from_slice(&other.pair_keys);
-        self.pair_vals.extend_from_slice(&other.pair_vals);
     }
 
     /// Varint-packs the columns into `out` (the v4 `Columnar` frame payload).
@@ -413,22 +390,6 @@ mod tests {
         let d = EventColumns::decode(&c.encode_to_vec()).unwrap();
         assert!(d.is_empty());
         assert_eq!(d.to_events(), Vec::<ReplayEvent>::new());
-    }
-
-    #[test]
-    fn instructions_counts_run_steps() {
-        let c = EventColumns::from_events(&sample_events());
-        assert_eq!(c.instructions(), 11);
-    }
-
-    #[test]
-    fn extend_rebases_pair_offsets() {
-        let events = sample_events();
-        let mut a = EventColumns::from_events(&events[..2]);
-        let b = EventColumns::from_events(&events[2..]);
-        a.extend_from(&b);
-        assert_eq!(a.to_events(), events);
-        assert_eq!(a, EventColumns::from_events(&events));
     }
 
     #[test]

@@ -70,13 +70,19 @@
 //!
 //! [`PinballContainer::to_bytes`] is the only writer: it packs the
 //! columns, trains the dictionary on the first chunk, and appends every
-//! frame in order on the calling thread. The loader walks the file front
-//! to back, verifying, decompressing and decoding one frame at a time,
-//! and stops at the first damaged frame — so the damage it reports is
-//! always the earliest in the file. A pinball holds only a region's start
-//! state and its nondeterministic events, so containers are typically
-//! kilobytes, and on those a chunk worker pool cost more than the serial
-//! pass it wrapped.
+//! frame in order on the calling thread. One walk reads every container
+//! back: it verifies, decompresses and decodes one frame at a time, front
+//! to back, and stops at the first damaged frame — so the damage it
+//! reports is always the earliest in the file.
+//! [`PinballContainer::from_bytes`],
+//! [`PinballContainer::from_bytes_lossy`] and [`inspect`] run it once
+//! over the whole file, and [`StreamReader`](crate::StreamReader) runs it
+//! over each slab it absorbs, so a batch load and a streamed one agree by
+//! construction. A pinball holds only a region's start state and its
+//! nondeterministic events, so containers are typically kilobytes, and on
+//! those a chunk worker pool cost more than the serial pass it wrapped.
+//! v4 events frames must carry the columnar codec; the v2 and v3 rules
+//! are those their committed fixtures need.
 //!
 //! # Compatibility
 //!
@@ -102,7 +108,7 @@ use pinzip::binser;
 use pinzip::crc32::crc32;
 use pinzip::frame::{
     decode_payload, decode_payload_with_dict, peek_frame, write_coded_frame,
-    write_coded_frame_with_dict, RawFrame,
+    write_coded_frame_with_dict, FrameError, RawFrame,
 };
 
 use crate::columns::EventColumns;
@@ -120,11 +126,11 @@ pub const TRAILER_MAGIC: &[u8; 4] = b"PBIX";
 /// Default checkpoint cadence, in retired instructions per chunk.
 pub const DEFAULT_CHECKPOINT_INTERVAL: u64 = 4096;
 
-pub(crate) const KIND_HEADER: u8 = 1;
-pub(crate) const KIND_EVENTS: u8 = 2;
-pub(crate) const KIND_CHECKPOINT: u8 = 3;
-pub(crate) const KIND_INDEX: u8 = 4;
-pub(crate) const KIND_DICT: u8 = 5;
+const KIND_HEADER: u8 = 1;
+const KIND_EVENTS: u8 = 2;
+const KIND_CHECKPOINT: u8 = 3;
+const KIND_INDEX: u8 = 4;
+const KIND_DICT: u8 = 5;
 
 /// Container format generations, as detected from leading bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -247,7 +253,7 @@ impl fmt::Display for ChunkKind {
     }
 }
 
-pub(crate) fn kind_of(byte: u8) -> ChunkKind {
+fn kind_of(byte: u8) -> ChunkKind {
     match byte {
         KIND_HEADER => ChunkKind::Header,
         KIND_EVENTS => ChunkKind::Events,
@@ -431,35 +437,32 @@ impl PinballContainer {
     /// on these types); the `Result` keeps the signature every caller
     /// already handles.
     pub fn to_bytes(&self) -> Result<Vec<u8>, PinballError> {
-        Ok(write_container_v4(
-            &self.pinball,
-            &self.checkpoints,
-            self.checkpoint_interval,
-        ))
+        Ok(write_container_v4(&self.pinball, &self.checkpoints, self.checkpoint_interval).0)
     }
 
     /// Deserializes a container, auto-detecting the format: v4, v3 and v2
-    /// bytes load strictly (any damaged frame is an error naming the
-    /// chunk); v1 blobs load as a container with no checkpoints.
+    /// bytes load strictly, in one pass of the frame walk a
+    /// [`StreamReader`](crate::StreamReader) runs per absorbed slab (any
+    /// damaged frame is an error naming the chunk); v1 blobs load as a
+    /// container with no checkpoints.
     ///
     /// # Errors
     ///
     /// Returns a typed [`PinballError`]: [`PinballError::Chunk`] for a
-    /// damaged frame, [`PinballError::Format`] for structural problems,
-    /// or the v1 errors for v1 blobs.
+    /// damaged frame, [`PinballError::Unsealed`] for a file that ends
+    /// cleanly before its footer, [`PinballError::Format`] for structural
+    /// problems, or the v1 errors for v1 blobs.
     pub fn from_bytes(bytes: &[u8]) -> Result<PinballContainer, PinballError> {
         if !has_container_magic(bytes) {
             return Ok(PinballContainer::new(Pinball::from_bytes_v1(bytes)?));
         }
-        let loaded = scan(bytes)?;
-        match loaded.damage {
-            None => Ok(loaded.container),
-            Some(e) => Err(e),
-        }
+        let mut walk = Walk::new(detect_version(bytes));
+        walk.advance(bytes, true)?;
+        walk.into_container()
     }
 
-    /// Best-effort deserialization: verifies frames in order and returns
-    /// the intact prefix together with the damage that ended the scan (if
+    /// Best-effort deserialization: the strict load's walk, returning the
+    /// intact prefix together with the damage that ended the walk (if
     /// any). Replay of the recovered container reproduces the recording up
     /// to the damaged chunk.
     ///
@@ -479,7 +482,20 @@ impl PinballContainer {
                 events_expected: expected,
             });
         }
-        scan(bytes)
+        let mut walk = Walk::new(detect_version(bytes));
+        let damage = walk.advance(bytes, true).err();
+        let events_expected = walk.events_expected().unwrap_or(0) as usize;
+        let container = match walk.into_container() {
+            Ok(container) => container,
+            // No intact header: nothing to replay from.
+            Err(e) => return Err(damage.unwrap_or(e)),
+        };
+        Ok(LossyLoad {
+            events_recovered: container.pinball.events.len(),
+            container,
+            damage,
+            events_expected,
+        })
     }
 
     /// Writes the container to a file.
@@ -620,13 +636,14 @@ fn build_dict(meta: &PinballMeta, first_chunk_payload: Option<&[u8]>) -> Vec<u8>
 /// bytes: columnar events frames compressed against a shared dictionary,
 /// everything else plain binser frames, in file order. A checkpoint is
 /// emitted immediately before the events chunk whose start position
-/// equals its `pos`. Infallible: neither codec can fail on these plain
-/// data types.
+/// equals its `pos`. Also returns the footer index it wrote: every
+/// frame's kind and offset, in file order, ending with the index frame.
+/// Infallible: neither codec can fail on these plain data types.
 pub(crate) fn write_container_v4(
     pinball: &Pinball,
     checkpoints: &[ReplayCheckpoint],
     interval: u64,
-) -> Vec<u8> {
+) -> (Vec<u8>, Vec<IndexEntry>) {
     let interval = interval.max(1);
     let header = ContainerHeader {
         meta: pinball.meta.clone(),
@@ -681,14 +698,18 @@ pub(crate) fn write_container_v4(
     write_coded_frame(&mut out, KIND_INDEX, binary, &binser::to_vec(&index));
     out.extend_from_slice(&(index_off as u64).to_le_bytes());
     out.extend_from_slice(TRAILER_MAGIC);
-    out
+    (out, index)
 }
 
 // ---------------------------------------------------------------------------
 // Reader
 // ---------------------------------------------------------------------------
 
-pub(crate) fn chunk_err(chunk: usize, kind: ChunkKind, reason: impl fmt::Display) -> PinballError {
+/// Length of the trailer after the index frame: its offset (u64 LE), then
+/// `PBIX`.
+const TRAILER_LEN: usize = 12;
+
+fn chunk_err(chunk: usize, kind: ChunkKind, reason: impl fmt::Display) -> PinballError {
     PinballError::Chunk {
         chunk,
         kind,
@@ -698,10 +719,7 @@ pub(crate) fn chunk_err(chunk: usize, kind: ChunkKind, reason: impl fmt::Display
 
 /// Deserializes one frame payload according to its codec byte: absent
 /// (v2 frame) or 0 means JSON, 1 means binser.
-pub(crate) fn decode_by_codec<T: Deserialize>(
-    payload: &[u8],
-    codec: Option<u8>,
-) -> Result<T, String> {
+fn decode_by_codec<T: Deserialize>(payload: &[u8], codec: Option<u8>) -> Result<T, String> {
     match codec {
         None => serde_json::from_slice(payload).map_err(|e| e.to_string()),
         Some(b) => match PayloadCodec::from_byte(b) {
@@ -716,216 +734,252 @@ pub(crate) fn decode_by_codec<T: Deserialize>(
     }
 }
 
-/// Scans a v2, v3 or v4 container front to back, verifying every
-/// frame's CRC, and returns the recovered prefix plus the first damage
-/// found (as [`LossyLoad::damage`]). The header frame must be intact —
-/// without it there is no snapshot to replay from, so damage there is a
-/// hard error.
-fn scan(bytes: &[u8]) -> Result<LossyLoad, PinballError> {
-    let version = detect_version(bytes);
-    let has_codec = version != ContainerVersion::V2;
-    let mut pos = MAGIC.len();
-
-    // Header frame: required, decoded strictly before anything else.
-    let header: ContainerHeader = {
-        let raw = peek_frame(bytes, pos, has_codec)
-            .map_err(|e| chunk_err(0, peek_kind(bytes, pos), e))?;
-        if raw.kind != KIND_HEADER {
-            return Err(chunk_err(
-                0,
-                kind_of(raw.kind),
-                "first frame is not the container header",
-            ));
-        }
-        let payload =
-            decode_payload(bytes, &raw).map_err(|e| chunk_err(0, ChunkKind::Header, e))?;
-        pos += raw.encoded_len;
-        decode_by_codec(&payload, raw.codec)
-            .map_err(|e| chunk_err(0, ChunkKind::Header, format!("bad header payload: {e}")))?
-    };
-
-    let mut events: Vec<ReplayEvent> = Vec::new();
-    let mut checkpoints: Vec<ReplayCheckpoint> = Vec::new();
-    let damage = scan_body(bytes, pos, version, &header, &mut events, &mut checkpoints).err();
-
-    // Keep only checkpoints the recovered prefix actually reaches.
-    checkpoints.retain(|cp| cp.pos <= events.len());
-
-    let events_recovered = events.len();
-    let container = PinballContainer {
-        pinball: Pinball {
-            meta: header.meta,
-            snapshot: header.snapshot,
-            events,
-            syscalls: header.syscalls,
-            exit: header.exit,
-        },
-        checkpoints,
-        checkpoint_interval: header.checkpoint_interval.max(1),
-    };
-    Ok(LossyLoad {
-        container,
-        damage,
-        events_recovered,
-        events_expected: header.num_events as usize,
-    })
+/// The one walk over a chunked container's frames. Every reader runs it:
+/// [`PinballContainer::from_bytes`] and
+/// [`PinballContainer::from_bytes_lossy`] as one pass over the whole
+/// file, [`inspect`] as the same pass recording each frame, and
+/// [`StreamReader`](crate::StreamReader) once per absorbed slab — so a
+/// batch load and a streamed one accept the same bytes, decode them by the
+/// same rules and fail with the same error.
+///
+/// The walk borrows its buffer on each call, decodes every frame the
+/// buffer completes exactly once, front to back, and stops at the first
+/// damaged one, keeping everything decoded before it.
+#[derive(Debug, Clone)]
+pub(crate) struct Walk {
+    /// Container generation (from the magic): v2 frames carry no codec
+    /// byte, and v4 adds the dictionary frame and columnar events.
+    version: ContainerVersion,
+    /// Offset of the first byte not yet consumed; once sealed, the end of
+    /// the trailer.
+    parsed: usize,
+    /// Frames consumed so far: the ordinal the next error names.
+    frames: usize,
+    /// The shared LZSS dictionary (v4; empty until frame 1).
+    dict: Vec<u8>,
+    header: Option<ContainerHeader>,
+    events: Vec<ReplayEvent>,
+    checkpoints: Vec<ReplayCheckpoint>,
+    /// Whether the index frame, trailer and event count have checked out.
+    sealed: bool,
+    /// Per-frame facts, recorded only for [`inspect`].
+    report: Option<Vec<FrameReport>>,
 }
 
-/// Decodes every frame after the header, starting at `pos`, into `events`
-/// and `checkpoints`, and stops at the first damage, which it returns:
-/// a [`PinballError::Chunk`] naming the damaged frame,
-/// [`PinballError::Unsealed`] for a clean walk to end-of-file with no
-/// index frame (a stream still being written), or
-/// [`PinballError::Format`] when the sealed file holds fewer or more
-/// events than its header promises. Everything decoded before the damage
-/// stays in `events` and `checkpoints`.
-fn scan_body(
-    bytes: &[u8],
-    mut pos: usize,
-    version: ContainerVersion,
-    header: &ContainerHeader,
-    events: &mut Vec<ReplayEvent>,
-    checkpoints: &mut Vec<ReplayCheckpoint>,
-) -> Result<(), PinballError> {
-    let has_codec = version != ContainerVersion::V2;
-    let unsealed = |events: &Vec<ReplayEvent>| PinballError::Unsealed {
-        events_recovered: events.len(),
-        events_expected: header.num_events as usize,
-    };
-    let mut chunk = 1usize;
-
-    // v4: frame 1 is the shared dictionary, which every columnar events
-    // frame below decompresses against. Without it no events are
-    // recoverable (the intact header still loads, with an empty log).
-    let mut dict: Vec<u8> = Vec::new();
-    if version == ContainerVersion::V4 {
-        if pos >= bytes.len() {
-            return Err(unsealed(events));
+impl Walk {
+    /// A walk positioned after the magic of a `version` container.
+    pub(crate) fn new(version: ContainerVersion) -> Walk {
+        Walk {
+            version,
+            parsed: MAGIC.len(),
+            frames: 0,
+            dict: Vec::new(),
+            header: None,
+            events: Vec::new(),
+            checkpoints: Vec::new(),
+            sealed: false,
+            report: None,
         }
-        let raw =
-            peek_frame(bytes, pos, true).map_err(|e| chunk_err(1, peek_kind(bytes, pos), e))?;
-        if raw.kind != KIND_DICT {
-            return Err(chunk_err(
-                1,
-                kind_of(raw.kind),
-                "second frame is not the shared dictionary",
-            ));
-        }
-        if raw.codec != Some(PayloadCodec::Binary.byte()) {
-            return Err(chunk_err(
-                1,
-                ChunkKind::Dict,
-                "dictionary frame carries a non-binary codec byte",
-            ));
-        }
-        dict = decode_payload(bytes, &raw).map_err(|e| chunk_err(1, ChunkKind::Dict, e))?;
-        pos += raw.encoded_len;
-        chunk = 2;
     }
 
-    loop {
-        if pos >= bytes.len() {
-            return Err(unsealed(events));
+    /// Decodes every frame `buf` completes beyond the last call (`buf`
+    /// must extend the buffer of earlier calls). With `at_end` false an
+    /// incomplete frame, or an index frame whose trailer has not fully
+    /// arrived, waits for more bytes. With `at_end` true the input is
+    /// over, and the walk gives its verdict: `Ok` once sealed,
+    /// [`PinballError::Unsealed`] when it stops at a frame boundary after
+    /// the header, and a chunk-naming truncation error mid-frame.
+    ///
+    /// # Errors
+    ///
+    /// The first damage: a [`PinballError::Chunk`] naming the frame, or
+    /// [`PinballError::Format`] when a sealed container's event count
+    /// disagrees with its header or bytes follow its trailer.
+    pub(crate) fn advance(&mut self, buf: &[u8], at_end: bool) -> Result<(), PinballError> {
+        let has_codec = self.version != ContainerVersion::V2;
+        loop {
+            if self.sealed {
+                if buf.len() > self.parsed {
+                    return Err(PinballError::Format(
+                        "data appended after the sealed trailer".into(),
+                    ));
+                }
+                return Ok(());
+            }
+            let off = self.parsed;
+            if off >= buf.len() {
+                if !at_end {
+                    return Ok(());
+                }
+                return Err(match &self.header {
+                    Some(h) => PinballError::Unsealed {
+                        events_recovered: self.events.len(),
+                        events_expected: h.num_events as usize,
+                    },
+                    None => chunk_err(0, ChunkKind::Unknown, FrameError::Truncated),
+                });
+            }
+            let raw = match peek_frame(buf, off, has_codec) {
+                Ok(raw) => raw,
+                Err(FrameError::Truncated) if !at_end => return Ok(()),
+                Err(e) => return Err(chunk_err(self.frames, peek_kind(buf, off), e)),
+            };
+            let end = off + raw.encoded_len;
+            if raw.kind == KIND_INDEX && !at_end && buf.len() < end + TRAILER_LEN {
+                return Ok(());
+            }
+            self.frame(buf, &raw, off)?;
+            self.parsed = if self.sealed { end + TRAILER_LEN } else { end };
+            self.frames += 1;
         }
-        let frame_off = pos;
-        let raw = peek_frame(bytes, pos, has_codec)
-            .map_err(|e| chunk_err(chunk, peek_kind(bytes, frame_off), e))?;
-        pos += raw.encoded_len;
-        match raw.kind {
-            KIND_EVENTS | KIND_CHECKPOINT => {
-                decode_body_frame(bytes, &raw, chunk, &dict, events, checkpoints)?;
-                chunk += 1;
+    }
+
+    /// Verifies, decodes and applies the complete frame at `off`: which
+    /// kind may come where, and how each kind decodes, for this version.
+    /// The index frame seals the walk once its trailer points back at it
+    /// and the events decoded match the header's count.
+    fn frame(&mut self, buf: &[u8], raw: &RawFrame, off: usize) -> Result<(), PinballError> {
+        let n = self.frames;
+        let v4 = self.version == ContainerVersion::V4;
+        let err = |reason: &dyn fmt::Display| chunk_err(n, kind_of(raw.kind), reason);
+        let payload_len = match raw.kind {
+            KIND_HEADER if n == 0 => {
+                let payload = decode_payload(buf, raw).map_err(|e| err(&e))?;
+                let header = decode_by_codec(&payload, raw.codec)
+                    .map_err(|e| err(&format!("bad header payload: {e}")))?;
+                self.header = Some(header);
+                payload.len()
+            }
+            _ if n == 0 => return Err(err(&"first frame is not the container header")),
+            KIND_DICT if n == 1 && v4 => {
+                if raw.codec != Some(PayloadCodec::Binary.byte()) {
+                    return Err(err(&"dictionary frame carries a non-binary codec byte"));
+                }
+                self.dict = decode_payload(buf, raw).map_err(|e| err(&e))?;
+                self.dict.len()
+            }
+            _ if n == 1 && v4 => return Err(err(&"second frame is not the shared dictionary")),
+            KIND_EVENTS => {
+                let bad_events = |e: String| err(&format!("bad events payload: {e}"));
+                let (mut events, len) = if v4 {
+                    if raw.codec != Some(PayloadCodec::Columnar.byte()) {
+                        return Err(err(&"events frame does not carry the columnar codec"));
+                    }
+                    let payload =
+                        decode_payload_with_dict(buf, raw, &self.dict).map_err(|e| err(&e))?;
+                    let cols = EventColumns::decode(&payload).map_err(bad_events)?;
+                    (cols.to_events(), payload.len())
+                } else {
+                    let payload = decode_payload(buf, raw).map_err(|e| err(&e))?;
+                    let events: Vec<ReplayEvent> =
+                        decode_by_codec(&payload, raw.codec).map_err(bad_events)?;
+                    (events, payload.len())
+                };
+                self.events.append(&mut events);
+                len
+            }
+            KIND_CHECKPOINT => {
+                let payload = decode_payload(buf, raw).map_err(|e| err(&e))?;
+                let cp = decode_by_codec(&payload, raw.codec)
+                    .map_err(|e| err(&format!("bad checkpoint payload: {e}")))?;
+                self.checkpoints.push(cp);
+                payload.len()
             }
             KIND_INDEX => {
                 // The index contents are advisory (offsets for random
-                // access — nothing above depends on them), but the frame
-                // must verify and parse, and the trailer must check out,
-                // for the file to count as intact. Parsing per codec also
-                // catches a damaged codec byte, which the CRC (covering
-                // only the payload) cannot see.
-                decode_payload(bytes, &raw)
+                // access; no reader depends on them), but the frame must
+                // verify and parse, and the trailer must point back at
+                // it, for the container to count as sealed. Parsing per
+                // codec also catches a damaged codec byte, which the CRC
+                // (covering only the payload) cannot see.
+                let len = decode_payload(buf, raw)
                     .map_err(|e| e.to_string())
-                    .and_then(|payload| decode_by_codec::<Vec<IndexEntry>>(&payload, raw.codec))
-                    .map_err(|e| {
-                        chunk_err(chunk, ChunkKind::Index, format!("bad index payload: {e}"))
-                    })?;
-                if !trailer_points_at(&bytes[pos..], frame_off) {
-                    return Err(chunk_err(
-                        chunk,
-                        ChunkKind::Index,
-                        "bad trailer (index offset or magic mismatch)",
-                    ));
+                    .and_then(|payload| {
+                        decode_by_codec::<Vec<IndexEntry>>(&payload, raw.codec)
+                            .map(|_| payload.len())
+                    })
+                    .map_err(|e| err(&format!("bad index payload: {e}")))?;
+                let trailer_at = off + raw.encoded_len;
+                if !buf
+                    .get(trailer_at..trailer_at + TRAILER_LEN)
+                    .is_some_and(|trailer| trailer_points_at(trailer, off))
+                {
+                    return Err(err(&"bad trailer (index offset or magic mismatch)"));
                 }
-                break;
+                // Frame 0 decoded as the header, or the walk stopped there.
+                let promised = self.header.as_ref().map_or(0, |h| h.num_events);
+                if self.events.len() as u64 != promised {
+                    return Err(PinballError::Format(format!(
+                        "event count mismatch: header promises {promised}, chunks hold {}",
+                        self.events.len()
+                    )));
+                }
+                self.sealed = true;
+                len
             }
-            other => {
-                return Err(chunk_err(
-                    chunk,
-                    kind_of(other),
-                    format!("unexpected frame kind {other}"),
-                ));
-            }
+            other => return Err(err(&format!("unexpected frame kind {other}"))),
+        };
+        if let Some(report) = &mut self.report {
+            report.push(FrameReport {
+                chunk: n,
+                kind: kind_of(raw.kind),
+                // Every codec byte has been checked by the decode above;
+                // v2 frames, which carry none, are JSON.
+                codec: raw
+                    .codec
+                    .and_then(PayloadCodec::from_byte)
+                    .unwrap_or(PayloadCodec::Json),
+                compressed_len: raw.payload.len(),
+                uncompressed_len: payload_len,
+            });
         }
+        Ok(())
     }
-    if events.len() as u64 != header.num_events {
-        return Err(PinballError::Format(format!(
-            "event count mismatch: header promises {}, chunks hold {}",
-            header.num_events,
-            events.len()
-        )));
-    }
-    Ok(())
-}
 
-/// Verifies, decompresses and decodes one events or checkpoint frame,
-/// appending its contents. Columnar events frames (v4) decompress against
-/// the shared dictionary and decode as column arrays, from which the
-/// owned events are built in one pass.
-fn decode_body_frame(
-    bytes: &[u8],
-    raw: &RawFrame,
-    chunk: usize,
-    dict: &[u8],
-    events: &mut Vec<ReplayEvent>,
-    checkpoints: &mut Vec<ReplayCheckpoint>,
-) -> Result<(), PinballError> {
-    let bad_events =
-        |e: String| chunk_err(chunk, ChunkKind::Events, format!("bad events payload: {e}"));
-    if raw.codec == Some(PayloadCodec::Columnar.byte()) {
-        if raw.kind != KIND_EVENTS {
-            return Err(chunk_err(
-                chunk,
-                kind_of(raw.kind),
-                "columnar codec on a non-events frame",
-            ));
-        }
-        let payload = decode_payload_with_dict(bytes, raw, dict)
-            .map_err(|e| chunk_err(chunk, ChunkKind::Events, e))?;
-        events.append(
-            &mut EventColumns::decode(&payload)
-                .map_err(bad_events)?
-                .to_events(),
-        );
-        return Ok(());
+    /// Events the header promises, once the header frame is decoded.
+    pub(crate) fn events_expected(&self) -> Option<u64> {
+        self.header.as_ref().map(|h| h.num_events)
     }
-    let payload = decode_payload(bytes, raw).map_err(|e| chunk_err(chunk, kind_of(raw.kind), e))?;
-    if raw.kind == KIND_EVENTS {
-        events.append(&mut decode_by_codec(&payload, raw.codec).map_err(bad_events)?);
-    } else {
-        checkpoints.push(decode_by_codec(&payload, raw.codec).map_err(|e| {
-            chunk_err(
-                chunk,
-                ChunkKind::Checkpoint,
-                format!("bad checkpoint payload: {e}"),
-            )
-        })?);
+
+    /// Events decoded so far.
+    pub(crate) fn events(&self) -> &[ReplayEvent] {
+        &self.events
     }
-    Ok(())
+
+    /// The container's length through its trailer, once sealed.
+    pub(crate) fn sealed_len(&self) -> Option<usize> {
+        self.sealed.then_some(self.parsed)
+    }
+
+    /// The walked prefix as a container: every decoded event, and each
+    /// embedded checkpoint that the prefix reaches.
+    ///
+    /// # Errors
+    ///
+    /// [`PinballError::Format`] until the header frame has been decoded.
+    pub(crate) fn into_container(self) -> Result<PinballContainer, PinballError> {
+        let header = self
+            .header
+            .ok_or_else(|| PinballError::Format("header frame not yet decoded".into()))?;
+        let mut checkpoints = self.checkpoints;
+        checkpoints.retain(|cp| cp.pos <= self.events.len());
+        Ok(PinballContainer {
+            pinball: Pinball {
+                meta: header.meta,
+                snapshot: header.snapshot,
+                events: self.events,
+                syscalls: header.syscalls,
+                exit: header.exit,
+            },
+            checkpoints,
+            checkpoint_interval: header.checkpoint_interval.max(1),
+        })
+    }
 }
 
 /// Whether `trailer` is exactly the 12-byte trailer — the index frame's
 /// offset, then `PBIX` — for an index frame at `index_off`.
-pub(crate) fn trailer_points_at(trailer: &[u8], index_off: usize) -> bool {
+fn trailer_points_at(trailer: &[u8], index_off: usize) -> bool {
     trailer
         .split_first_chunk::<8>()
         .is_some_and(|(offset, magic)| {
@@ -935,7 +989,7 @@ pub(crate) fn trailer_points_at(trailer: &[u8], index_off: usize) -> bool {
 
 /// Best-effort kind of the frame starting at `offset` (for error reports
 /// when the frame itself cannot be read).
-pub(crate) fn peek_kind(bytes: &[u8], offset: usize) -> ChunkKind {
+fn peek_kind(bytes: &[u8], offset: usize) -> ChunkKind {
     bytes
         .get(offset)
         .map_or(ChunkKind::Unknown, |&b| kind_of(b))
@@ -1062,14 +1116,17 @@ impl fmt::Display for ContainerReport {
 }
 
 /// Walks a pinball file and reports its version, per-frame codecs, and
-/// compressed/uncompressed sizes. Strict: a damaged frame is an error (use
+/// compressed/uncompressed sizes. It is the load's own pass (see
+/// [`PinballContainer::from_bytes`]) with each frame recorded, so it fails
+/// exactly where the load does, with the same error (use
 /// [`PinballContainer::from_bytes_lossy`] to salvage damaged files).
 ///
 /// # Errors
 ///
 /// Returns [`PinballError::Chunk`] for a damaged frame,
-/// [`PinballError::Format`] for structural problems, and the v1 errors for
-/// v1 blobs.
+/// [`PinballError::Unsealed`] for a file that ends cleanly before its
+/// footer, [`PinballError::Format`] for structural problems, and the v1
+/// errors for v1 blobs.
 pub fn inspect(bytes: &[u8]) -> Result<ContainerReport, PinballError> {
     let version = detect_version(bytes);
     if version == ContainerVersion::V1 {
@@ -1094,86 +1151,24 @@ pub fn inspect(bytes: &[u8]) -> Result<ContainerReport, PinballError> {
         });
     }
 
-    let has_codec = matches!(version, ContainerVersion::V3 | ContainerVersion::V4);
-    let mut pos = MAGIC.len();
-    let mut chunk = 0usize;
-    let mut frames = Vec::new();
-    let mut header: Option<ContainerHeader> = None;
-    let mut checkpoints = 0usize;
-    let mut dict: Vec<u8> = Vec::new();
-    let mut dict_len: Option<usize> = None;
-    let mut columns: Option<crate::columns::ColumnSizes> = None;
-    loop {
-        if pos >= bytes.len() {
-            return Err(chunk_err(chunk, ChunkKind::Unknown, "missing index frame"));
-        }
-        let raw = peek_frame(bytes, pos, has_codec)
-            .map_err(|e| chunk_err(chunk, peek_kind(bytes, pos), e))?;
-        let codec = match raw.codec {
-            None => PayloadCodec::Json,
-            Some(b) => PayloadCodec::from_byte(b).ok_or_else(|| {
-                chunk_err(
-                    chunk,
-                    kind_of(raw.kind),
-                    format!("unknown payload codec {b}"),
-                )
-            })?,
-        };
-        let payload = if codec == PayloadCodec::Columnar {
-            decode_payload_with_dict(bytes, &raw, &dict)
-                .map_err(|e| chunk_err(chunk, kind_of(raw.kind), e))?
-        } else {
-            decode_payload(bytes, &raw).map_err(|e| chunk_err(chunk, kind_of(raw.kind), e))?
-        };
-        if codec == PayloadCodec::Columnar {
-            let cols = EventColumns::decode(&payload).map_err(|e| {
-                chunk_err(chunk, ChunkKind::Events, format!("bad events payload: {e}"))
-            })?;
-            columns
-                .get_or_insert_with(Default::default)
-                .add(&cols.column_sizes());
-        }
-        if raw.kind == KIND_DICT {
-            dict = payload.clone();
-            dict_len = Some(dict.len());
-        }
-        if chunk == 0 {
-            if raw.kind != KIND_HEADER {
-                return Err(chunk_err(
-                    0,
-                    kind_of(raw.kind),
-                    "first frame is not the container header",
-                ));
-            }
-            header = Some(decode_by_codec(&payload, raw.codec).map_err(|e| {
-                chunk_err(0, ChunkKind::Header, format!("bad header payload: {e}"))
-            })?);
-        }
-        if raw.kind == KIND_CHECKPOINT {
-            checkpoints += 1;
-        }
-        frames.push(FrameReport {
-            chunk,
-            kind: kind_of(raw.kind),
-            codec,
-            compressed_len: raw.payload.len(),
-            uncompressed_len: payload.len(),
-        });
-        pos += raw.encoded_len;
-        chunk += 1;
-        if raw.kind == KIND_INDEX {
-            break;
-        }
-    }
-    // The loop only breaks after frame 0, which must be the header.
-    let header =
-        header.ok_or_else(|| chunk_err(0, ChunkKind::Header, "no header frame decoded"))?;
+    let mut walk = Walk::new(version);
+    walk.report = Some(Vec::new());
+    walk.advance(bytes, true)?;
+    let frames = walk.report.take().unwrap_or_default();
+    let dict_len = (version == ContainerVersion::V4).then_some(walk.dict.len());
+    let container = walk.into_container()?;
+    // Column sizes do not depend on where the log is cut into frames, so
+    // the whole log's sizes are the sum over its columnar frames.
+    let columns = frames
+        .iter()
+        .any(|fr| fr.codec == PayloadCodec::Columnar)
+        .then(|| EventColumns::from_events(&container.pinball.events).column_sizes());
     Ok(ContainerReport {
         version,
         file_len: bytes.len(),
-        num_events: header.num_events,
-        checkpoints,
-        checkpoint_interval: header.checkpoint_interval,
+        num_events: container.pinball.events.len() as u64,
+        checkpoints: container.checkpoints.len(),
+        checkpoint_interval: container.checkpoint_interval,
         frames,
         dict_len,
         columns,

@@ -99,13 +99,7 @@ impl Pinball {
 
     /// Total instructions the replay log retires.
     pub fn logged_instructions(&self) -> u64 {
-        self.events
-            .iter()
-            .map(|e| match e {
-                ReplayEvent::Run { steps, .. } => *steps,
-                ReplayEvent::Skip { .. } | ReplayEvent::Inject { .. } => 0,
-            })
-            .sum()
+        run_steps(&self.events)
     }
 
     /// Number of schedule switches (adjacent `Run` entries always have
@@ -133,7 +127,8 @@ impl Pinball {
             self,
             &[],
             crate::container::DEFAULT_CHECKPOINT_INTERVAL,
-        ))
+        )
+        .0)
     }
 
     /// Deserializes a pinball, auto-detecting the container magic (v4, v3
@@ -192,6 +187,18 @@ impl Pinball {
         let bytes = std::fs::read(path).map_err(|e| PinballError::Io(e.to_string()))?;
         Pinball::from_bytes(&bytes)
     }
+}
+
+/// Instructions a run of replay events retires: the sum of its `Run`
+/// steps.
+pub(crate) fn run_steps(events: &[ReplayEvent]) -> u64 {
+    events
+        .iter()
+        .map(|e| match e {
+            ReplayEvent::Run { steps, .. } => *steps,
+            ReplayEvent::Skip { .. } | ReplayEvent::Inject { .. } => 0,
+        })
+        .sum()
 }
 
 /// Errors loading or saving pinballs.

@@ -18,16 +18,19 @@
 //!   stream has the same [`PinballDigest`] as a batch save. Chunks are
 //!   pure slices of a precomputed buffer: re-sending one after a crash or
 //!   reconnect is always safe, which is what makes uploads resumable.
-//! * [`StreamReader`] absorbs bytes in arbitrary increments and decodes
-//!   each frame as soon as it is complete, without re-reading the prefix.
-//!   It reads v4 streams only — nothing writes older stream formats.
-//!   Absorbed events accumulate in columnar form ([`EventColumns`]): each
-//!   events frame is one bulk column append with no per-record decode.
-//!   At any moment [`StreamReader::partial_container`] yields the intact
-//!   prefix as a replayable [`PinballContainer`] — this is what lets a
-//!   consumer slice or live-tail a recording that is still uploading.
-//!   Absorbing the footer seals the stream after validating the index
-//!   frame, the trailer, and the header's event count.
+//! * [`StreamReader`] absorbs bytes in arbitrary increments and runs the
+//!   container's one frame walk — the pass
+//!   [`PinballContainer::from_bytes`] makes over a whole file — over what
+//!   has arrived, decoding each frame (checkpoints included) once, as soon
+//!   as it is complete, without re-reading the prefix. It reads v4 streams
+//!   only — nothing writes older stream formats. At any moment
+//!   [`StreamReader::partial_container`] yields the intact prefix as a
+//!   replayable [`PinballContainer`] — this is what lets a consumer slice
+//!   or live-tail a recording that is still uploading. Absorbing the
+//!   footer seals the stream after validating the index frame, the
+//!   trailer, and the header's event count, and
+//!   [`StreamReader::finish`] gives the end-of-input verdict: the sealed
+//!   container, or the error `from_bytes` returns for the same bytes.
 //!
 //! A partial file on disk (valid prefix, no footer) is recognized by the
 //! strict loader as [`PinballError::Unsealed`] — typed, never a panic —
@@ -37,20 +40,16 @@
 
 use std::ops::Range;
 
-use pinzip::frame::{decode_payload, decode_payload_with_dict, peek_frame, FrameError};
-
-use crate::columns::EventColumns;
 use crate::container::{
-    chunk_err, decode_by_codec, detect_version, kind_of, trailer_points_at, ChunkKind,
-    ContainerHeader, ContainerVersion, IndexEntry, PayloadCodec, PinballContainer, PinballDigest,
-    ReplayCheckpoint, KIND_CHECKPOINT, KIND_DICT, KIND_EVENTS, KIND_HEADER, KIND_INDEX, MAGIC_V4,
+    detect_version, write_container_v4, ChunkKind, ContainerVersion, PinballContainer,
+    PinballDigest, Walk, MAGIC_V4,
 };
-use crate::pinball::{Pinball, PinballError};
+use crate::pinball::{run_steps, PinballError};
 
 /// Plans a container as resumable chunks plus a sealing footer.
 ///
-/// The writer serializes once (via [`PinballContainer::to_bytes`]) and then
-/// *slices* the result at frame-group boundaries, so every chunk is a
+/// The writer serializes once (as [`PinballContainer::to_bytes`] does) and
+/// then *slices* the result at frame-group boundaries, so every chunk is a
 /// deterministic, re-requestable view into the same buffer and the
 /// concatenation of all chunks plus [`StreamWriter::footer`] is
 /// byte-identical to [`PinballContainer::to_bytes`].
@@ -74,48 +73,27 @@ impl StreamWriter {
     ///
     /// # Errors
     ///
-    /// Infallible in practice: the bytes come from the v4 writer, so a
-    /// failed walk over them is a bug, reported as a typed
-    /// [`PinballError::Chunk`] rather than a panic.
+    /// Infallible in practice (the v4 writer cannot fail); the `Result`
+    /// keeps the signature every caller already handles.
     pub fn new(container: &PinballContainer) -> Result<StreamWriter, PinballError> {
-        let bytes = container.to_bytes()?;
-        let digest = container.digest();
-        let instructions = container.pinball.logged_instructions();
-
-        // Walk frame headers to find group boundaries; the walk ends at the
-        // index frame, where the footer begins.
+        let (bytes, index) = write_container_v4(
+            &container.pinball,
+            &container.checkpoints,
+            container.checkpoint_interval,
+        );
+        // The index lists every frame's offset in file order, ending with
+        // the index frame itself, where the footer begins: a group ends
+        // where the frame after an events frame starts.
+        let footer_at = index.last().map_or(bytes.len(), |e| e.offset as usize);
         let mut groups: Vec<Range<usize>> = Vec::new();
         let mut group_start = 0usize;
-        let mut pos = MAGIC_V4.len();
-        let mut frame = 0usize;
-        let footer_at = loop {
-            if pos >= bytes.len() {
-                return Err(chunk_err(
-                    frame,
-                    ChunkKind::Unknown,
-                    "planned container ends before its index frame",
-                ));
+        for pair in index.windows(2) {
+            if pair[0].kind == ChunkKind::Events {
+                let end = pair[1].offset as usize;
+                groups.push(group_start..end);
+                group_start = end;
             }
-            let raw = peek_frame(&bytes, pos, true)
-                .map_err(|e| chunk_err(frame, ChunkKind::Unknown, e))?;
-            match raw.kind {
-                KIND_HEADER | KIND_DICT | KIND_CHECKPOINT => {}
-                KIND_EVENTS => {
-                    groups.push(group_start..pos + raw.encoded_len);
-                    group_start = pos + raw.encoded_len;
-                }
-                KIND_INDEX => break pos,
-                other => {
-                    return Err(chunk_err(
-                        frame,
-                        kind_of(other),
-                        format!("unexpected frame kind {other} while planning chunks"),
-                    ));
-                }
-            }
-            pos += raw.encoded_len;
-            frame += 1;
-        };
+        }
         if groups.is_empty() {
             // Empty log: the lone group is the magic + header frame.
             groups.push(0..footer_at);
@@ -125,8 +103,8 @@ impl StreamWriter {
             bytes,
             groups,
             footer_at,
-            digest,
-            instructions,
+            digest: container.digest(),
+            instructions: container.pinball.logged_instructions(),
         })
     }
 
@@ -180,43 +158,30 @@ impl StreamWriter {
     }
 }
 
-/// Incrementally decodes a container from appended byte slices.
+/// Incrementally decodes a v4 container from appended byte slices.
 ///
 /// Feed bytes in any increments with [`StreamReader::absorb`]; the reader
-/// decodes each frame exactly once, as soon as it is complete, keeping
-/// only an undecoded tail pending. [`StreamReader::partial_container`]
-/// exposes the intact prefix as a replayable container at any point;
-/// absorbing the footer validates and seals the stream.
-#[derive(Debug, Clone, Default)]
+/// runs the container's one frame walk over its buffer, decoding each
+/// frame exactly once, as soon as it is complete, and keeping only an
+/// undecoded tail pending. [`StreamReader::partial_container`] exposes the
+/// intact prefix as a replayable container at any point; absorbing the
+/// footer validates and seals the stream.
+#[derive(Debug, Clone)]
 pub struct StreamReader {
     buf: Vec<u8>,
-    /// Offset of the first byte not yet consumed as a complete frame.
-    parsed: usize,
-    /// Frame ordinal for error attribution (0 = header frame).
-    frames: usize,
-    /// Shared LZSS dictionary (empty until the dict frame).
-    dict: Vec<u8>,
-    header: Option<ContainerHeader>,
-    /// Absorbed events, accumulated columnar (one bulk append per frame).
-    events: EventColumns,
-    /// Checkpoint payloads, CRC-checked and decompressed on arrival but
-    /// structurally decoded only when [`StreamReader::partial_container`]
-    /// asks for them. Live-tail consumers never touch checkpoints, so
-    /// absorb throughput should not pay for materializing every
-    /// [`ReplayCheckpoint`] (full executor state each) on the upload path.
-    checkpoints: Vec<PendingCheckpoint>,
+    walk: Walk,
+    /// Instructions the decoded events retire.
     instructions: u64,
-    sealed: bool,
 }
 
-/// A checkpoint frame held in its decompressed wire form until a
-/// container is actually requested.
-#[derive(Debug, Clone)]
-struct PendingCheckpoint {
-    /// Frame ordinal, for error attribution at deferred-decode time.
-    frame: usize,
-    codec: Option<u8>,
-    payload: Vec<u8>,
+impl Default for StreamReader {
+    fn default() -> StreamReader {
+        StreamReader {
+            buf: Vec::new(),
+            walk: Walk::new(ContainerVersion::V4),
+            instructions: 0,
+        }
+    }
 }
 
 impl StreamReader {
@@ -228,206 +193,75 @@ impl StreamReader {
     /// Appends `bytes` to the stream and decodes every newly completed
     /// frame. Incomplete tails are kept pending for the next call; real
     /// damage (a magic other than v4's, CRC mismatch, undecodable payload,
-    /// data after the trailer) is a typed error.
+    /// data after the trailer) is a typed error — the one
+    /// [`PinballContainer::from_bytes`] returns for the same bytes.
     pub fn absorb(&mut self, bytes: &[u8]) -> Result<(), PinballError> {
-        if self.sealed && !bytes.is_empty() {
-            return Err(PinballError::Format(
-                "data appended after the sealed trailer".into(),
-            ));
-        }
         self.buf.extend_from_slice(bytes);
-        self.advance()
+        if self.buf.len() < MAGIC_V4.len() {
+            return Ok(());
+        }
+        self.check_magic()?;
+        let decoded = self.walk.events().len();
+        let walked = self.walk.advance(&self.buf, false);
+        self.instructions += run_steps(&self.walk.events()[decoded..]);
+        walked
     }
 
-    fn advance(&mut self) -> Result<(), PinballError> {
-        if self.parsed == 0 {
-            if self.buf.len() < MAGIC_V4.len() {
-                return Ok(());
-            }
-            if !self.buf.starts_with(MAGIC_V4) {
-                let found = match detect_version(&self.buf) {
-                    ContainerVersion::V1 => "no container magic".to_string(),
-                    v => format!("a {v} container"),
-                };
-                return Err(PinballError::Format(format!(
-                    "a stream must open with the v4 magic `{}`, found {found}",
-                    MAGIC_V4.escape_ascii()
-                )));
-            }
-            self.parsed = MAGIC_V4.len();
-        }
-
-        while !self.sealed && self.parsed < self.buf.len() {
-            let frame_off = self.parsed;
-            let raw = match peek_frame(&self.buf, frame_off, true) {
-                Ok(r) => r,
-                // An incomplete frame header or payload: wait for more
-                // bytes. Streaming cannot distinguish a pending tail from
-                // a truncated file — sealing is what settles it.
-                Err(FrameError::Truncated) => return Ok(()),
-                Err(e) => {
-                    return Err(chunk_err(self.frames, self.peek_kind(frame_off), e));
-                }
-            };
-            let awaiting_dict = self.frames == 1;
-            if awaiting_dict && raw.kind != KIND_DICT {
-                return Err(chunk_err(
-                    1,
-                    kind_of(raw.kind),
-                    "second frame is not the shared dictionary",
-                ));
-            }
-            match raw.kind {
-                KIND_HEADER if self.frames == 0 => {
-                    let payload = decode_payload(&self.buf, &raw)
-                        .map_err(|e| chunk_err(0, ChunkKind::Header, e))?;
-                    let header: ContainerHeader =
-                        decode_by_codec(&payload, raw.codec).map_err(|e| {
-                            chunk_err(0, ChunkKind::Header, format!("bad header payload: {e}"))
-                        })?;
-                    self.header = Some(header);
-                }
-                KIND_DICT if awaiting_dict => {
-                    if raw.codec != Some(PayloadCodec::Binary.byte()) {
-                        return Err(chunk_err(
-                            1,
-                            ChunkKind::Dict,
-                            "dictionary frame carries a non-binary codec byte",
-                        ));
-                    }
-                    self.dict = decode_payload(&self.buf, &raw)
-                        .map_err(|e| chunk_err(1, ChunkKind::Dict, e))?;
-                }
-                KIND_EVENTS if self.frames > 0 => {
-                    if raw.codec != Some(PayloadCodec::Columnar.byte()) {
-                        return Err(chunk_err(
-                            self.frames,
-                            ChunkKind::Events,
-                            "events frame does not carry the columnar codec",
-                        ));
-                    }
-                    let payload = decode_payload_with_dict(&self.buf, &raw, &self.dict)
-                        .map_err(|e| chunk_err(self.frames, ChunkKind::Events, e))?;
-                    let cols = EventColumns::decode(&payload).map_err(|e| {
-                        chunk_err(
-                            self.frames,
-                            ChunkKind::Events,
-                            format!("bad events payload: {e}"),
-                        )
-                    })?;
-                    self.instructions += cols.instructions();
-                    self.events.extend_from(&cols);
-                }
-                KIND_CHECKPOINT if self.frames > 0 => {
-                    let payload = decode_payload(&self.buf, &raw)
-                        .map_err(|e| chunk_err(self.frames, ChunkKind::Checkpoint, e))?;
-                    self.checkpoints.push(PendingCheckpoint {
-                        frame: self.frames,
-                        codec: raw.codec,
-                        payload,
-                    });
-                }
-                KIND_INDEX if self.frames > 0 => {
-                    // The trailer must follow the index frame; wait until
-                    // all 12 bytes are present before consuming either.
-                    let end = frame_off + raw.encoded_len;
-                    if self.buf.len() < end + 12 {
-                        return Ok(());
-                    }
-                    self.seal(&raw, frame_off, end)?;
-                    return Ok(());
-                }
-                _ if self.frames == 0 => {
-                    return Err(chunk_err(
-                        0,
-                        kind_of(raw.kind),
-                        "first frame is not the container header",
-                    ));
-                }
-                other => {
-                    return Err(chunk_err(
-                        self.frames,
-                        kind_of(other),
-                        format!("unexpected frame kind {other}"),
-                    ));
-                }
-            }
-            self.parsed = frame_off + raw.encoded_len;
-            self.frames += 1;
-        }
-        Ok(())
+    /// The end-of-input verdict over everything absorbed: the sealed
+    /// container, or the error [`PinballContainer::from_bytes`] returns
+    /// for the same bytes — [`PinballError::Unsealed`] when the stream
+    /// stopped at a frame boundary, a chunk-naming error mid-frame.
+    ///
+    /// # Errors
+    ///
+    /// As above; a stream that does not open with the v4 magic is a
+    /// [`PinballError::Format`] error.
+    pub fn finish(&mut self) -> Result<PinballContainer, PinballError> {
+        self.check_magic()?;
+        self.walk.advance(&self.buf, true)?;
+        self.partial_container()
     }
 
-    fn seal(
-        &mut self,
-        raw: &pinzip::frame::RawFrame,
-        frame_off: usize,
-        end: usize,
-    ) -> Result<(), PinballError> {
-        let ichunk = self.frames;
-        let payload =
-            decode_payload(&self.buf, raw).map_err(|e| chunk_err(ichunk, ChunkKind::Index, e))?;
-        decode_by_codec::<Vec<IndexEntry>>(&payload, raw.codec)
-            .map_err(|e| chunk_err(ichunk, ChunkKind::Index, format!("bad index payload: {e}")))?;
-        if !trailer_points_at(&self.buf[end..], frame_off) {
-            return Err(chunk_err(
-                ichunk,
-                ChunkKind::Index,
-                "bad trailer (index offset or magic mismatch)",
-            ));
+    /// Streams carry v4 only: any other magic is a typed refusal.
+    fn check_magic(&self) -> Result<(), PinballError> {
+        if self.buf.starts_with(MAGIC_V4) {
+            return Ok(());
         }
-        // An index frame is only accepted after frame 0, the header.
-        let expected = self.events_expected().ok_or_else(|| {
-            PinballError::Format("index frame arrived before the header".to_string())
-        })?;
-        if self.events.len() as u64 != expected {
-            return Err(PinballError::Format(format!(
-                "event count mismatch: header promises {expected}, chunks hold {}",
-                self.events.len()
-            )));
-        }
-        self.parsed = end + 12;
-        self.frames += 1;
-        self.sealed = true;
-        Ok(())
-    }
-
-    fn peek_kind(&self, offset: usize) -> ChunkKind {
-        self.buf
-            .get(offset)
-            .map_or(ChunkKind::Unknown, |&b| kind_of(b))
+        let found = match detect_version(&self.buf) {
+            ContainerVersion::V1 => "no container magic".to_string(),
+            v => format!("a {v} container"),
+        };
+        Err(PinballError::Format(format!(
+            "a stream must open with the v4 magic `{}`, found {found}",
+            MAGIC_V4.escape_ascii()
+        )))
     }
 
     /// Whether the footer has been absorbed and validated.
     pub fn is_sealed(&self) -> bool {
-        self.sealed
+        self.walk.sealed_len().is_some()
     }
 
     /// Whether the header frame has been decoded (a prefix container is
     /// only available after this).
     pub fn has_header(&self) -> bool {
-        self.header.is_some()
+        self.walk.events_expected().is_some()
     }
 
     /// Events decoded so far.
     pub fn events_absorbed(&self) -> usize {
-        self.events.len()
+        self.walk.events().len()
     }
 
     /// Events the header promises for the sealed container (once the
     /// header has arrived).
     pub fn events_expected(&self) -> Option<u64> {
-        self.header.as_ref().map(|h| h.num_events)
+        self.walk.events_expected()
     }
 
     /// Instructions retired by the events decoded so far.
     pub fn instructions_absorbed(&self) -> u64 {
         self.instructions
-    }
-
-    /// Frames decoded so far (including the header frame).
-    pub fn frames_absorbed(&self) -> usize {
-        self.frames
     }
 
     /// Total bytes appended so far (decoded or pending).
@@ -437,45 +271,19 @@ impl StreamReader {
 
     /// The raw sealed container bytes, once sealed.
     pub fn sealed_bytes(&self) -> Option<&[u8]> {
-        self.sealed.then_some(&self.buf[..])
+        self.walk.sealed_len().map(|len| &self.buf[..len])
     }
 
     /// The intact prefix as a replayable container. Before sealing this is
     /// the partial recording absorbed so far (the typed
     /// [`PinballError::Unsealed`] state on disk); after sealing it is the
-    /// complete recording. Errors until the header frame has arrived, or
-    /// if a deferred checkpoint payload turns out to be structurally
-    /// undecodable (its CRC and compression were already validated on
-    /// absorb).
+    /// complete recording.
+    ///
+    /// # Errors
+    ///
+    /// [`PinballError::Format`] until the header frame has arrived.
     pub fn partial_container(&self) -> Result<PinballContainer, PinballError> {
-        let header = self
-            .header
-            .as_ref()
-            .ok_or_else(|| PinballError::Format("stream header not yet absorbed".to_string()))?;
-        let mut checkpoints = Vec::with_capacity(self.checkpoints.len());
-        for pending in &self.checkpoints {
-            let cp: ReplayCheckpoint =
-                decode_by_codec(&pending.payload, pending.codec).map_err(|e| {
-                    chunk_err(
-                        pending.frame,
-                        ChunkKind::Checkpoint,
-                        format!("bad checkpoint payload: {e}"),
-                    )
-                })?;
-            checkpoints.push(cp);
-        }
-        checkpoints.retain(|cp| cp.pos <= self.events.len());
-        Ok(PinballContainer {
-            pinball: Pinball {
-                meta: header.meta.clone(),
-                snapshot: header.snapshot.clone(),
-                events: self.events.to_events(),
-                syscalls: header.syscalls.clone(),
-                exit: header.exit,
-            },
-            checkpoints,
-            checkpoint_interval: header.checkpoint_interval.max(1),
-        })
+        self.walk.clone().into_container()
     }
 }
 

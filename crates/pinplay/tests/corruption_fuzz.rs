@@ -10,6 +10,12 @@
 //! `fixtures/README.md`) — v3 adds a per-frame codec byte and binary
 //! payloads, v4 the shared-dictionary frame and columnar events, and
 //! each must be exactly as tamper-evident as the format it replaced.
+//!
+//! Every reader runs the same frame walk, so each sweep also checks that
+//! they agree on damaged input: `inspect` fails exactly where
+//! `from_bytes` does, and a [`StreamReader`] fed the v4 bytes in 64-byte
+//! pieces ends where `from_bytes` does — its first error, or its
+//! end-of-input verdict, is `from_bytes`'s result.
 
 mod fixtures;
 
@@ -18,9 +24,10 @@ use std::sync::Arc;
 use fixtures::record;
 use minivm::NullTool;
 use pinplay::{
-    detect_version, migrate, ContainerVersion, PinballContainer, PinballError, ReplayStatus,
-    Replayer, StreamWriter,
+    detect_version, inspect, migrate, ChunkKind, ContainerVersion, EventColumns, PinballContainer,
+    PinballError, ReplayStatus, Replayer, StreamReader, StreamWriter,
 };
+use pinzip::frame::{decode_payload, decode_payload_with_dict, peek_frame, write_coded_frame};
 
 /// The chunked serializations of one container, tagged for messages.
 fn encodings(container: &PinballContainer) -> [(&'static str, Vec<u8>); 3] {
@@ -32,6 +39,18 @@ fn encodings(container: &PinballContainer) -> [(&'static str, Vec<u8>); 3] {
 }
 
 const MAGIC_LEN: usize = 6;
+const TRAILER_LEN: usize = 12;
+
+/// Feeds `bytes` to a fresh [`StreamReader`] in 64-byte pieces and
+/// returns where it ends: its first error, or else its end-of-input
+/// verdict.
+fn streamed(bytes: &[u8]) -> Result<PinballContainer, PinballError> {
+    let mut reader = StreamReader::new();
+    for piece in bytes.chunks(64) {
+        reader.absorb(piece)?;
+    }
+    reader.finish()
+}
 
 #[test]
 fn every_single_bit_flip_is_a_typed_error() {
@@ -53,6 +72,11 @@ fn every_single_bit_flip_is_a_typed_error() {
                 let err = PinballContainer::from_bytes(&bad).expect_err(&format!(
                     "{tag}: flip at byte {offset} bit {bit} must not load cleanly"
                 ));
+                assert_eq!(
+                    inspect(&bad).err().as_ref(),
+                    Some(&err),
+                    "{tag}: flip at byte {offset} bit {bit}: inspect must fail as the load does"
+                );
                 if offset >= MAGIC_LEN {
                     assert!(
                         matches!(err, PinballError::Chunk { .. }),
@@ -94,6 +118,11 @@ fn every_truncation_is_typed_and_lossy_load_replays_the_prefix() {
     for (tag, bytes) in encodings(&container) {
         for len in 0..bytes.len() {
             let cut = &bytes[..len];
+            assert_eq!(
+                inspect(cut).err(),
+                PinballContainer::from_bytes(cut).err(),
+                "{tag}: truncation to {len} bytes: inspect must fail as the load does"
+            );
             if len < MAGIC_LEN {
                 // Not recognizably a container: both decoders may reject
                 // it, but must do so with a typed error, not a panic.
@@ -221,5 +250,154 @@ fn unsealed_prefixes_are_typed_and_flips_in_them_stay_typed() {
                 );
             }
         }
+    }
+}
+
+#[test]
+fn inspect_fails_exactly_where_from_bytes_does() {
+    // Any damage to the trailer unseals the file for both.
+    let v4 = fixtures::V4;
+    for offset in v4.len() - TRAILER_LEN..v4.len() {
+        for bit in 0..8 {
+            let mut bad = v4.to_vec();
+            bad[offset] ^= 1 << bit;
+            let err = PinballContainer::from_bytes(&bad).expect_err(&format!(
+                "trailer flip at byte {offset} bit {bit} must not load cleanly"
+            ));
+            assert_eq!(
+                inspect(&bad).expect_err("a damaged trailer must not inspect cleanly"),
+                err,
+                "trailer flip at byte {offset} bit {bit}"
+            );
+        }
+    }
+
+    // A stream killed before its footer is the same `Unsealed` for both.
+    let (_, container) = record();
+    let writer = StreamWriter::new(&container).expect("container streams");
+    let mut cut = 0usize;
+    for piece in writer.chunks(writer.num_groups()) {
+        cut += piece.len();
+        let prefix = &writer.sealed_bytes()[..cut];
+        let err = PinballContainer::from_bytes(prefix).expect_err("a prefix is unsealed");
+        assert!(
+            matches!(err, PinballError::Unsealed { .. }),
+            "prefix of {cut} bytes: {err}"
+        );
+        assert_eq!(
+            inspect(prefix).expect_err("a prefix is unsealed"),
+            err,
+            "prefix of {cut} bytes"
+        );
+    }
+}
+
+/// `fuzz_v4.drpb` with every events frame re-encoded as a binser record
+/// stream (codec 1, no dictionary — a v3 events frame) and the trailer
+/// re-pointed at the moved index frame. The stale offsets inside the index
+/// are advisory, so only the events frames' codec sets this file apart
+/// from the fixture.
+fn v4_with_binser_events() -> Vec<u8> {
+    const EVENTS: u8 = 2;
+    const INDEX: u8 = 4;
+    const DICT: u8 = 5;
+    let v4 = fixtures::V4;
+    let mut out = v4[..MAGIC_LEN].to_vec();
+    let mut pos = MAGIC_LEN;
+    let mut dict = Vec::new();
+    loop {
+        let raw = peek_frame(v4, pos, true).expect("fixture frames are intact");
+        let frame = &v4[pos..pos + raw.encoded_len];
+        pos += raw.encoded_len;
+        match raw.kind {
+            DICT => {
+                dict = decode_payload(v4, &raw).expect("dictionary decodes");
+                out.extend_from_slice(frame);
+            }
+            EVENTS => {
+                let payload = decode_payload_with_dict(v4, &raw, &dict).expect("events decode");
+                let events = EventColumns::decode(&payload)
+                    .expect("columns decode")
+                    .to_events();
+                write_coded_frame(&mut out, EVENTS, 1, &pinzip::binser::to_vec(&events));
+            }
+            INDEX => {
+                let index_at = out.len() as u64;
+                out.extend_from_slice(frame);
+                out.extend_from_slice(&index_at.to_le_bytes());
+                out.extend_from_slice(b"PBIX");
+                return out;
+            }
+            _ => out.extend_from_slice(frame),
+        }
+    }
+}
+
+#[test]
+fn v4_events_frames_must_be_columnar() {
+    let bytes = v4_with_binser_events();
+    let want = PinballError::Chunk {
+        chunk: 2,
+        kind: ChunkKind::Events,
+        reason: "events frame does not carry the columnar codec".into(),
+    };
+    assert_eq!(PinballContainer::from_bytes(&bytes), Err(want.clone()));
+    assert_eq!(streamed(&bytes), Err(want.clone()));
+    assert_eq!(inspect(&bytes), Err(want));
+    let lossy = PinballContainer::from_bytes_lossy(&bytes).expect("the header is intact");
+    assert_eq!(lossy.events_recovered, 0);
+}
+
+#[test]
+fn a_streamed_reader_ends_where_from_bytes_does() {
+    let (_, container) = record();
+    let bytes = container.to_bytes().expect("v4 serializes");
+
+    // The clean file, split at any offset, seals to the batch container.
+    for split in 0..=bytes.len() {
+        let mut reader = StreamReader::new();
+        reader.absorb(&bytes[..split]).expect("head absorbs");
+        reader.absorb(&bytes[split..]).expect("tail absorbs");
+        assert!(reader.is_sealed(), "split at {split}");
+        assert_eq!(
+            reader.finish().expect("sealed"),
+            container,
+            "split at {split}"
+        );
+    }
+
+    // Past the magic, every flip and every truncation ends the stream
+    // exactly where it ends the batch load. Inside the magic the stream
+    // refuses what `from_bytes` tries as a v1 blob: both fail.
+    let check = |bad: &[u8], what: &str, in_magic: bool| {
+        let batch = PinballContainer::from_bytes(bad);
+        let stream = streamed(bad);
+        if in_magic {
+            assert!(batch.is_err(), "{what}: loads as a v1 blob");
+            assert!(
+                matches!(stream, Err(PinballError::Format(_))),
+                "{what}: the stream must refuse a non-v4 magic, got {stream:?}"
+            );
+        } else {
+            assert_eq!(stream, batch, "{what}");
+        }
+    };
+    for offset in 0..bytes.len() {
+        for bit in 0..8 {
+            let mut bad = bytes.clone();
+            bad[offset] ^= 1 << bit;
+            check(
+                &bad,
+                &format!("flip at byte {offset} bit {bit}"),
+                offset < MAGIC_LEN,
+            );
+        }
+    }
+    for len in 0..bytes.len() {
+        check(
+            &bytes[..len],
+            &format!("truncation to {len} bytes"),
+            len < MAGIC_LEN,
+        );
     }
 }

@@ -83,17 +83,6 @@ pub struct Frame {
     pub payload: Vec<u8>,
 }
 
-/// A decoded *coded* frame: kind, payload codec, and decompressed payload.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CodedFrame {
-    /// Application-defined kind tag.
-    pub kind: u8,
-    /// Application-defined payload codec tag.
-    pub codec: u8,
-    /// Decompressed payload bytes.
-    pub payload: Vec<u8>,
-}
-
 /// A frame header scanned without decoding its payload: where the
 /// compressed bytes sit and what CRC they must hash to. Produced by
 /// [`peek_frame`]; consumed by [`decode_payload`].
@@ -242,43 +231,11 @@ pub fn decode_payload_with_dict(
 /// Returns a [`FrameError`] on truncation, CRC mismatch, or a payload that
 /// fails to decompress.
 pub fn read_frame(buf: &[u8], pos: &mut usize) -> Result<Frame, FrameError> {
-    let (frame, consumed) = read_frame_at(buf, *pos)?;
-    *pos += consumed;
-    Ok(frame)
-}
-
-/// Reads the frame starting at `offset` without a cursor, returning the
-/// frame and its total encoded size.
-///
-/// # Errors
-///
-/// See [`read_frame`].
-pub fn read_frame_at(buf: &[u8], offset: usize) -> Result<(Frame, usize), FrameError> {
-    let raw = peek_frame(buf, offset, false)?;
-    let payload = decode_payload(buf, &raw)?;
-    Ok((
-        Frame {
-            kind: raw.kind,
-            payload,
-        },
-        raw.encoded_len,
-    ))
-}
-
-/// Reads the coded frame starting at `*pos`, advancing `*pos` past it.
-///
-/// # Errors
-///
-/// See [`read_frame`].
-pub fn read_coded_frame(buf: &[u8], pos: &mut usize) -> Result<CodedFrame, FrameError> {
-    let raw = peek_frame(buf, *pos, true)?;
-    // `peek_frame` reads the codec byte of every coded frame it returns.
-    let codec = raw.codec.ok_or(FrameError::Truncated)?;
+    let raw = peek_frame(buf, *pos, false)?;
     let payload = decode_payload(buf, &raw)?;
     *pos += raw.encoded_len;
-    Ok(CodedFrame {
+    Ok(Frame {
         kind: raw.kind,
-        codec,
         payload,
     })
 }
@@ -316,6 +273,15 @@ mod tests {
         assert_eq!(pos, buf.len());
     }
 
+    /// Peeks and decodes the coded frame at `*pos`, advancing past it:
+    /// kind, codec byte and payload.
+    fn read_coded(buf: &[u8], pos: &mut usize) -> Result<(u8, Option<u8>, Vec<u8>), FrameError> {
+        let raw = peek_frame(buf, *pos, true)?;
+        let payload = decode_payload(buf, &raw)?;
+        *pos += raw.encoded_len;
+        Ok((raw.kind, raw.codec, payload))
+    }
+
     #[test]
     fn coded_frame_roundtrip() {
         let mut buf = Vec::new();
@@ -323,13 +289,11 @@ mod tests {
         let off1 = write_coded_frame(&mut buf, 2, 1, b"binary payload");
         assert_eq!(off0, 0);
         let mut pos = 0;
-        let f0 = read_coded_frame(&buf, &mut pos).unwrap();
-        assert_eq!((f0.kind, f0.codec), (1, 0));
-        assert_eq!(f0.payload, b"json-ish payload payload");
+        let f0 = read_coded(&buf, &mut pos).unwrap();
+        assert_eq!(f0, (1, Some(0), b"json-ish payload payload".to_vec()));
         assert_eq!(pos, off1);
-        let f1 = read_coded_frame(&buf, &mut pos).unwrap();
-        assert_eq!((f1.kind, f1.codec), (2, 1));
-        assert_eq!(f1.payload, b"binary payload");
+        let f1 = read_coded(&buf, &mut pos).unwrap();
+        assert_eq!(f1, (2, Some(1), b"binary payload".to_vec()));
         assert_eq!(pos, buf.len());
     }
 
@@ -349,10 +313,10 @@ mod tests {
         let mut buf = Vec::new();
         write_frame(&mut buf, 1, &vec![7u8; 500]);
         let off = write_frame(&mut buf, 9, b"target");
-        let (f, len) = read_frame_at(&buf, off).unwrap();
-        assert_eq!(f.kind, 9);
-        assert_eq!(f.payload, b"target");
-        assert_eq!(off + len, buf.len());
+        let raw = peek_frame(&buf, off, false).unwrap();
+        assert_eq!(raw.kind, 9);
+        assert_eq!(decode_payload(&buf, &raw).unwrap(), b"target");
+        assert_eq!(off + raw.encoded_len, buf.len());
     }
 
     #[test]
@@ -417,7 +381,7 @@ mod tests {
                 let mut bad = buf.clone();
                 bad[i] ^= 1 << bit;
                 let mut pos = 0;
-                match read_coded_frame(&bad, &mut pos) {
+                match read_coded(&bad, &mut pos) {
                     Err(_) => {}
                     Ok(f) => panic!("flip at byte {i} bit {bit} went undetected: {f:?}"),
                 }
@@ -441,7 +405,7 @@ mod tests {
         for len in 0..coded.len() {
             let mut pos = 0;
             assert!(
-                read_coded_frame(&coded[..len], &mut pos).is_err(),
+                read_coded(&coded[..len], &mut pos).is_err(),
                 "coded truncation to {len} bytes went undetected"
             );
         }

@@ -36,9 +36,8 @@ pub mod varint;
 pub use column::ColumnError;
 pub use crc32::{crc32, crc32_bytewise};
 pub use frame::{
-    decode_payload, decode_payload_with_dict, peek_frame, read_coded_frame, read_frame,
-    read_frame_at, write_coded_frame, write_coded_frame_with_dict, write_frame, CodedFrame, Frame,
-    FrameError, RawFrame,
+    decode_payload, decode_payload_with_dict, peek_frame, read_frame, write_coded_frame,
+    write_coded_frame_with_dict, write_frame, Frame, FrameError, RawFrame,
 };
 pub use lzss::{
     compress, compress_with_dict, decompress, decompress_with_dict, DecodeError, DICT_MAX,
