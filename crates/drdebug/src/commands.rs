@@ -314,7 +314,10 @@ impl CommandInterpreter {
                 .and_then(|s| s.parse().ok())
                 .or_else(|| self.session.stopped_at().map(|s| s.tid))
                 .unwrap_or(0);
-            return format!("t{tid}:{reg} = {}", self.session.read_reg(tid, reg));
+            return match self.session.read_reg(tid, reg) {
+                Some(value) => format!("t{tid}:{reg} = {value}"),
+                None => format!("no thread {tid}"),
+            };
         }
         if let Some(addr) = what.strip_prefix('*').and_then(parse_u64) {
             return format!("[{addr:#x}] = {}", self.session.read_mem(addr));
@@ -330,8 +333,10 @@ impl CommandInterpreter {
             return "usage: x <addr> [count]".to_owned();
         };
         let n: u64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(1);
+        // The listing stops at the top of the address space.
         (0..n)
-            .map(|i| format!("[{:#x}] = {}", addr + i, self.session.read_mem(addr + i)))
+            .map_while(|i| addr.checked_add(i))
+            .map(|a| format!("[{a:#x}] = {}", self.session.read_mem(a)))
             .collect::<Vec<_>>()
             .join("\n")
     }
@@ -933,6 +938,16 @@ mod tests {
         assert!(out.contains("= 5"), "{out}");
         let out = d.execute("info threads");
         assert!(out.contains("runnable") || out.contains("halted"), "{out}");
+    }
+
+    #[test]
+    fn print_of_an_unknown_thread_and_x_at_the_top_of_memory_do_not_panic() {
+        let mut d = interp(PROG);
+        d.execute("stepi");
+        let out = d.execute("print r1 7");
+        assert_eq!(out, "no thread 7");
+        let out = d.execute("x 0xffffffffffffffff 2");
+        assert_eq!(out, "[0xffffffffffffffff] = 0");
     }
 
     #[test]

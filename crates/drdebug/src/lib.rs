@@ -53,14 +53,12 @@
 
 #![warn(missing_docs)]
 
-pub mod adx;
 pub mod browse;
 pub mod commands;
 pub mod live;
 pub mod session;
 pub mod stepper;
 
-pub use adx::{spawn_engine, spawn_engine_container, AdxClient, AdxRequest, AdxResponse};
 pub use browse::{DepEdge, SliceBrowser};
 pub use commands::CommandInterpreter;
 pub use live::{LiveSession, LiveStop};

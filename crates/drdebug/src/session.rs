@@ -459,29 +459,9 @@ impl DebugSession {
                     instance: ev.instance,
                     seq: ev.seq,
                 });
-                for (&id, bp) in bps.iter() {
-                    if bp.enabled && bp.pc == ev.pc && bp.tid.is_none_or(|t| t == ev.tid) {
-                        hit = Some(StopReason::Breakpoint {
-                            id,
-                            tid: ev.tid,
-                            pc: ev.pc,
-                        });
-                        return ToolControl::Stop;
-                    }
-                }
-                for (&id, wp) in wps.iter() {
-                    if !wp.enabled {
-                        continue;
-                    }
-                    if let Some(value) = ev.defs.value_of(minivm::Loc::Mem(wp.addr)) {
-                        hit = Some(StopReason::Watchpoint {
-                            id,
-                            tid: ev.tid,
-                            pc: ev.pc,
-                            value,
-                        });
-                        return ToolControl::Stop;
-                    }
+                hit = stop_hit(bps, wps, ev);
+                if hit.is_some() {
+                    return ToolControl::Stop;
                 }
                 left -= 1;
                 if left == 0 {
@@ -726,33 +706,8 @@ impl DebugSession {
                 if after > stop_at {
                     return ToolControl::Stop;
                 }
-                for (&id, bp) in bps.iter() {
-                    if bp.enabled && bp.pc == ev.pc && bp.tid.is_none_or(|t| t == ev.tid) {
-                        best = Some((
-                            after,
-                            StopReason::Breakpoint {
-                                id,
-                                tid: ev.tid,
-                                pc: ev.pc,
-                            },
-                        ));
-                    }
-                }
-                for (&id, wp) in wps.iter() {
-                    if !wp.enabled {
-                        continue;
-                    }
-                    if let Some(value) = ev.defs.value_of(minivm::Loc::Mem(wp.addr)) {
-                        best = Some((
-                            after,
-                            StopReason::Watchpoint {
-                                id,
-                                tid: ev.tid,
-                                pc: ev.pc,
-                                value,
-                            },
-                        ));
-                    }
+                if let Some(reason) = stop_hit(bps, wps, ev) {
+                    best = Some((after, reason));
                 }
                 if after == stop_at {
                     ToolControl::Stop
@@ -807,9 +762,15 @@ impl DebugSession {
         }
     }
 
-    /// Reads a register of a thread (the `print $r` command).
-    pub fn read_reg(&self, tid: Tid, reg: Reg) -> i64 {
-        self.replayer.exec().read_reg(tid, reg)
+    /// Reads a register of a thread (the `print $r` command); `None` for
+    /// a thread the replay has not created or a register past
+    /// [`minivm::isa::NUM_REGS`].
+    pub fn read_reg(&self, tid: Tid, reg: Reg) -> Option<i64> {
+        let exec = self.replayer.exec();
+        if (tid as usize) >= exec.num_threads() {
+            return None;
+        }
+        exec.thread(tid).regs.get(reg.index()).copied()
     }
 
     /// Reads a memory word (the `x` command).
@@ -1030,6 +991,29 @@ impl DebugSession {
     }
 }
 
+/// The breakpoint or watchpoint that stops on `ev`, if any — the one stop
+/// rule forward and reverse execution share: the lowest-id enabled
+/// breakpoint on its pc (and thread), else the lowest-id enabled
+/// watchpoint on a word it writes.
+fn stop_hit(
+    bps: &BTreeMap<u32, Breakpoint>,
+    wps: &BTreeMap<u32, Watchpoint>,
+    ev: &minivm::InsEvent,
+) -> Option<StopReason> {
+    let (tid, pc) = (ev.tid, ev.pc);
+    bps.iter()
+        .find(|(_, bp)| bp.enabled && bp.pc == pc && bp.tid.is_none_or(|t| t == tid))
+        .map(|(&id, _)| StopReason::Breakpoint { id, tid, pc })
+        .or_else(|| {
+            wps.iter()
+                .filter(|(_, wp)| wp.enabled)
+                .find_map(|(&id, wp)| {
+                    let value = ev.defs.value_of(minivm::Loc::Mem(wp.addr))?;
+                    Some(StopReason::Watchpoint { id, tid, pc, value })
+                })
+        })
+}
+
 /// Summary of a relogging pass: the content digest of the resulting v4
 /// slice-pinball container plus how much of the region it kept.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -1092,11 +1076,14 @@ mod tests {
         assert_eq!(stop, StopReason::Breakpoint { id, tid: 0, pc: 2 });
         // The store has retired: x == 5, and r1 == 5.
         assert_eq!(s.read_symbol("x"), Some(5));
-        assert_eq!(s.read_reg(0, Reg(1)), 5);
+        assert_eq!(s.read_reg(0, Reg(1)).unwrap(), 5);
         // r3 not yet loaded.
-        assert_eq!(s.read_reg(0, Reg(3)), 0);
+        assert_eq!(s.read_reg(0, Reg(3)).unwrap(), 0);
+        // No thread 7, no register r200.
+        assert_eq!(s.read_reg(7, Reg(1)), None);
+        assert_eq!(s.read_reg(0, Reg(200)), None);
         assert_eq!(s.cont(), StopReason::ReplayEnd);
-        assert_eq!(s.read_reg(0, Reg(3)), 6);
+        assert_eq!(s.read_reg(0, Reg(3)).unwrap(), 6);
     }
 
     #[test]
@@ -1238,7 +1225,7 @@ mod reverse_tests {
         for _ in 0..3 {
             s.stepi();
         }
-        assert_eq!(s.read_reg(0, Reg(1)), 3);
+        assert_eq!(s.read_reg(0, Reg(1)).unwrap(), 3);
         assert_eq!(s.position(), 3);
         let stop = s.reverse_stepi();
         assert!(
@@ -1246,11 +1233,11 @@ mod reverse_tests {
             "{stop:?}"
         );
         assert_eq!(s.position(), 2);
-        assert_eq!(s.read_reg(0, Reg(1)), 2, "state rolled back");
+        assert_eq!(s.read_reg(0, Reg(1)).unwrap(), 2, "state rolled back");
         // Forward again: deterministic.
         let stop = s.stepi();
         assert!(matches!(stop, StopReason::Stepped { pc: 2, .. }));
-        assert_eq!(s.read_reg(0, Reg(1)), 3);
+        assert_eq!(s.read_reg(0, Reg(1)).unwrap(), 3);
     }
 
     #[test]
@@ -1259,7 +1246,7 @@ mod reverse_tests {
         s.stepi();
         assert_eq!(s.reverse_stepi(), StopReason::ReplayStart);
         assert_eq!(s.position(), 0);
-        assert_eq!(s.read_reg(0, Reg(1)), 0, "initial state restored");
+        assert_eq!(s.read_reg(0, Reg(1)).unwrap(), 0, "initial state restored");
         assert_eq!(
             s.reverse_stepi(),
             StopReason::ReplayStart,
@@ -1308,7 +1295,7 @@ mod reverse_tests {
             "{stop:?}"
         );
         assert_eq!(s.read_mem(x), 3, "memory rolled back to the first write");
-        assert_eq!(s.read_reg(0, Reg(1)), 3);
+        assert_eq!(s.read_reg(0, Reg(1)).unwrap(), 3);
     }
 
     #[test]
@@ -1333,7 +1320,7 @@ mod reverse_tests {
             pos -= 1;
             assert_eq!(s.position(), pos);
         }
-        assert_eq!(s.read_reg(0, Reg(1)), 0);
+        assert_eq!(s.read_reg(0, Reg(1)).unwrap(), 0);
     }
 
     /// Two racing workers give the log many same-interval chunk
@@ -1425,6 +1412,30 @@ mod reverse_tests {
     }
 
     #[test]
+    fn reverse_continue_stops_by_the_forward_rule() {
+        // Two breakpoints and a watchpoint all match the store at pc 4:
+        // both directions report the lowest-id breakpoint.
+        let mut s = session();
+        let x = s.program().symbol("x").unwrap();
+        let first = s.add_breakpoint(4, None);
+        s.add_breakpoint(4, None);
+        s.add_watchpoint(x);
+        let forward = s.cont();
+        assert_eq!(
+            forward,
+            StopReason::Breakpoint {
+                id: first,
+                tid: 0,
+                pc: 4
+            }
+        );
+        let at = s.position();
+        s.cont(); // the second store, at pc 6, hits the watchpoint
+        assert_eq!(s.reverse_continue(), forward);
+        assert_eq!(s.position(), at);
+    }
+
+    #[test]
     fn reverse_then_breakpoint_forward() {
         let mut s = session();
         s.cont();
@@ -1439,6 +1450,6 @@ mod reverse_tests {
                 pc: 5
             }
         );
-        assert_eq!(s.read_reg(0, Reg(1)), 4);
+        assert_eq!(s.read_reg(0, Reg(1)).unwrap(), 4);
     }
 }

@@ -12,7 +12,7 @@ use std::io::{Read, Write};
 use std::thread;
 use std::time::Duration;
 
-use minivm::{Pc, Program, Tid};
+use minivm::{Addr, Pc, Program, Reg, Tid};
 use pinplay::{Pinball, PinballContainer, PinballDigest, StreamWriter};
 use slicer::{Criterion, SliceOptions};
 
@@ -324,21 +324,10 @@ impl<S: Read + Write> Client<S> {
         program: &Program,
         container: Vec<u8>,
     ) -> Result<Uploaded, ClientError> {
-        match self.call(&Request::UploadPinball {
+        expect_uploaded(self.call(&Request::UploadPinball {
             program: program.clone(),
             container,
-        })? {
-            Response::Uploaded {
-                digest,
-                instructions,
-                deduped,
-            } => Ok(Uploaded {
-                digest,
-                instructions,
-                deduped,
-            }),
-            other => Err(unexpected("Uploaded", &other)),
-        }
+        })?)
     }
 
     /// Convenience: wraps a pinball in a container (current format) and
@@ -383,10 +372,26 @@ impl<S: Read + Write> Client<S> {
         pc: Pc,
         tid: Option<Tid>,
     ) -> Result<u32, ClientError> {
-        match self.call(&Request::Break { session, pc, tid })? {
-            Response::BreakpointSet { id } => Ok(id),
-            other => Err(unexpected("BreakpointSet", &other)),
-        }
+        expect_id(self.call(&Request::Break { session, pc, tid })?)
+    }
+
+    /// Sets a watchpoint on a memory word, returning its id (breakpoints
+    /// and watchpoints share one id space).
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::UnknownSession`] for a dead session handle.
+    pub fn watch(&mut self, session: SessionId, addr: Addr) -> Result<u32, ClientError> {
+        expect_id(self.call(&Request::Watch { session, addr })?)
+    }
+
+    /// Deletes a breakpoint or watchpoint.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::BadRequest`] when the session has no such id.
+    pub fn delete(&mut self, session: SessionId, id: u32) -> Result<(), ClientError> {
+        expect_id(self.call(&Request::Delete { session, id })?).map(drop)
     }
 
     /// Continues replay to the next stop event.
@@ -395,10 +400,7 @@ impl<S: Read + Write> Client<S> {
     ///
     /// [`ServeError::UnknownSession`] for a dead session handle.
     pub fn run(&mut self, session: SessionId) -> Result<(WireStop, u64), ClientError> {
-        match self.call(&Request::Run { session })? {
-            Response::Stopped { reason, position } => Ok((reason, position)),
-            other => Err(unexpected("Stopped", &other)),
-        }
+        expect_stop(self.call(&Request::Run { session })?)
     }
 
     /// Seeks to the state after `target` retired instructions.
@@ -411,9 +413,65 @@ impl<S: Read + Write> Client<S> {
         session: SessionId,
         target: u64,
     ) -> Result<(WireStop, u64), ClientError> {
-        match self.call(&Request::Seek { session, target })? {
-            Response::Stopped { reason, position } => Ok((reason, position)),
-            other => Err(unexpected("Stopped", &other)),
+        expect_stop(self.call(&Request::Seek { session, target })?)
+    }
+
+    /// Steps one instruction forward.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::UnknownSession`] for a dead session handle.
+    pub fn stepi(&mut self, session: SessionId) -> Result<(WireStop, u64), ClientError> {
+        expect_stop(self.call(&Request::StepI { session })?)
+    }
+
+    /// Steps one instruction backward.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::UnknownSession`] for a dead session handle.
+    pub fn reverse_stepi(&mut self, session: SessionId) -> Result<(WireStop, u64), ClientError> {
+        expect_stop(self.call(&Request::ReverseStepI { session })?)
+    }
+
+    /// Runs backward to the most recent breakpoint or watchpoint hit, or
+    /// to the region entry.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::UnknownSession`] for a dead session handle.
+    pub fn reverse_run(&mut self, session: SessionId) -> Result<(WireStop, u64), ClientError> {
+        expect_stop(self.call(&Request::ReverseRun { session })?)
+    }
+
+    /// Reads one register of one thread at the session's position.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::BadRequest`] for a thread the replay has not created
+    /// or a register past [`minivm::isa::NUM_REGS`].
+    pub fn read_reg(&mut self, session: SessionId, tid: Tid, reg: Reg) -> Result<i64, ClientError> {
+        expect_value(self.call(&Request::ReadReg { session, tid, reg })?)
+    }
+
+    /// Reads one memory word at the session's position.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::UnknownSession`] for a dead session handle.
+    pub fn read_mem(&mut self, session: SessionId, addr: Addr) -> Result<i64, ClientError> {
+        expect_value(self.call(&Request::ReadMem { session, addr })?)
+    }
+
+    /// Lists the replay's threads as `(tid, pc, runnable)`.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::UnknownSession`] for a dead session handle.
+    pub fn threads(&mut self, session: SessionId) -> Result<Vec<(Tid, Pc, bool)>, ClientError> {
+        match self.call(&Request::Threads { session })? {
+            Response::Threads { threads } => Ok(threads),
+            other => Err(unexpected("Threads", &other)),
         }
     }
 
@@ -430,22 +488,11 @@ impl<S: Read + Write> Client<S> {
         at: SliceAt,
         options: SliceOptions,
     ) -> Result<SliceReply, ClientError> {
-        match self.call(&Request::ComputeSlice {
+        expect_slice(self.call(&Request::ComputeSlice {
             session,
             at,
             options,
-        })? {
-            Response::Slice {
-                slice,
-                cached,
-                micros,
-            } => Ok(SliceReply {
-                slice,
-                cached,
-                micros,
-            }),
-            other => Err(unexpected("Slice", &other)),
-        }
+        })?)
     }
 
     /// Relogs a dynamic slice into a server-stored *slice pinball* and
@@ -463,28 +510,11 @@ impl<S: Read + Write> Client<S> {
         at: SliceAt,
         options: SliceOptions,
     ) -> Result<RelogReply, ClientError> {
-        match self.call(&Request::Relog {
+        expect_relogged(self.call(&Request::Relog {
             session,
             at,
             options,
-        })? {
-            Response::Relogged {
-                digest,
-                instructions,
-                kept,
-                excluded,
-                cached,
-                micros,
-            } => Ok(RelogReply {
-                digest,
-                instructions,
-                kept,
-                excluded,
-                cached,
-                micros,
-            }),
-            other => Err(unexpected("Relogged", &other)),
-        }
+        })?)
     }
 
     /// Downloads a stored pinball container (an upload or a relogged
@@ -587,22 +617,11 @@ impl<S: Read + Write> Client<S> {
         criterion: Criterion,
         options: SliceOptions,
     ) -> Result<SliceReply, ClientError> {
-        match self.call(&Request::PeerSlice {
+        expect_slice(self.call(&Request::PeerSlice {
             digest,
             criterion,
             options,
-        })? {
-            Response::Slice {
-                slice,
-                cached,
-                micros,
-            } => Ok(SliceReply {
-                slice,
-                cached,
-                micros,
-            }),
-            other => Err(unexpected("Slice", &other)),
-        }
+        })?)
     }
 
     /// Peer-to-peer relog with a pre-resolved criterion, executed locally
@@ -617,28 +636,11 @@ impl<S: Read + Write> Client<S> {
         criterion: Criterion,
         options: SliceOptions,
     ) -> Result<RelogReply, ClientError> {
-        match self.call(&Request::PeerRelog {
+        expect_relogged(self.call(&Request::PeerRelog {
             digest,
             criterion,
             options,
-        })? {
-            Response::Relogged {
-                digest,
-                instructions,
-                kept,
-                excluded,
-                cached,
-                micros,
-            } => Ok(RelogReply {
-                digest,
-                instructions,
-                kept,
-                excluded,
-                cached,
-                micros,
-            }),
-            other => Err(unexpected("Relogged", &other)),
-        }
+        })?)
     }
 
     /// Peer-to-peer store probe, answered from the receiver's local store
@@ -723,18 +725,7 @@ impl<S: Read + Write> Client<S> {
     /// [`ServeError::BadRequest`] while chunks are still missing;
     /// [`ServeError::Pinball`] when validation fails.
     pub fn seal_stream(&mut self, stream: u64, footer: Vec<u8>) -> Result<Uploaded, ClientError> {
-        match self.call(&Request::SealStream { stream, footer })? {
-            Response::Uploaded {
-                digest,
-                instructions,
-                deduped,
-            } => Ok(Uploaded {
-                digest,
-                instructions,
-                deduped,
-            }),
-            other => Err(unexpected("Uploaded", &other)),
-        }
+        expect_uploaded(self.call(&Request::SealStream { stream, footer })?)
     }
 
     /// Reports a stream's absorption state without changing it — the
@@ -789,22 +780,11 @@ impl<S: Read + Write> Client<S> {
         at: SliceAt,
         options: SliceOptions,
     ) -> Result<SliceReply, ClientError> {
-        match self.call(&Request::SliceStream {
+        expect_slice(self.call(&Request::SliceStream {
             stream,
             at,
             options,
-        })? {
-            Response::Slice {
-                slice,
-                cached,
-                micros,
-            } => Ok(SliceReply {
-                slice,
-                cached,
-                micros,
-            }),
-            other => Err(unexpected("Slice", &other)),
-        }
+        })?)
     }
 
     /// Streams a container to the server in `chunks` resumable pieces:
@@ -841,6 +821,78 @@ impl<S: Read + Write> Client<S> {
             self.append_chunk(stream, seq as u32, piece.to_vec())?;
         }
         self.seal_stream(stream, writer.footer().to_vec())
+    }
+}
+
+fn expect_uploaded(response: Response) -> Result<Uploaded, ClientError> {
+    match response {
+        Response::Uploaded {
+            digest,
+            instructions,
+            deduped,
+        } => Ok(Uploaded {
+            digest,
+            instructions,
+            deduped,
+        }),
+        other => Err(unexpected("Uploaded", &other)),
+    }
+}
+
+fn expect_slice(response: Response) -> Result<SliceReply, ClientError> {
+    match response {
+        Response::Slice {
+            slice,
+            cached,
+            micros,
+        } => Ok(SliceReply {
+            slice,
+            cached,
+            micros,
+        }),
+        other => Err(unexpected("Slice", &other)),
+    }
+}
+
+fn expect_relogged(response: Response) -> Result<RelogReply, ClientError> {
+    match response {
+        Response::Relogged {
+            digest,
+            instructions,
+            kept,
+            excluded,
+            cached,
+            micros,
+        } => Ok(RelogReply {
+            digest,
+            instructions,
+            kept,
+            excluded,
+            cached,
+            micros,
+        }),
+        other => Err(unexpected("Relogged", &other)),
+    }
+}
+
+fn expect_id(response: Response) -> Result<u32, ClientError> {
+    match response {
+        Response::BreakpointSet { id } => Ok(id),
+        other => Err(unexpected("BreakpointSet", &other)),
+    }
+}
+
+fn expect_stop(response: Response) -> Result<(WireStop, u64), ClientError> {
+    match response {
+        Response::Stopped { reason, position } => Ok((reason, position)),
+        other => Err(unexpected("Stopped", &other)),
+    }
+}
+
+fn expect_value(response: Response) -> Result<i64, ClientError> {
+    match response {
+        Response::Value { value } => Ok(value),
+        other => Err(unexpected("Value", &other)),
     }
 }
 

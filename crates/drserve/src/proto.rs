@@ -36,7 +36,7 @@ use std::io::{Read, Write};
 
 use serde::{Deserialize, Serialize};
 
-use minivm::{Pc, Program, Tid};
+use minivm::{Addr, Pc, Program, Reg, Tid};
 use pinplay::PinballDigest;
 use slicer::{Criterion, LocKey, RecordId, Slice, SliceOptions, SliceStats};
 
@@ -84,12 +84,71 @@ pub enum Request {
         /// The session to advance.
         session: SessionId,
     },
-    /// Seek the session to the state after `target` retired instructions.
+    /// Seek the session to the state after `target` retired instructions
+    /// (`target: 0` restarts the replay at the region entry).
     Seek {
         /// The session to reposition.
         session: SessionId,
         /// Target position in retired instructions.
         target: u64,
+    },
+    /// Set a watchpoint on a memory word: the session stops after a write
+    /// to it. Answers [`Response::BreakpointSet`]; breakpoints and
+    /// watchpoints share one id space.
+    Watch {
+        /// The session to mutate.
+        session: SessionId,
+        /// The watched address.
+        addr: Addr,
+    },
+    /// Delete a breakpoint or watchpoint. Answers
+    /// [`Response::BreakpointSet`] naming the deleted id; an unknown id is
+    /// a [`ServeError::BadRequest`].
+    Delete {
+        /// The session to mutate.
+        session: SessionId,
+        /// Id from [`Request::Break`] or [`Request::Watch`].
+        id: u32,
+    },
+    /// Step one instruction forward.
+    StepI {
+        /// The session to advance.
+        session: SessionId,
+    },
+    /// Step one instruction backward: the state just before the most
+    /// recently retired instruction.
+    ReverseStepI {
+        /// The session to rewind.
+        session: SessionId,
+    },
+    /// Run backward to the most recent breakpoint or watchpoint hit, or
+    /// to the region entry — reverse continue.
+    ReverseRun {
+        /// The session to rewind.
+        session: SessionId,
+    },
+    /// Read one register of one thread at the session's position. A tid
+    /// the replay has not created, or a register past
+    /// [`minivm::isa::NUM_REGS`], is a [`ServeError::BadRequest`].
+    ReadReg {
+        /// The session to inspect.
+        session: SessionId,
+        /// The thread.
+        tid: Tid,
+        /// The register.
+        reg: Reg,
+    },
+    /// Read one memory word at the session's position.
+    ReadMem {
+        /// The session to inspect.
+        session: SessionId,
+        /// The address.
+        addr: Addr,
+    },
+    /// List the replay's threads at the session's position.
+    Threads {
+        /// The session to inspect.
+        session: SessionId,
     },
     /// Compute (or fetch from the content-addressed cache) a dynamic slice.
     ComputeSlice {
@@ -277,6 +336,14 @@ impl Request {
             Request::Break { .. } => "break",
             Request::Run { .. } => "run",
             Request::Seek { .. } => "seek",
+            Request::Watch { .. } => "watch",
+            Request::Delete { .. } => "delete",
+            Request::StepI { .. } => "stepi",
+            Request::ReverseStepI { .. } => "reversestepi",
+            Request::ReverseRun { .. } => "reverserun",
+            Request::ReadReg { .. } => "readreg",
+            Request::ReadMem { .. } => "readmem",
+            Request::Threads { .. } => "threads",
             Request::ComputeSlice { .. } => "slice",
             Request::Relog { .. } => "relog",
             Request::FetchPinball { .. } => "fetch",
@@ -361,17 +428,31 @@ pub enum Response {
         /// Handle for subsequent session-scoped requests.
         session: SessionId,
     },
-    /// Breakpoint set.
+    /// A breakpoint or watchpoint was set ([`Request::Break`],
+    /// [`Request::Watch`]) or deleted ([`Request::Delete`]).
     BreakpointSet {
-        /// Breakpoint id within the session.
+        /// Breakpoint or watchpoint id within the session.
         id: u32,
     },
-    /// The session stopped (after [`Request::Run`] or [`Request::Seek`]).
+    /// The session stopped (after [`Request::Run`], [`Request::Seek`],
+    /// [`Request::StepI`], [`Request::ReverseStepI`] or
+    /// [`Request::ReverseRun`]).
     Stopped {
         /// Why it stopped.
         reason: WireStop,
         /// Instructions retired at the stop.
         position: u64,
+    },
+    /// A register or memory word ([`Request::ReadReg`],
+    /// [`Request::ReadMem`]).
+    Value {
+        /// The value read.
+        value: i64,
+    },
+    /// The replay's threads ([`Request::Threads`]).
+    Threads {
+        /// `(tid, pc, runnable)` of every thread created so far.
+        threads: Vec<(Tid, Pc, bool)>,
     },
     /// A computed (or cached) slice.
     Slice {

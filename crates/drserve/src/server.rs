@@ -22,11 +22,10 @@ use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
-
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 
 use crate::client::Client;
 use crate::loopback::{pipe, LoopbackStream};
@@ -309,7 +308,7 @@ impl DispatchPool {
         let mut txs = Vec::with_capacity(dispatchers);
         let mut threads = Vec::with_capacity(dispatchers);
         for _ in 0..dispatchers {
-            let (tx, rx) = unbounded::<Box<dyn NonblockStream>>();
+            let (tx, rx) = channel::<Box<dyn NonblockStream>>();
             txs.push(tx);
             let service = service.clone();
             let stop = Arc::clone(&stop);

@@ -35,11 +35,12 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
+use drdebug::{DebugSession, StopReason};
 use minivm::Program;
 use pinplay::{PinballContainer, PinballDigest, StreamReader};
 use slicer::{
@@ -52,8 +53,8 @@ use crate::cluster::Cluster;
 use crate::metrics::ServeMetrics;
 use crate::pool::SessionManager;
 use crate::proto::{
-    self, ClusterStats, OpStats, Request, Response, ServeError, ServeStats, ShardStats, SliceAt,
-    WireBreakpoint, WireSlice, RESPONSE_KIND,
+    self, ClusterStats, OpStats, Request, Response, ServeError, ServeStats, SessionId, ShardStats,
+    SliceAt, WireBreakpoint, WireSlice, RESPONSE_KIND,
 };
 use crate::server::ServeConfig;
 use crate::store::PinballStore;
@@ -90,7 +91,7 @@ struct Job {
     /// directly to its stream. `false` for in-process callers that need a
     /// typed [`Response`] back.
     frame_ok: bool,
-    reply: Sender<Reply>,
+    reply: SyncSender<Reply>,
 }
 
 /// One worker shard's private state.
@@ -117,7 +118,7 @@ pub(crate) struct Shard {
     /// outside the client session pool so pool eviction never invalidates
     /// a peer's in-flight work; bounded by periodic clearing (cheap —
     /// the expensive artifacts live in the shard caches).
-    peer_sessions: Mutex<HashMap<PinballDigest, Arc<Mutex<drdebug::DebugSession>>>>,
+    peer_sessions: Mutex<HashMap<PinballDigest, Arc<Mutex<DebugSession>>>>,
 }
 
 /// Per-shard fleet counters. The node-global fields of [`ClusterStats`]
@@ -146,20 +147,46 @@ impl ClusterCounters {
     }
 }
 
-/// One in-progress streaming upload, owned by its routing shard.
+/// One streaming upload, owned by its routing shard.
 struct StreamState {
     program: Arc<Program>,
-    reader: StreamReader,
-    /// Chunks that arrived ahead of the high-water mark, buffered until
-    /// the gap before them fills.
-    pending: BTreeMap<u32, Vec<u8>>,
     /// High-water mark: chunks `0..next_seq` are absorbed contiguously.
     next_seq: u32,
-    /// The store digest once the stream sealed and published.
-    published: Option<PinballDigest>,
-    /// Incremental slicing state, invalidated when the slice options
-    /// fingerprint changes.
-    slicing: Option<StreamSlicing>,
+    phase: StreamPhase,
+}
+
+// One value per stream that sits in the shard's map; boxing the open
+// phase would only add an allocation per stream.
+#[allow(clippy::large_enum_variant)]
+enum StreamPhase {
+    /// Absorbing chunks.
+    Open {
+        reader: StreamReader,
+        /// Chunks that arrived ahead of the high-water mark, buffered
+        /// until the gap before them fills.
+        pending: BTreeMap<u32, Vec<u8>>,
+        /// Incremental slicing state, invalidated when the slice options
+        /// fingerprint changes.
+        slicing: Option<StreamSlicing>,
+    },
+    /// Sealed and published: only what later stream ops answer from. The
+    /// container is the store's own copy.
+    Sealed {
+        digest: PinballDigest,
+        container: Arc<PinballContainer>,
+        events: u64,
+        instructions: u64,
+    },
+}
+
+impl StreamState {
+    /// Replay events absorbed so far.
+    fn events(&self) -> u64 {
+        match &self.phase {
+            StreamPhase::Open { reader, .. } => reader.events_absorbed() as u64,
+            StreamPhase::Sealed { events, .. } => *events,
+        }
+    }
 }
 
 /// The incrementally-grown trace and dependence index of one stream.
@@ -176,13 +203,17 @@ struct StreamSlicing {
 
 /// The absorption-state ack shared by `BeginStream`, `AppendChunk`, and
 /// `StreamStatus`.
-fn stream_ack(stream: u64, st: &StreamState, already_have: bool) -> Response {
+fn stream_ack(stream: u64, st: &StreamState) -> Response {
+    let pending = match &st.phase {
+        StreamPhase::Open { pending, .. } => pending.keys().copied().collect(),
+        StreamPhase::Sealed { .. } => Vec::new(),
+    };
     Response::StreamAck {
         stream,
         next_seq: st.next_seq,
-        pending: st.pending.keys().copied().collect(),
-        events: st.reader.events_absorbed() as u64,
-        already_have,
+        pending,
+        events: st.events(),
+        already_have: false,
     }
 }
 
@@ -198,7 +229,7 @@ struct ServiceState {
 }
 
 struct QueueHandle {
-    tx: Sender<Job>,
+    tx: SyncSender<Job>,
     shard: Arc<Shard>,
     capacity: usize,
 }
@@ -276,7 +307,7 @@ impl Service {
         let mut queues = Vec::with_capacity(nshards);
         let mut workers = Vec::with_capacity(nshards);
         for shard in &state.shards {
-            let (tx, rx) = bounded::<Job>(capacity);
+            let (tx, rx) = sync_channel::<Job>(capacity);
             queues.push(QueueHandle {
                 tx,
                 shard: Arc::clone(shard),
@@ -350,6 +381,14 @@ impl Service {
             Request::Break { session, .. }
             | Request::Run { session }
             | Request::Seek { session, .. }
+            | Request::Watch { session, .. }
+            | Request::Delete { session, .. }
+            | Request::StepI { session }
+            | Request::ReverseStepI { session }
+            | Request::ReverseRun { session }
+            | Request::ReadReg { session, .. }
+            | Request::ReadMem { session, .. }
+            | Request::Threads { session }
             | Request::ComputeSlice { session, .. }
             | Request::Relog { session, .. }
             | Request::BreakList { session }
@@ -399,7 +438,7 @@ impl Service {
         shard
             .peak_depth
             .fetch_max(prev as u64 + 1, Ordering::Relaxed);
-        let (reply_tx, reply_rx) = bounded(1);
+        let (reply_tx, reply_rx) = sync_channel(1);
         match queue.tx.try_send(Job {
             request,
             frame_ok,
@@ -543,51 +582,64 @@ fn try_execute(
         Request::OpenSession { digest } => {
             let (program, container) = fetch_into_store(state, shard, digest)?;
             let session = shard.pool.open(digest, move || {
-                drdebug::DebugSession::with_shared_container(program, container)
+                DebugSession::with_shared_container(program, container)
             })?;
             Ok(Response::SessionOpened { session })
         }
         Request::Break { session, pc, tid } => {
-            let (slot, _) = shard.pool.checkout(session)?;
-            let id = slot.lock().expect("session lock").add_breakpoint(pc, tid);
+            let id = on_session(shard, session, |s| s.add_breakpoint(pc, tid))?;
             Ok(Response::BreakpointSet { id })
         }
-        Request::BreakList { session } => {
-            let (slot, _) = shard.pool.checkout(session)?;
-            let guard = slot.lock().expect("session lock");
-            let mut breakpoints: Vec<WireBreakpoint> = guard
-                .breakpoints()
-                .map(|(id, bp)| WireBreakpoint {
-                    id,
-                    pc: bp.pc,
-                    tid: bp.tid,
-                    enabled: bp.enabled,
+        Request::Watch { session, addr } => {
+            let id = on_session(shard, session, |s| s.add_watchpoint(addr))?;
+            Ok(Response::BreakpointSet { id })
+        }
+        Request::Delete { session, id } => {
+            if on_session(shard, session, |s| {
+                s.delete_breakpoint(id) || s.delete_watchpoint(id)
+            })? {
+                Ok(Response::BreakpointSet { id })
+            } else {
+                Err(ServeError::BadRequest {
+                    reason: format!("no breakpoint or watchpoint {id}"),
                 })
-                .collect();
-            breakpoints.sort_by_key(|b| b.id);
+            }
+        }
+        Request::BreakList { session } => {
+            // `breakpoints()` walks a BTreeMap: already ascending by id.
+            let breakpoints = on_session(shard, session, |s| {
+                s.breakpoints()
+                    .map(|(id, bp)| WireBreakpoint {
+                        id,
+                        pc: bp.pc,
+                        tid: bp.tid,
+                        enabled: bp.enabled,
+                    })
+                    .collect()
+            })?;
             Ok(Response::Breakpoints {
                 session,
                 breakpoints,
             })
         }
-        Request::Run { session } => {
-            let (slot, _) = shard.pool.checkout(session)?;
-            let mut guard = slot.lock().expect("session lock");
-            let reason = guard.cont();
-            Ok(Response::Stopped {
-                reason: reason.into(),
-                position: guard.position(),
-            })
+        Request::Run { session } => stop(shard, session, DebugSession::cont),
+        Request::Seek { session, target } => stop(shard, session, |s| s.seek_to(target)),
+        Request::StepI { session } => stop(shard, session, DebugSession::stepi),
+        Request::ReverseStepI { session } => stop(shard, session, DebugSession::reverse_stepi),
+        Request::ReverseRun { session } => stop(shard, session, DebugSession::reverse_continue),
+        Request::ReadReg { session, tid, reg } => {
+            on_session(shard, session, |s| s.read_reg(tid, reg))?
+                .map(|value| Response::Value { value })
+                .ok_or_else(|| ServeError::BadRequest {
+                    reason: format!("no register {reg} on thread {tid}"),
+                })
         }
-        Request::Seek { session, target } => {
-            let (slot, _) = shard.pool.checkout(session)?;
-            let mut guard = slot.lock().expect("session lock");
-            let reason = guard.seek_to(target);
-            Ok(Response::Stopped {
-                reason: reason.into(),
-                position: guard.position(),
-            })
-        }
+        Request::ReadMem { session, addr } => Ok(Response::Value {
+            value: on_session(shard, session, |s| s.read_mem(addr))?,
+        }),
+        Request::Threads { session } => Ok(Response::Threads {
+            threads: on_session(shard, session, |s| s.threads())?,
+        }),
         Request::ComputeSlice {
             session,
             at,
@@ -609,11 +661,7 @@ fn try_execute(
                         .cluster
                         .peer_cache_hits
                         .fetch_add(1, Ordering::Relaxed);
-                    return Ok(Response::Slice {
-                        slice: (*hit).clone(),
-                        cached: true,
-                        micros: started.elapsed().as_micros() as u64,
-                    });
+                    return Ok(slice_reply(&hit, true, started));
                 }
                 shard.cluster.forwards.fetch_add(1, Ordering::Relaxed);
                 let reply = cluster
@@ -629,18 +677,10 @@ fn try_execute(
                     })?;
                 let wire = Arc::new(reply.slice);
                 shard.cache.insert(key, Arc::clone(&wire));
-                return Ok(Response::Slice {
-                    slice: (*wire).clone(),
-                    cached: false,
-                    micros: started.elapsed().as_micros() as u64,
-                });
+                return Ok(slice_reply(&wire, false, started));
             }
             let (wire, cached) = slice_local(shard, &slot, digest, criterion, options)?;
-            Ok(Response::Slice {
-                slice: (*wire).clone(),
-                cached,
-                micros: started.elapsed().as_micros() as u64,
-            })
+            Ok(slice_reply(&wire, cached, started))
         }
         Request::Relog {
             session,
@@ -657,14 +697,7 @@ fn try_execute(
                         .cluster
                         .peer_cache_hits
                         .fetch_add(1, Ordering::Relaxed);
-                    return Ok(Response::Relogged {
-                        digest: hit.digest,
-                        instructions: hit.report.instructions,
-                        kept: hit.report.kept,
-                        excluded: hit.report.excluded,
-                        cached: true,
-                        micros: started.elapsed().as_micros() as u64,
-                    });
+                    return Ok(relog_reply(&hit, true, started));
                 }
                 shard.cluster.forwards.fetch_add(1, Ordering::Relaxed);
                 let r = cluster
@@ -681,38 +714,22 @@ fn try_execute(
                 // Cache the owner's verdict so repeats answer locally.
                 // The slice pinball itself stays at the owner; a local
                 // open/fetch of `r.digest` pulls it through the store.
-                shard.relog_cache.insert(
-                    key,
-                    Arc::new(RelogOutcome {
-                        digest: r.digest,
-                        report: drdebug::RelogReport {
-                            digest: r.digest,
-                            instructions: r.instructions,
-                            kept: r.kept,
-                            excluded: r.excluded,
-                            ..drdebug::RelogReport::default()
-                        },
-                        bytes: 0,
-                    }),
-                );
-                return Ok(Response::Relogged {
+                let outcome = Arc::new(RelogOutcome {
                     digest: r.digest,
-                    instructions: r.instructions,
-                    kept: r.kept,
-                    excluded: r.excluded,
-                    cached: false,
-                    micros: started.elapsed().as_micros() as u64,
+                    report: drdebug::RelogReport {
+                        digest: r.digest,
+                        instructions: r.instructions,
+                        kept: r.kept,
+                        excluded: r.excluded,
+                        ..drdebug::RelogReport::default()
+                    },
+                    bytes: 0,
                 });
+                shard.relog_cache.insert(key, Arc::clone(&outcome));
+                return Ok(relog_reply(&outcome, false, started));
             }
             let (outcome, cached) = relog_local(state, shard, &slot, digest, criterion, options)?;
-            Ok(Response::Relogged {
-                digest: outcome.digest,
-                instructions: outcome.report.instructions,
-                kept: outcome.report.kept,
-                excluded: outcome.report.excluded,
-                cached,
-                micros: started.elapsed().as_micros() as u64,
-            })
+            Ok(relog_reply(&outcome, cached, started))
         }
         Request::FetchPinball { digest } => {
             let (_, container) = fetch_into_store(state, shard, digest)?;
@@ -777,16 +794,17 @@ fn try_execute(
             let mut streams = shard.streams.lock().expect("streams lock");
             let st = streams.entry(stream).or_insert_with(|| StreamState {
                 program: Arc::new(program),
-                reader: StreamReader::new(),
-                pending: BTreeMap::new(),
                 next_seq: 0,
-                published: None,
-                slicing: None,
+                phase: StreamPhase::Open {
+                    reader: StreamReader::new(),
+                    pending: BTreeMap::new(),
+                    slicing: None,
+                },
             });
             // Re-sending BeginStream for an existing stream is the resume
             // path: the ack carries the high-water mark, so a reconnected
             // client learns exactly which chunks to resend.
-            Ok(stream_ack(stream, st, false))
+            Ok(stream_ack(stream, st))
         }
         Request::AppendChunk { stream, seq, bytes } => {
             let mut streams = shard.streams.lock().expect("streams lock");
@@ -796,15 +814,19 @@ fn try_execute(
             // Duplicates below the high-water mark (a reconnected client
             // blindly resending) and stragglers after sealing are
             // acknowledged idempotently without touching the reader.
-            if st.published.is_none() && seq >= st.next_seq {
+            if let StreamPhase::Open {
+                reader, pending, ..
+            } = &mut st.phase
+            {
                 if seq == st.next_seq {
-                    let absorbed = st.reader.absorb(&bytes).and_then(|()| {
-                        st.next_seq += 1;
+                    let next_seq = &mut st.next_seq;
+                    let absorbed = reader.absorb(&bytes).and_then(|()| {
+                        *next_seq += 1;
                         // The new chunk may have filled the gap in front
                         // of buffered out-of-order arrivals.
-                        while let Some(buffered) = st.pending.remove(&st.next_seq) {
-                            st.reader.absorb(&buffered)?;
-                            st.next_seq += 1;
+                        while let Some(buffered) = pending.remove(next_seq) {
+                            reader.absorb(&buffered)?;
+                            *next_seq += 1;
                         }
                         Ok(())
                     });
@@ -815,45 +837,53 @@ fn try_execute(
                         streams.remove(&stream);
                         return Err(e.into());
                     }
-                } else {
-                    st.pending.insert(seq, bytes);
+                } else if seq > st.next_seq {
+                    pending.insert(seq, bytes);
                 }
             }
-            let st = streams.get(&stream).expect("stream still present");
-            Ok(stream_ack(stream, st, false))
+            Ok(stream_ack(stream, &streams[&stream]))
         }
         Request::SealStream { stream, footer } => {
             let mut streams = shard.streams.lock().expect("streams lock");
             let st = streams
                 .get_mut(&stream)
                 .ok_or(ServeError::UnknownStream { stream })?;
-            if let Some(digest) = st.published {
+            let (reader, pending) = match &mut st.phase {
+                StreamPhase::Open {
+                    reader, pending, ..
+                } => (reader, pending),
                 // Duplicate seal (the ack was lost to a reconnect):
                 // answer idempotently.
-                return Ok(Response::Uploaded {
+                StreamPhase::Sealed {
                     digest,
-                    instructions: st.reader.instructions_absorbed(),
-                    deduped: true,
-                });
-            }
-            if !st.pending.is_empty() {
+                    instructions,
+                    ..
+                } => {
+                    return Ok(Response::Uploaded {
+                        digest: *digest,
+                        instructions: *instructions,
+                        deduped: true,
+                    })
+                }
+            };
+            if !pending.is_empty() {
                 return Err(ServeError::BadRequest {
                     reason: format!(
                         "stream {stream} cannot seal: waiting for chunk {} \
                          ({} buffered beyond the gap)",
                         st.next_seq,
-                        st.pending.len()
+                        pending.len()
                     ),
                 });
             }
-            if let Err(e) = st.reader.absorb(&footer) {
+            if let Err(e) = reader.absorb(&footer) {
                 // Event counts or the trailer failed to validate — chunks
                 // are missing or damaged, and the buffered bytes cannot
                 // be repaired. Drop the stream so a retry starts clean.
                 streams.remove(&stream);
                 return Err(e.into());
             }
-            if !st.reader.is_sealed() {
+            if !reader.is_sealed() {
                 return Err(ServeError::BadRequest {
                     reason: "footer bytes are incomplete; stream is still unsealed".to_string(),
                 });
@@ -861,20 +891,30 @@ fn try_execute(
             // The reader ran the same frame walk a batch load runs, so
             // its container — and its digest — is exactly what a batch
             // upload of the same bytes would have stored.
-            let container = Arc::new(st.reader.finish()?);
-            let bytes = st.reader.sealed_bytes().expect("sealed reader has bytes");
+            let container = Arc::new(reader.finish()?);
             let digest = container.digest();
             let instructions = container.pinball.logged_instructions();
+            let events = container.pinball.events.len() as u64;
             // A stream that never announced its digest could not be
             // redirected at `BeginStream`: push the published container
             // to its owner (best effort, outside the streams lock) so
             // digest routing finds it where the ring says it lives.
-            let push = remote_owner(state, digest)
-                .map(|(cluster, owner)| (cluster, owner, Arc::clone(&st.program), bytes.to_vec()));
+            let push = remote_owner(state, digest).map(|(cluster, owner)| {
+                let bytes = reader.sealed_bytes().expect("sealed reader has bytes");
+                (cluster, owner, Arc::clone(&st.program), bytes.to_vec())
+            });
             let deduped = state
                 .store
                 .insert_if_absent(digest, Arc::clone(&st.program), container);
-            st.published = Some(digest);
+            // Keep the store's copy, whichever insert won, and drop the
+            // reader with its upload bytes and decoded events.
+            let (_, container) = state.store.get(digest).expect("published above");
+            st.phase = StreamPhase::Sealed {
+                digest,
+                container,
+                events,
+                instructions,
+            };
             drop(streams);
             if let Some((cluster, owner, program, bytes)) = push {
                 shard.cluster.peer_pushes.fetch_add(1, Ordering::Relaxed);
@@ -893,21 +933,34 @@ fn try_execute(
             let st = streams
                 .get(&stream)
                 .ok_or(ServeError::UnknownStream { stream })?;
-            Ok(stream_ack(stream, st, false))
+            Ok(stream_ack(stream, st))
         }
         Request::Tail { stream } => {
             let streams = shard.streams.lock().expect("streams lock");
             let st = streams
                 .get(&stream)
                 .ok_or(ServeError::UnknownStream { stream })?;
+            let (instructions, expected_events, digest) = match &st.phase {
+                StreamPhase::Open { reader, .. } => (
+                    reader.instructions_absorbed(),
+                    reader.events_expected().unwrap_or(0),
+                    None,
+                ),
+                StreamPhase::Sealed {
+                    digest,
+                    events,
+                    instructions,
+                    ..
+                } => (*instructions, *events, Some(*digest)),
+            };
             Ok(Response::TailUpdate {
                 stream,
                 chunks: st.next_seq,
-                events: st.reader.events_absorbed() as u64,
-                instructions: st.reader.instructions_absorbed(),
-                expected_events: st.reader.events_expected().unwrap_or(0),
-                sealed: st.reader.is_sealed(),
-                digest: st.published,
+                events: st.events(),
+                instructions,
+                expected_events,
+                sealed: digest.is_some(),
+                digest,
             })
         }
         Request::SliceStream {
@@ -920,16 +973,21 @@ fn try_execute(
             let st = streams
                 .get_mut(&stream)
                 .ok_or(ServeError::UnknownStream { stream })?;
-            if st.reader.events_absorbed() == 0 {
+            let events = st.events();
+            if events == 0 {
                 return Err(ServeError::BadRequest {
                     reason: "stream has no replay events yet; nothing to slice".to_string(),
                 });
             }
-            // Replay the absorbed prefix to collect its records. Replay
-            // is deterministic, so the records seen on earlier requests
-            // come back unchanged and the cached trace/index below only
-            // pay for the new suffix.
-            let container = st.reader.partial_container()?;
+            // Replay the absorbed prefix — or, once sealed, the store's
+            // container — to collect its records. Replay is
+            // deterministic, so the records seen on earlier requests come
+            // back unchanged and the cached trace/index below only pay
+            // for the new suffix.
+            let container = match &st.phase {
+                StreamPhase::Open { reader, .. } => Arc::new(reader.partial_container()?),
+                StreamPhase::Sealed { container, .. } => Arc::clone(container),
+            };
             let collect_opts = SlicerOptions {
                 // Appends must keep prefix positions stable.
                 cluster: false,
@@ -957,34 +1015,43 @@ fn try_execute(
             };
             let fingerprint = options.fingerprint();
             let (trace, pairs) = session.into_trace_and_pairs();
-            match &mut st.slicing {
-                Some(s) if s.fingerprint == fingerprint => {
-                    let done = s.trace.records().len();
-                    s.trace.extend(trace.records()[done..].to_vec());
-                    s.index.append(&s.trace, &pairs, &options);
+            let sealed_index;
+            let index = match &mut st.phase {
+                StreamPhase::Open { slicing, .. } => {
+                    match &mut *slicing {
+                        Some(s) if s.fingerprint == fingerprint => {
+                            let done = s.trace.records().len();
+                            s.trace.extend(trace.records()[done..].to_vec());
+                            s.index.append(&s.trace, &pairs, &options);
+                        }
+                        // The collection's own unclustered trace becomes
+                        // the cached one: no copy, and its spare capacity
+                        // takes later appends.
+                        slot => {
+                            let index = DepIndex::build(&trace, &pairs, &options);
+                            *slot = Some(StreamSlicing {
+                                fingerprint,
+                                trace,
+                                index,
+                            });
+                        }
+                    }
+                    &slicing.as_ref().expect("slicing state installed").index
                 }
-                // The collection's own unclustered trace becomes the cached
-                // one: no copy, and its spare capacity takes later appends.
-                slot => {
-                    let index = DepIndex::build(&trace, &pairs, &options);
-                    *slot = Some(StreamSlicing {
-                        fingerprint,
-                        trace,
-                        index,
-                    });
+                StreamPhase::Sealed { .. } => {
+                    sealed_index = DepIndex::build(&trace, &pairs, &options);
+                    &sealed_index
                 }
-            }
-            let slicing = st.slicing.as_ref().expect("slicing state installed");
-            if slicing.trace.position(criterion.record_id()).is_none() {
+            };
+            if index.position(criterion.record_id()).is_none() {
                 return Err(ServeError::BadRequest {
                     reason: format!(
                         "criterion record is not in the absorbed prefix \
-                         ({} events so far)",
-                        st.reader.events_absorbed()
+                         ({events} events so far)"
                     ),
                 });
             }
-            let slice = compute_slice_indexed(&slicing.index, criterion);
+            let slice = compute_slice_indexed(index, criterion);
             Ok(Response::Slice {
                 slice: WireSlice::from_slice(&slice),
                 cached: false,
@@ -1010,11 +1077,7 @@ fn try_execute(
             let started = Instant::now();
             let slot = peer_session(state, shard, digest)?;
             let (wire, cached) = slice_local(shard, &slot, digest, criterion, options)?;
-            Ok(Response::Slice {
-                slice: (*wire).clone(),
-                cached,
-                micros: started.elapsed().as_micros() as u64,
-            })
+            Ok(slice_reply(&wire, cached, started))
         }
         Request::PeerRelog {
             digest,
@@ -1024,14 +1087,7 @@ fn try_execute(
             let started = Instant::now();
             let slot = peer_session(state, shard, digest)?;
             let (outcome, cached) = relog_local(state, shard, &slot, digest, criterion, options)?;
-            Ok(Response::Relogged {
-                digest: outcome.digest,
-                instructions: outcome.report.instructions,
-                kept: outcome.report.kept,
-                excluded: outcome.report.excluded,
-                cached,
-                micros: started.elapsed().as_micros() as u64,
-            })
+            Ok(relog_reply(&outcome, cached, started))
         }
         Request::FetchStored { digest } => {
             // Local store only — never forwarded, so peer fetch chains
@@ -1051,6 +1107,53 @@ fn try_execute(
             known: state.store.program_of(digest).is_some(),
         }),
     }
+}
+
+/// A `Slice` reply timed from `started`.
+fn slice_reply(slice: &WireSlice, cached: bool, started: Instant) -> Response {
+    Response::Slice {
+        slice: slice.clone(),
+        cached,
+        micros: started.elapsed().as_micros() as u64,
+    }
+}
+
+/// A `Relogged` reply timed from `started`.
+fn relog_reply(outcome: &RelogOutcome, cached: bool, started: Instant) -> Response {
+    Response::Relogged {
+        digest: outcome.digest,
+        instructions: outcome.report.instructions,
+        kept: outcome.report.kept,
+        excluded: outcome.report.excluded,
+        cached,
+        micros: started.elapsed().as_micros() as u64,
+    }
+}
+
+/// Runs `f` on a pooled session under its lock.
+fn on_session<R>(
+    shard: &Shard,
+    session: SessionId,
+    f: impl FnOnce(&mut DebugSession) -> R,
+) -> Result<R, ServeError> {
+    let (slot, _) = shard.pool.checkout(session)?;
+    let mut guard = slot.lock().expect("session lock");
+    Ok(f(&mut guard))
+}
+
+/// Moves a pooled session with `motion` and answers where it stopped.
+fn stop(
+    shard: &Shard,
+    session: SessionId,
+    motion: impl FnOnce(&mut DebugSession) -> StopReason,
+) -> Result<Response, ServeError> {
+    on_session(shard, session, |s| {
+        let reason = motion(s);
+        Response::Stopped {
+            reason: reason.into(),
+            position: s.position(),
+        }
+    })
 }
 
 /// The answer a standalone (cluster-less) node gives to gossip traffic.
@@ -1090,7 +1193,7 @@ fn peer_session(
     state: &ServiceState,
     shard: &Shard,
     digest: PinballDigest,
-) -> Result<Arc<Mutex<drdebug::DebugSession>>, ServeError> {
+) -> Result<Arc<Mutex<DebugSession>>, ServeError> {
     let mut sessions = shard.peer_sessions.lock().expect("peer sessions lock");
     if let Some(slot) = sessions.get(&digest) {
         return Ok(Arc::clone(slot));
@@ -1105,7 +1208,7 @@ fn peer_session(
     if sessions.len() >= state.config.max_sessions.max(1) * 4 {
         sessions.clear();
     }
-    let slot = Arc::new(Mutex::new(drdebug::DebugSession::with_shared_container(
+    let slot = Arc::new(Mutex::new(DebugSession::with_shared_container(
         program, container,
     )));
     sessions.insert(digest, Arc::clone(&slot));
@@ -1154,7 +1257,7 @@ fn fetch_into_store(
 /// session — the shared tail of `ComputeSlice` and `PeerSlice`.
 fn slice_local(
     shard: &Shard,
-    slot: &Arc<Mutex<drdebug::DebugSession>>,
+    slot: &Arc<Mutex<DebugSession>>,
     digest: PinballDigest,
     criterion: Criterion,
     options: SliceOptions,
@@ -1183,7 +1286,7 @@ fn slice_local(
 /// worker thread.
 fn shard_index(
     shard: &Shard,
-    slot: &Arc<Mutex<drdebug::DebugSession>>,
+    slot: &Arc<Mutex<DebugSession>>,
     digest: PinballDigest,
     options: &SliceOptions,
     criterion: Criterion,
@@ -1208,7 +1311,7 @@ fn shard_index(
 fn relog_local(
     state: &ServiceState,
     shard: &Shard,
-    slot: &Arc<Mutex<drdebug::DebugSession>>,
+    slot: &Arc<Mutex<DebugSession>>,
     digest: PinballDigest,
     criterion: Criterion,
     options: SliceOptions,
@@ -1244,7 +1347,7 @@ fn relog_local(
 
 /// Resolves where a slice anchors into a concrete [`Criterion`].
 fn resolve_criterion(
-    slot: &Arc<Mutex<drdebug::DebugSession>>,
+    slot: &Arc<Mutex<DebugSession>>,
     at: SliceAt,
 ) -> Result<Criterion, ServeError> {
     match at {
@@ -1405,5 +1508,55 @@ mod tests {
         let hits: std::collections::HashSet<usize> =
             (0..8).map(|_| service.route(&Request::Stats)).collect();
         assert_eq!(hits.len(), 4, "round-robin touches every shard");
+    }
+
+    #[test]
+    fn a_sealed_stream_keeps_the_store_container_and_no_reader() {
+        let program = Arc::new(
+            minivm::assemble(
+                ".text\n.func main\n movi r1, 1\n addi r1, r1, 1\n print r1\n halt\n.endfunc\n",
+            )
+            .unwrap(),
+        );
+        let rec = pinplay::record_whole_program(
+            &program,
+            &mut minivm::RoundRobin::new(8),
+            &mut minivm::LiveEnv::new(0),
+            10_000,
+            "sealed-stream",
+        )
+        .unwrap();
+        let writer = pinplay::StreamWriter::new(&PinballContainer::new(rec.pinball)).unwrap();
+        let service = Service::new(ServeConfig {
+            shards: 1,
+            ..ServeConfig::default()
+        });
+        let stream = 7;
+        service.call(Request::BeginStream {
+            stream,
+            program: (*program).clone(),
+            expect_digest: None,
+        });
+        for (seq, bytes) in writer.chunks(3).into_iter().enumerate() {
+            service.call(Request::AppendChunk {
+                stream,
+                seq: seq as u32,
+                bytes: bytes.to_vec(),
+            });
+        }
+        let sealed = service.call(Request::SealStream {
+            stream,
+            footer: writer.footer().to_vec(),
+        });
+        let Response::Uploaded { digest, .. } = sealed else {
+            panic!("seal failed: {sealed:?}")
+        };
+        let state = &service.inner.state;
+        let (_, stored) = state.store.get(digest).unwrap();
+        let streams = state.shards[0].streams.lock().unwrap();
+        let StreamPhase::Sealed { container, .. } = &streams[&stream].phase else {
+            panic!("a sealed stream still holds its reader")
+        };
+        assert!(Arc::ptr_eq(container, &stored), "no second copy");
     }
 }

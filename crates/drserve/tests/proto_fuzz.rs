@@ -15,6 +15,7 @@ use std::sync::Once;
 use drserve::{
     proto, RecvError, Request, Response, ServeConfig, ServeError, Server, SliceAt, REQUEST_KIND,
 };
+use minivm::Reg;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use slicer::SliceOptions;
 
@@ -41,17 +42,40 @@ fn assert_no_panics() {
     );
 }
 
-fn sample_frame() -> Vec<u8> {
-    let request = Request::ComputeSlice {
-        session: 42,
-        at: SliceAt::Here {
-            key: Some(slicer::LocKey::Mem(0x1000)),
+/// One frame per request shape the sweeps cover: a slice request, and
+/// every stepping, reverse and inspection op. Session 42 is never opened,
+/// so each intact frame decodes, dispatches and gets a typed error.
+fn sample_frames() -> Vec<Vec<u8>> {
+    let session = 42;
+    let addr = 0x1000;
+    [
+        Request::ComputeSlice {
+            session,
+            at: SliceAt::Here {
+                key: Some(slicer::LocKey::Mem(addr)),
+            },
+            options: SliceOptions::default(),
         },
-        options: SliceOptions::default(),
-    };
-    let mut buf = Vec::new();
-    proto::write_message(&mut buf, REQUEST_KIND, &request).expect("encodes");
-    buf
+        Request::Watch { session, addr },
+        Request::Delete { session, id: 3 },
+        Request::StepI { session },
+        Request::ReverseStepI { session },
+        Request::ReverseRun { session },
+        Request::ReadReg {
+            session,
+            tid: 7,
+            reg: Reg(200),
+        },
+        Request::ReadMem { session, addr },
+        Request::Threads { session },
+    ]
+    .iter()
+    .map(|request| {
+        let mut buf = Vec::new();
+        proto::write_message(&mut buf, REQUEST_KIND, request).expect("encodes");
+        buf
+    })
+    .collect()
 }
 
 /// Sends `input` over a fresh loopback connection, half-closes the write
@@ -92,38 +116,40 @@ fn assert_error_then_eof(replies: &[Response], input: &[u8], what: &str) {
 
 #[test]
 fn every_single_bit_flip_is_a_typed_recv_error() {
-    let frame = sample_frame();
-    assert!(frame.len() > 32, "fuzz target too small to be interesting");
-    for offset in 0..frame.len() {
-        for bit in 0..8 {
-            let mut bad = frame.clone();
-            bad[offset] ^= 1 << bit;
-            let mut cursor = &bad[..];
-            let err = proto::read_message::<_, Request>(&mut cursor, REQUEST_KIND).expect_err(
-                &format!("flip at byte {offset} bit {bit} must not decode cleanly"),
-            );
-            assert!(
-                matches!(err, RecvError::Frame { .. }),
-                "flip at byte {offset} bit {bit}: expected a frame error, got {err:?}"
-            );
+    for frame in sample_frames() {
+        assert!(frame.len() > 32, "fuzz target too small to be interesting");
+        for offset in 0..frame.len() {
+            for bit in 0..8 {
+                let mut bad = frame.clone();
+                bad[offset] ^= 1 << bit;
+                let mut cursor = &bad[..];
+                let err = proto::read_message::<_, Request>(&mut cursor, REQUEST_KIND).expect_err(
+                    &format!("flip at byte {offset} bit {bit} must not decode cleanly"),
+                );
+                assert!(
+                    matches!(err, RecvError::Frame { .. }),
+                    "flip at byte {offset} bit {bit}: expected a frame error, got {err:?}"
+                );
+            }
         }
     }
 }
 
 #[test]
 fn every_truncation_is_disconnect_or_typed_frame_error() {
-    let frame = sample_frame();
-    for len in 0..frame.len() {
-        let mut cursor = &frame[..len];
-        let err = proto::read_message::<_, Request>(&mut cursor, REQUEST_KIND)
-            .expect_err(&format!("truncation to {len} bytes must not decode"));
-        if len == 0 {
-            assert_eq!(err, RecvError::Disconnected, "EOF at boundary is clean");
-        } else {
-            assert!(
-                matches!(err, RecvError::Frame { .. }),
-                "truncation to {len} bytes: expected a frame error, got {err:?}"
-            );
+    for frame in sample_frames() {
+        for len in 0..frame.len() {
+            let mut cursor = &frame[..len];
+            let err = proto::read_message::<_, Request>(&mut cursor, REQUEST_KIND)
+                .expect_err(&format!("truncation to {len} bytes must not decode"));
+            if len == 0 {
+                assert_eq!(err, RecvError::Disconnected, "EOF at boundary is clean");
+            } else {
+                assert!(
+                    matches!(err, RecvError::Frame { .. }),
+                    "truncation to {len} bytes: expected a frame error, got {err:?}"
+                );
+            }
         }
     }
 }
@@ -131,27 +157,34 @@ fn every_truncation_is_disconnect_or_typed_frame_error() {
 #[test]
 fn server_answers_one_error_then_disconnects_for_every_flip() {
     watch_panics();
-    let frame = sample_frame();
     let server = Server::new(ServeConfig::default());
-    let mut silent = 0;
-    for offset in 0..frame.len() {
-        for bit in 0..8 {
-            let mut bad = frame.clone();
-            bad[offset] ^= 1 << bit;
-            let replies = exchange(&server, &bad);
-            // A flip in the *payload variant tags* could decode to a
-            // different well-formed request; that is fine — the CRC
-            // guards transport damage, not semantics — but the response
-            // must still be typed, and here every decodable mutation
-            // hits an unknown session.
-            assert_error_then_eof(&replies, &bad, &format!("flip at byte {offset} bit {bit}"));
-            silent += usize::from(replies.is_empty());
+    for frame in sample_frames() {
+        // The intact frame decodes and dispatches: one typed error.
+        let replies = exchange(&server, &frame);
+        assert!(
+            matches!(replies[..], [Response::Error(_)]),
+            "intact frame: {replies:?}"
+        );
+        let mut silent = 0;
+        for offset in 0..frame.len() {
+            for bit in 0..8 {
+                let mut bad = frame.clone();
+                bad[offset] ^= 1 << bit;
+                let replies = exchange(&server, &bad);
+                // A flip in the *payload variant tags* could decode to a
+                // different well-formed request; that is fine — the CRC
+                // guards transport damage, not semantics — but the
+                // response must still be typed, and here every decodable
+                // mutation hits an unknown session.
+                assert_error_then_eof(&replies, &bad, &format!("flip at byte {offset} bit {bit}"));
+                silent += usize::from(replies.is_empty());
+            }
         }
+        // Only flips that inflate the declared length leave a truncated
+        // frame; most damage is answered with a typed error.
+        assert!(silent > 0, "some flips must grow the length varint");
+        assert!(silent < frame.len(), "most flips are answered, not dropped");
     }
-    // Only flips that inflate the declared length leave a truncated
-    // frame; most damage is answered with a typed error.
-    assert!(silent > 0, "some flips must grow the length varint");
-    assert!(silent < frame.len(), "most flips are answered, not dropped");
     assert_no_panics();
 }
 

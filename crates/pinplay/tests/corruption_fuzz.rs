@@ -72,6 +72,14 @@ fn every_single_bit_flip_is_a_typed_error() {
                 let err = PinballContainer::from_bytes(&bad).expect_err(&format!(
                     "{tag}: flip at byte {offset} bit {bit} must not load cleanly"
                 ));
+                // The reason travels verbatim in a server's error reply:
+                // it names what went wrong, never dumps the decoded value.
+                let reason = err.to_string();
+                assert!(
+                    reason.len() <= 256,
+                    "{tag}: flip at byte {offset} bit {bit}: {}-character error",
+                    reason.len()
+                );
                 assert_eq!(
                     inspect(&bad).err().as_ref(),
                     Some(&err),

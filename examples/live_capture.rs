@@ -80,7 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         assert!(matches!(stop, StopReason::Trapped(_)));
         println!(
             "debug iteration {iteration}: failure reproduced, r1 = {}",
-            dbg.read_reg(0, minivm::Reg(1))
+            dbg.read_reg(0, minivm::Reg(1)).expect("main thread exists")
         );
         dbg.restart();
     }

@@ -59,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     session.add_breakpoint(xadd_pc, None);
     let stop = session.cont();
     println!("first session stopped: {stop:?}");
-    let r3_first = session.read_reg(0, Reg(3));
+    let r3_first = session.read_reg(0, Reg(3)).expect("main thread exists");
     println!("  rand() result r3 = {r3_first}");
 
     // 3. Cyclic debugging: restart and observe the *same* values — the
@@ -67,7 +67,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     session.restart();
     let stop2 = session.cont();
     assert_eq!(stop, stop2, "same stop on every iteration");
-    assert_eq!(session.read_reg(0, Reg(3)), r3_first, "same rand() result");
+    assert_eq!(
+        session.read_reg(0, Reg(3)),
+        Some(r3_first),
+        "same rand() result"
+    );
     println!("second session: identical stop and identical state");
 
     // 4. Run to the end and check the program output replays too.
