@@ -7,11 +7,9 @@
 //! checkpoint and replays only the tail chunk — O(chunk) rather than
 //! O(region). This bench quantifies that on a ~100k-record
 //! [`four_thread_needle`](bench::exp::four_thread_needle) trace at
-//! 25/50/75% depth, and records the medians in
-//! `target/bench/seek.json` for the CI trend line.
+//! 25/50/75% depth.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use bench::exp::record_needle;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -20,27 +18,18 @@ use pinplay::{PinballContainer, Replayer, DEFAULT_CHECKPOINT_INTERVAL};
 
 const ITERS: u64 = 4_200;
 
-fn median_of(n: usize, mut f: impl FnMut()) -> Duration {
-    let mut samples: Vec<Duration> = (0..n)
-        .map(|_| {
-            let started = Instant::now();
-            f();
-            started.elapsed()
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
-
 fn bench_seek(c: &mut Criterion) {
     let (program, pinball) = record_needle(ITERS);
     let total = pinball.logged_instructions();
     let container =
         PinballContainer::with_checkpoints(pinball, &program, DEFAULT_CHECKPOINT_INTERVAL);
+    println!(
+        "seek: {total} instructions, {} checkpoints every {DEFAULT_CHECKPOINT_INTERVAL}",
+        container.checkpoints.len(),
+    );
 
     let mut group = c.benchmark_group("seek");
     group.sample_size(10);
-    let mut points = Vec::new();
     for pct in [25u64, 50, 75] {
         let target = total * pct / 100;
         group.bench_with_input(
@@ -65,39 +54,8 @@ fn bench_seek(c: &mut Criterion) {
                 })
             },
         );
-
-        // Separately measured medians for the JSON record (the vendored
-        // criterion prints but does not persist timings).
-        let full = median_of(5, || {
-            let mut r = Replayer::new(Arc::clone(&program), &container.pinball);
-            r.run_steps(target, &mut NullTool);
-        });
-        let seek = median_of(5, || {
-            let mut r = Replayer::new(Arc::clone(&program), &container.pinball);
-            r.seek_to(&container, target);
-        });
-        points.push(format!(
-            "{{\"percent\": {pct}, \"target_instructions\": {target}, \
-             \"full_replay_ns\": {}, \"checkpoint_seek_ns\": {}, \"speedup\": {:.2}}}",
-            full.as_nanos(),
-            seek.as_nanos(),
-            full.as_secs_f64() / seek.as_secs_f64().max(1e-12),
-        ));
     }
     group.finish();
-
-    let report = format!(
-        "{{\n  \"bench\": \"seek\",\n  \"workload\": \"four_thread_needle\",\n  \
-         \"iters\": {ITERS},\n  \"total_instructions\": {total},\n  \
-         \"checkpoint_interval\": {DEFAULT_CHECKPOINT_INTERVAL},\n  \
-         \"embedded_checkpoints\": {},\n  \"points\": [\n    {}\n  ]\n}}\n",
-        container.checkpoints.len(),
-        points.join(",\n    "),
-    );
-    match bench::report::write_report("seek.json", &report) {
-        Ok(path) => println!("seek bench report written to {}", path.display()),
-        Err(e) => eprintln!("seek bench report not written: {e}"),
-    }
 }
 
 criterion_group!(seek, bench_seek);

@@ -11,13 +11,13 @@
 //!   trace and dependence index are rebuilt from scratch;
 //! * **incremental** — the same first slice when the 15-chunk index
 //!   already exists and the final chunk pays only `extend` + `append`.
-//!
-//! Medians land in `target/bench/stream.json` for the CI trend line.
+//!   Each sample rebuilds that prefix state untimed first, which the
+//!   criterion closure cannot express, so this step is timed by hand.
 //!
 //! [`four_thread_churn`]: bench::exp::four_thread_churn
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use bench::exp::churn_parts;
 use criterion::{criterion_group, criterion_main, Criterion as Bencher};
@@ -28,18 +28,7 @@ use slicer::{
 
 const ITERS: u64 = 1_000;
 const CHUNKS: usize = 16;
-
-fn median_of(n: usize, mut f: impl FnMut()) -> Duration {
-    let mut samples: Vec<Duration> = (0..n)
-        .map(|_| {
-            let started = Instant::now();
-            f();
-            started.elapsed()
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
+const INCREMENTAL_SAMPLES: usize = 5;
 
 fn bench_stream(c: &mut Bencher) {
     let collect = SlicerOptions {
@@ -58,7 +47,14 @@ fn bench_stream(c: &mut Bencher) {
         CHUNKS,
         "churn recording has >= 16 chunk groups"
     );
-    let container_bytes = writer.sealed_bytes().len();
+    let records = session.trace().records();
+    let block = session.trace().block_size();
+    let opts = SliceOptions::default();
+    println!(
+        "stream: {} records, {CHUNKS} chunks, {} container bytes",
+        records.len(),
+        writer.sealed_bytes().len(),
+    );
 
     let mut group = c.benchmark_group("stream");
     group.sample_size(10);
@@ -73,16 +69,14 @@ fn bench_stream(c: &mut Bencher) {
             reader.bytes_absorbed()
         })
     });
-    group.finish();
-
-    let absorb = median_of(5, || {
-        let mut reader = StreamReader::default();
-        for piece in &pieces {
-            reader.absorb(piece).expect("chunk absorbs");
-        }
-        reader.absorb(writer.footer()).expect("footer absorbs");
-        assert!(reader.is_sealed());
+    group.bench_function("rebuild-index-and-slice", |b| {
+        b.iter(|| {
+            let trace = GlobalTrace::build_with(records.to_vec(), block, false, false);
+            let index = DepIndex::build(&trace, session.pairs(), &opts);
+            assert!(!compute_slice_indexed(&index, criterion).records.is_empty());
+        })
     });
+    group.finish();
 
     // The 15-chunk prefix state, collected the way the server collects it.
     let mut reader = StreamReader::default();
@@ -92,20 +86,11 @@ fn bench_stream(c: &mut Bencher) {
     let prefix = reader.partial_container().expect("prefix collects");
     let psession = SliceSession::collect(Arc::clone(&program), &prefix.pinball, collect);
     let done = psession.trace().records().len();
-    let records = session.trace().records();
-    let block = session.trace().block_size();
-    let opts = SliceOptions::default();
-
-    let rebuild = median_of(5, || {
-        let trace = GlobalTrace::build_with(records.to_vec(), block, false, false);
-        let index = DepIndex::build(&trace, session.pairs(), &opts);
-        assert!(!compute_slice_indexed(&index, criterion).records.is_empty());
-    });
 
     // Fresh prefix state per sample (untimed); the timed region is what a
     // streaming server pays per arriving chunk: extend + append + slice.
     let mut samples = Vec::new();
-    for _ in 0..5 {
+    for _ in 0..INCREMENTAL_SAMPLES {
         let mut trace =
             GlobalTrace::build_with(psession.trace().records().to_vec(), block, false, false);
         let mut index = DepIndex::build(&trace, psession.pairs(), &opts);
@@ -116,25 +101,11 @@ fn bench_stream(c: &mut Bencher) {
         samples.push(started.elapsed());
     }
     samples.sort_unstable();
-    let incremental = samples[samples.len() / 2];
-
-    let report = format!(
-        "{{\n  \"bench\": \"stream\",\n  \"workload\": \"four_thread_churn\",\n  \
-         \"iters\": {ITERS},\n  \"records\": {},\n  \"chunks\": {CHUNKS},\n  \
-         \"container_bytes\": {container_bytes},\n  \"absorb_ns\": {},\n  \
-         \"absorb_mb_per_s\": {:.2},\n  \"rebuild_ns\": {},\n  \
-         \"incremental_ns\": {},\n  \"incremental_speedup\": {:.2}\n}}\n",
-        records.len(),
-        absorb.as_nanos(),
-        container_bytes as f64 / 1.0e6 / absorb.as_secs_f64().max(1e-12),
-        rebuild.as_nanos(),
-        incremental.as_nanos(),
-        rebuild.as_secs_f64() / incremental.as_secs_f64().max(1e-12),
+    println!(
+        "{:<50} median {:>12?}  ({INCREMENTAL_SAMPLES} samples, prefix rebuilt untimed)",
+        "stream/incremental-extend-append-and-slice",
+        samples[samples.len() / 2],
     );
-    match bench::report::write_report("stream.json", &report) {
-        Ok(path) => println!("stream bench report written to {}", path.display()),
-        Err(e) => eprintln!("stream bench report not written: {e}"),
-    }
 }
 
 criterion_group!(stream, bench_stream);

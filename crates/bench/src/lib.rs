@@ -1,12 +1,12 @@
 //! Shared machinery for regenerating the paper's tables and figures.
 //!
-//! The `paper_tables` binary drives [`tables`]; the criterion benches under
-//! `benches/` reuse the same helpers at smaller sizes. See `EXPERIMENTS.md`
+//! The `paper_tables` binary drives [`tables`]; the gates under `tests/`
+//! and the `seek` and `stream` benches reuse the same helpers at smaller
+//! sizes. See `EXPERIMENTS.md`
 //! at the repository root for the paper-vs-measured record.
 
 pub mod corpus;
 pub mod exp;
-pub mod report;
 pub mod serveload;
 pub mod tables;
 

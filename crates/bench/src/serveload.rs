@@ -2,11 +2,10 @@
 //!
 //! The question this answers: how many *stats-class* requests per second
 //! does the server sustain when a fleet of connections keeps it saturated,
-//! versus the single-client ping-pong number the `serve` bench reports?
-//! The sharded server's whole design — dispatcher multiplexing, per-shard
-//! queues, batch draining, shared pre-encoded `Stats` frames — exists for
-//! this ratio, so both the `saturation` bench and the CI gate
-//! (`tests/saturation_gate.rs`) run the same driver from this module.
+//! versus a single client's ping-pong round trips? The sharded server's
+//! whole design — dispatcher multiplexing, per-shard queues, batch
+//! draining, shared pre-encoded `Stats` frames — exists for this ratio,
+//! which the CI gate (`tests/saturation_gate.rs`) asserts.
 //!
 //! The fleet is raw on purpose: each connection is a bare
 //! [`drserve::LoopbackStream`] speaking pre-encoded frames, with
@@ -23,24 +22,17 @@ use drserve::{ServeConfig, ServeStats, Server};
 /// What one saturation run measured.
 #[derive(Debug, Clone)]
 pub struct SaturationReport {
-    /// Single-client, unbatched, single-shard round trips per second —
-    /// the ping-pong number the `serve` bench also reports.
+    /// Single-client, unbatched, single-shard round trips per second.
     pub baseline_rps: f64,
     /// Fleet throughput against the sharded, batching server.
     pub fleet_rps: f64,
     /// `fleet_rps / baseline_rps`.
     pub speedup: f64,
-    /// Median window latency: one connection's `pipeline_depth` requests,
-    /// write-to-last-reply.
-    pub p50: Duration,
-    /// 99th-percentile window latency.
+    /// 99th-percentile window latency: one connection's `pipeline_depth`
+    /// requests, write-to-last-reply.
     pub p99: Duration,
     /// Requests the fleet completed inside the measured rounds.
     pub total_requests: u64,
-    /// Fleet connections driven.
-    pub connections: usize,
-    /// Requests in flight per connection.
-    pub pipeline_depth: usize,
     /// Final stats snapshot of the saturated server (shard breakdown,
     /// batch counts, shed counts).
     pub stats: ServeStats,
@@ -91,7 +83,8 @@ pub fn baseline_stats_rps(server: &Server, samples: usize) -> f64 {
 
 /// Drives `connections` pipelined loopback connections against `server`
 /// for `rounds` measured rounds (plus one warm-up round) and returns the
-/// throughput and latency distribution.
+/// throughput, the 99th-percentile window latency and the requests
+/// completed.
 ///
 /// Each round writes one burst of `pipeline_depth` pre-encoded `Stats`
 /// frames per connection — a single `write_all`, so the dispatcher's read
@@ -103,7 +96,7 @@ pub fn run_fleet(
     connections: usize,
     pipeline_depth: usize,
     rounds: usize,
-) -> (f64, Duration, Duration, u64) {
+) -> (f64, Duration, u64) {
     let mut conns: Vec<drserve::LoopbackStream> = (0..connections)
         .map(|_| server.loopback_connect())
         .collect();
@@ -179,9 +172,8 @@ pub fn run_fleet(
     let total = (rounds * connections * pipeline_depth) as u64;
     let rps = total as f64 / elapsed.as_secs_f64().max(1e-12);
     samples.sort_unstable();
-    let p50 = samples[samples.len() / 2];
     let p99 = samples[(samples.len() * 99) / 100..][0];
-    (rps, p50, p99, total)
+    (rps, p99, total)
 }
 
 /// The full saturation experiment: baseline server, fleet server, ratio.
@@ -195,41 +187,14 @@ pub fn run_saturation(
         baseline_stats_rps(&server, 200)
     };
     let server = Server::new(fleet_config(connections, pipeline_depth));
-    let (fleet_rps, p50, p99, total_requests) =
-        run_fleet(&server, connections, pipeline_depth, rounds);
+    let (fleet_rps, p99, total_requests) = run_fleet(&server, connections, pipeline_depth, rounds);
     let stats = server.stats();
     SaturationReport {
         baseline_rps,
         fleet_rps,
         speedup: fleet_rps / baseline_rps.max(1e-12),
-        p50,
         p99,
         total_requests,
-        connections,
-        pipeline_depth,
         stats,
     }
-}
-
-/// Renders a report as the `saturation.json` payload.
-pub fn to_json(r: &SaturationReport) -> String {
-    format!(
-        "{{\n  \"bench\": \"saturation\",\n  \"connections\": {},\n  \
-         \"pipeline_depth\": {},\n  \"total_requests\": {},\n  \
-         \"baseline_stats_rps\": {:.0},\n  \"fleet_stats_rps\": {:.0},\n  \
-         \"saturation_speedup\": {:.2},\n  \"p50_window_us\": {},\n  \
-         \"p99_window_us\": {},\n  \"shards\": {},\n  \"batches\": {},\n  \
-         \"shed\": {}\n}}\n",
-        r.connections,
-        r.pipeline_depth,
-        r.total_requests,
-        r.baseline_rps,
-        r.fleet_rps,
-        r.speedup,
-        r.p50.as_micros(),
-        r.p99.as_micros(),
-        r.stats.shards.len(),
-        r.stats.shards.iter().map(|s| s.batches).sum::<u64>(),
-        r.stats.shed,
-    )
 }

@@ -333,12 +333,21 @@ impl CommandInterpreter {
             return "usage: x <addr> [count]".to_owned();
         };
         let n: u64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(1);
-        // The listing stops at the top of the address space.
-        (0..n)
-            .map_while(|i| addr.checked_add(i))
+        // The listing stops at the top of the address space, and after
+        // `EXAMINE_MAX_WORDS` words.
+        let n = n.min((u64::MAX - addr).saturating_add(1));
+        let shown = n.min(EXAMINE_MAX_WORDS);
+        let mut lines: Vec<String> = (0..shown)
+            .map(|i| addr + i)
             .map(|a| format!("[{a:#x}] = {}", self.session.read_mem(a)))
-            .collect::<Vec<_>>()
-            .join("\n")
+            .collect();
+        if n > shown {
+            lines.push(format!(
+                "({} more words not listed: x lists at most {EXAMINE_MAX_WORDS})",
+                n - shown
+            ));
+        }
+        lines.join("\n")
     }
 
     fn cmd_where(&mut self) -> String {
@@ -687,6 +696,9 @@ impl CommandInterpreter {
     }
 }
 
+/// The most memory words one `x` command lists.
+const EXAMINE_MAX_WORDS: u64 = 1024;
+
 fn parse_u64(s: &str) -> Option<u64> {
     if let Some(hex) = s.strip_prefix("0x") {
         u64::from_str_radix(hex, 16).ok()
@@ -948,6 +960,29 @@ mod tests {
         assert_eq!(out, "no thread 7");
         let out = d.execute("x 0xffffffffffffffff 2");
         assert_eq!(out, "[0xffffffffffffffff] = 0");
+    }
+
+    #[test]
+    fn x_lists_at_most_the_cap_and_says_how_many_words_it_cut() {
+        let mut d = interp(PROG);
+        let out = d.execute("x 0 1000000");
+        let lines: Vec<&str> = out.lines().collect();
+        assert!(
+            lines.len() as u64 <= EXAMINE_MAX_WORDS + 1,
+            "{}",
+            lines.len()
+        );
+        assert_eq!(lines[0], "[0x0] = 0");
+        let cut = 1_000_000 - EXAMINE_MAX_WORDS;
+        assert!(
+            lines.last().unwrap().contains(&format!("{cut} more words")),
+            "{}",
+            lines.last().unwrap()
+        );
+        // A count within the cap lists every word and no note.
+        let out = d.execute(&format!("x 0 {EXAMINE_MAX_WORDS}"));
+        assert_eq!(out.lines().count() as u64, EXAMINE_MAX_WORDS);
+        assert!(!out.contains("more words"), "{out}");
     }
 
     #[test]

@@ -140,20 +140,6 @@ impl SessionManager {
         Ok((Arc::clone(&slot.session), slot.digest))
     }
 
-    /// The digest a session replays, without refreshing its LRU position.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::UnknownSession`] as for [`SessionManager::checkout`].
-    pub fn digest_of(&self, id: SessionId) -> Result<PinballDigest, ServeError> {
-        let inner = self.inner.lock().expect("pool lock");
-        inner
-            .slots
-            .get(&id)
-            .map(|s| s.digest)
-            .ok_or(ServeError::UnknownSession { session: id })
-    }
-
     /// Closes a session, freeing its slot immediately.
     ///
     /// # Errors

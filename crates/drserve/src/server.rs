@@ -495,7 +495,7 @@ impl Server {
     /// stream speaks the full wire protocol against the dispatcher pool.
     /// Unlike [`Server::loopback_client`] there is no typed client in the
     /// way, so callers can pipeline many request frames before reading
-    /// replies — the saturation benchmark's load generator.
+    /// replies — the saturation gate's load generator.
     pub fn loopback_connect(&self) -> LoopbackStream {
         let (client_end, server_end) = pipe();
         self.dispatch.register(Box::new(server_end));

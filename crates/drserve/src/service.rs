@@ -1330,7 +1330,7 @@ fn relog_local(
                 guard.install_dep_index(fingerprint, index);
                 guard.relog_criterion(criterion, options)
             };
-            let slice_digest = container.digest();
+            let slice_digest = report.digest;
             let bytes = container.to_bytes().map(|b| b.len() as u64).unwrap_or(0);
             if let Some(program) = state.store.program_of(digest) {
                 state

@@ -69,6 +69,6 @@ pub use container::{
 pub use logger::{record_region, record_whole_program, LogError, Recording};
 pub use pinball::{Pinball, PinballError, PinballMeta, RecordedExit, ReplayEvent, ScheduleBuilder};
 pub use region::{EndTrigger, EndWatch, RegionSpec, StartTrigger, StartWatch};
-pub use relog::{relog, relog_container, ExclusionRegion, RelogStats};
+pub use relog::{relog, ExclusionRegion, RelogStats};
 pub use replay::{ReplayStatus, Replayer, SeekOutcome};
 pub use stream::{StreamReader, StreamWriter};

@@ -23,7 +23,6 @@ use serde::{Deserialize, Serialize};
 
 use minivm::{InsEvent, Loc, Pc, Program, Reg, Tid, ToolControl};
 
-use crate::container::PinballContainer;
 use crate::pinball::{Pinball, PinballMeta, ReplayEvent, ScheduleBuilder};
 use crate::replay::{ReplayStatus, Replayer};
 
@@ -172,26 +171,6 @@ pub fn relog(
         exit: region_pinball.exit,
     };
     (pinball, stats)
-}
-
-/// [`relog`], lifted to the container: replays the container's region
-/// pinball under the exclusions and packages the resulting slice pinball as
-/// a [`PinballContainer`] with embedded checkpoints at `checkpoint_interval`
-/// retired instructions — so the slice pinball is immediately seekable,
-/// serializable ([`PinballContainer::to_bytes`]), and content-addressed
-/// (`container.digest()`), exactly like a freshly recorded region.
-///
-/// This is the entry point the debugger and drserve use; [`relog`] remains
-/// the pinball-level primitive.
-pub fn relog_container(
-    program: Arc<Program>,
-    region: &PinballContainer,
-    exclusions: &[ExclusionRegion],
-    checkpoint_interval: u64,
-) -> (PinballContainer, RelogStats) {
-    let (pinball, stats) = relog(Arc::clone(&program), &region.pinball, exclusions);
-    let container = PinballContainer::with_checkpoints(pinball, &program, checkpoint_interval);
-    (container, stats)
 }
 
 #[cfg(test)]
