@@ -20,8 +20,8 @@ use std::time::{Duration, Instant};
 use minivm::{Addr, Pc, Program, Reg, Tid, ToolControl, VmError};
 use pinplay::{Pinball, PinballContainer, PinballDigest, ReplayStatus, Replayer};
 use slicer::{
-    compute_slice_indexed, Criterion, DepIndex, LocKey, Slice, SliceMetrics, SliceOptions,
-    SliceSession, SliceStats, SlicerOptions,
+    compute_slice_indexed, slice_members_indexed, Criterion, DepIndex, LocKey, Slice, SliceMetrics,
+    SliceOptions, SliceSession, SliceStats, SlicerOptions,
 };
 
 /// A breakpoint on a program point, optionally filtered by thread.
@@ -955,27 +955,37 @@ impl DebugSession {
     /// Panics if `index` is out of range.
     pub fn relog_slice(&mut self, index: usize) -> (PinballContainer, RelogReport) {
         assert!(index < self.saved_slices.len(), "no saved slice {index}");
-        let slice = self.saved_slices[index].clone();
-        self.relog_of(&slice)
+        let len = self.slicer().trace().records().len();
+        let in_slice = self.saved_slices[index].members(len);
+        self.relog_members(&in_slice)
     }
 
-    /// Computes a slice for an explicit criterion and relogs it in one step
-    /// — the server-side `Relog` entry point. The slice itself is not
-    /// retained in the saved-slice list.
+    /// Relogs the slice of an explicit criterion in one step — the
+    /// server-side `Relog` entry point. The slice is never materialized:
+    /// its records come as a bitmap from a walk over the dependence index
+    /// ([`slice_members_indexed`]), which a cold session builds and caches
+    /// through [`DebugSession::dep_index_for`], and the slice pinball is
+    /// emitted from the collected trace with no replay of the region
+    /// ([`slicer::emit_slice_pinball`]). The result equals
+    /// [`DebugSession::relog_slice`] of the saved
+    /// [`DebugSession::slice_criterion`] at the same criterion.
     pub fn relog_criterion(
         &mut self,
         criterion: Criterion,
         opts: SliceOptions,
     ) -> (PinballContainer, RelogReport) {
-        let slice = self.slice_criterion(criterion, opts);
-        self.relog_of(&slice)
+        let index = self.dep_index_for(&opts);
+        let in_slice = slice_members_indexed(&index, criterion);
+        self.relog_members(&in_slice)
     }
 
-    fn relog_of(&mut self, slice: &Slice) -> (PinballContainer, RelogReport) {
+    /// Emits, packages and reports the slice pinball of the slice whose
+    /// record-id bitmap is `in_slice`.
+    fn relog_members(&mut self, in_slice: &[bool]) -> (PinballContainer, RelogReport) {
         self.slicer(); // ensure collected
         let slicer = self.slicer.as_ref().expect("collected above");
         let (pb, relog_stats, excl_stats) =
-            slicer.make_slice_pinball(&self.container.pinball, slice);
+            slicer::emit_slice_pinball(slicer.trace(), &self.container.pinball, in_slice);
         let instructions = pb.logged_instructions();
         let container =
             PinballContainer::with_checkpoints(pb, &self.program, self.checkpoint_interval);

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use drdebug::stepper::{SliceStep, SliceStepper};
 use drdebug::{DebugSession, StopReason};
 use slicer::{
-    compute_slice_indexed, Criterion, DepIndex, SliceOptions, SliceSession, SlicerOptions,
+    compute_slice_indexed, Criterion, DepIndex, LocKey, SliceOptions, SliceSession, SlicerOptions,
 };
 
 /// Two racing workers bump a shared accumulator and churn an unrelated
@@ -117,6 +117,65 @@ fn relogged_container_replays_only_kept_instructions() {
     let mut sliced = DebugSession::with_container(Arc::clone(&program), slice_container);
     assert_eq!(sliced.cont(), StopReason::ReplayEnd);
     assert_eq!(sliced.position(), report.kept);
+}
+
+/// `relog_criterion` takes the slice as a bitmap from the index walk and
+/// builds no `Slice`; relogging the saved, materialized slice at the same
+/// criterion must give an equal container and an equal report. Checked on
+/// a cold session, whose relog builds and caches the index, and on a warm
+/// one, at the failure point and at other record and value criteria.
+#[test]
+fn relog_criterion_matches_relog_of_the_saved_slice() {
+    for (quantum, seed) in [(7, 42), (3, 5), (11, 1)] {
+        let (program, pinball) = record_mt(quantum, seed);
+        let probe = SliceSession::collect(Arc::clone(&program), &pinball, SlicerOptions::default());
+        let n = probe.trace().records().len() as u64;
+        let failure = probe.failure_record().expect("trace nonempty").id;
+        let read = probe.last_at_pc(7).expect("acc read executed").id;
+        let acc = program.symbol("acc").expect("acc symbol");
+        let criteria = [
+            Criterion::Record { id: failure },
+            Criterion::Record { id: read },
+            Criterion::Value {
+                id: read,
+                key: LocKey::Mem(acc),
+            },
+            Criterion::Record { id: n / 3 },
+            Criterion::Record { id: 0 },
+        ];
+        let opts = SliceOptions::default();
+        for criterion in criteria {
+            let at = format!("quantum {quantum}, seed {seed}, {criterion:?}");
+
+            // Cold: the relog is the session's first request.
+            let mut cold = DebugSession::new(Arc::clone(&program), pinball.clone());
+            let relogged = cold.relog_criterion(criterion, opts.clone());
+            assert!(
+                cold.dep_index().is_some(),
+                "{at}: the relog cached its index"
+            );
+            let slice = cold.slice_criterion(criterion, opts.clone());
+            assert_eq!(
+                cold.last_slice_warm_index(),
+                Some(true),
+                "{at}: the slice reuses the relog's index"
+            );
+            let saved = cold.save_slice(slice);
+            assert_eq!(relogged, cold.relog_slice(saved), "{at}: cold session");
+
+            // Warm: slice first, then relog both ways.
+            let mut warm = DebugSession::new(Arc::clone(&program), pinball.clone());
+            let slice = warm.slice_criterion(criterion, opts.clone());
+            let saved = warm.save_slice(slice);
+            let from_slice = warm.relog_slice(saved);
+            assert_eq!(
+                warm.relog_criterion(criterion, opts.clone()),
+                from_slice,
+                "{at}: warm session"
+            );
+            assert_eq!(from_slice, relogged, "{at}: cold and warm sessions agree");
+        }
+    }
 }
 
 proptest! {

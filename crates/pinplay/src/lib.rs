@@ -13,6 +13,8 @@
 //! * the [relogger](relog::relog) replays a region pinball while *excluding*
 //!   code regions, producing a smaller *slice pinball* whose replay skips
 //!   the excluded code entirely and injects its side effects (paper §4).
+//!   It is the reference for the slicer's emitter, which writes the same
+//!   slice pinball from a collected trace without replaying.
 //!
 //! # Example: record, then replay twice, identically
 //!

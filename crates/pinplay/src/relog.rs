@@ -15,6 +15,13 @@
 //! relogger also re-derives per-thread syscall logs containing only the
 //! *included* syscalls, since excluded code never executes under the slice
 //! pinball.
+//!
+//! This replaying relogger is the paper's mechanism and the reference
+//! implementation. The debugger relogs without it: the slicer's trace
+//! already holds every retired instruction's writes and values, so
+//! `slicer::emit_slice_pinball` writes the same slice pinball from the
+//! trace in one pass, with no replay, and differential tests hold the two
+//! byte-identical.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;

@@ -21,14 +21,14 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use minivm::{Program, ToolControl};
-use pinplay::{relog, ExclusionRegion, Pinball, RelogStats, Replayer};
+use pinplay::{ExclusionRegion, Pinball, RelogStats, Replayer};
 use repro_cfg::Cfg;
 
 use crate::control::ControlTracker;
 use crate::global::{GlobalTrace, DEFAULT_BLOCK_SIZE};
 use crate::metrics::{SliceMetrics, StageMetrics};
 use crate::pairs::{PairCandidates, PairDetector};
-use crate::regions::{exclusion_regions, ExclusionStats};
+use crate::regions::{emit_slice_pinball, exclusion_regions, ExclusionStats};
 use crate::slice::{compute_slice_lp, Criterion, Slice, SliceOptions};
 use crate::trace::{LocKey, RecordId, TraceRecord};
 
@@ -247,16 +247,18 @@ impl SliceSession {
         exclusion_regions(&self.trace, slice)
     }
 
-    /// Full Fig. 4(b) pipeline: build exclusion regions from `slice` and
-    /// relog `region_pinball` into the slice pinball.
+    /// The Fig. 4(b) pipeline: the slice pinball of `slice`, emitted from
+    /// the collected trace by [`emit_slice_pinball`] — byte for byte what
+    /// relogging `region_pinball` under [`SliceSession::exclusion_regions`]
+    /// produces, without replaying it. `region_pinball` must be the pinball
+    /// the session was collected from.
     pub fn make_slice_pinball(
         &self,
         region_pinball: &Pinball,
         slice: &Slice,
     ) -> (Pinball, RelogStats, ExclusionStats) {
-        let (regions, estats) = self.exclusion_regions(slice);
-        let (pb, rstats) = relog(Arc::clone(&self.program), region_pinball, &regions);
-        (pb, rstats, estats)
+        let in_slice = slice.members(self.trace.records().len());
+        emit_slice_pinball(&self.trace, region_pinball, &in_slice)
     }
 }
 

@@ -425,6 +425,84 @@ impl DepIndex {
     }
 }
 
+/// The backward walk over the index from one criterion: the positions the
+/// slice reaches, found without materializing a single edge. Both
+/// [`compute_slice_indexed`] and [`slice_members_indexed`] run it.
+struct Walk {
+    /// Position of the criterion's record.
+    crit_pos: usize,
+    /// The criterion's own dependences: its record's row, or, for a
+    /// `Value` criterion, the one resolved definition of its key.
+    crit_edges: Vec<Edge>,
+    /// Position -> whether the slice holds the record there.
+    visited: Vec<bool>,
+    /// The slice's positions, in visit order (the criterion first).
+    order: Vec<u32>,
+    /// Data edges out of the slice's records, counted during the walk.
+    n_edges: usize,
+}
+
+impl Walk {
+    /// Walks the slice of `criterion` over `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the criterion's record id is not present in the index.
+    fn run(index: &DepIndex, criterion: Criterion) -> Walk {
+        // The documented panic: every caller passes an id taken from the
+        // trace or checked with `DepIndex::position` first.
+        #[allow(clippy::expect_used)]
+        let crit_pos = index
+            .position(criterion.record_id())
+            .expect("criterion record not in trace");
+        // An explicit criterion key overrides user pruning, so it resolves
+        // through the key's definitions rather than the (pruned) row.
+        let crit_edges = match criterion {
+            Criterion::Record { .. } => index.row(crit_pos).to_vec(),
+            Criterion::Value { key, .. } => index.resolve(&key, crit_pos).into_iter().collect(),
+        };
+        let mut visited = vec![false; index.len()];
+        let mut order: Vec<u32> = Vec::new();
+        let mut stack: Vec<u32> = vec![crit_pos as u32];
+        let mut n_edges = 0;
+        visited[crit_pos] = true;
+        while let Some(next) = stack.pop() {
+            order.push(next);
+            let pos = next as usize;
+            let edges = if pos == crit_pos {
+                &crit_edges
+            } else {
+                index.row(pos)
+            };
+            n_edges += edges.len();
+            let cd = index.cd_parent_pos[pos];
+            let parent = (cd != NONE && (cd as usize) < pos).then_some(cd);
+            for p in edges.iter().map(|e| e.def).chain(parent) {
+                if !visited[p as usize] {
+                    visited[p as usize] = true;
+                    stack.push(p);
+                }
+            }
+        }
+        Walk {
+            crit_pos,
+            crit_edges,
+            visited,
+            order,
+            n_edges,
+        }
+    }
+
+    /// The data dependences the walk follows out of position `pos`.
+    fn edges_of<'a>(&'a self, index: &'a DepIndex, pos: usize) -> &'a [Edge] {
+        if pos == self.crit_pos {
+            &self.crit_edges
+        } else {
+            index.row(pos)
+        }
+    }
+}
+
 /// Computes the backward dynamic slice of `criterion` as a pure BFS over
 /// the precomputed dependence index.
 ///
@@ -440,68 +518,24 @@ impl DepIndex {
 /// Panics if the criterion's record id is not present in the index; check
 /// untrusted criteria with [`DepIndex::position`] first.
 pub fn compute_slice_indexed(index: &DepIndex, criterion: Criterion) -> Slice {
-    // The documented panic: every caller passes an id taken from the trace
-    // or checked with `DepIndex::position` first.
-    #[allow(clippy::expect_used)]
-    let crit_pos = index
-        .position(criterion.record_id())
-        .expect("criterion record not in trace");
-
-    // The criterion's dependences seed the walk. An explicit criterion key
-    // overrides user pruning, so it resolves through the key's definitions
-    // rather than the (pruned) record row.
-    let seed;
-    let crit_edges = match criterion {
-        Criterion::Record { .. } => index.row(crit_pos),
-        Criterion::Value { key, .. } => {
-            seed = index.resolve(&key, crit_pos);
-            seed.as_slice()
-        }
-    };
-    let edges_of = |pos: usize| {
-        if pos == crit_pos {
-            crit_edges
-        } else {
-            index.row(pos)
-        }
-    };
-
     // Walk first, collecting the slice's positions and counting its edges,
     // so that the output is allocated once, at its final size.
-    let mut visited = vec![false; index.len()];
-    let mut order: Vec<u32> = Vec::new();
-    let mut stack: Vec<u32> = vec![crit_pos as u32];
-    let mut n_edges = 0;
-    visited[crit_pos] = true;
-    while let Some(next) = stack.pop() {
-        order.push(next);
-        let pos = next as usize;
-        let edges = edges_of(pos);
-        n_edges += edges.len();
-        let cd = index.cd_parent_pos[pos];
-        let parent = (cd != NONE && (cd as usize) < pos).then_some(cd);
-        for p in edges.iter().map(|e| e.def).chain(parent) {
-            if !visited[p as usize] {
-                visited[p as usize] = true;
-                stack.push(p);
-            }
-        }
-    }
-
+    let walk = Walk::run(index, criterion);
     let mut slice = Slice {
         criterion,
-        records: order
+        records: walk
+            .order
             .iter()
             .map(|&p| index.record_ids[p as usize])
             .collect(),
-        data_edges: Vec::with_capacity(n_edges),
+        data_edges: Vec::with_capacity(walk.n_edges),
         control_edges: Vec::new(),
         stats: SliceStats::default(),
     };
-    for &pos in &order {
+    for &pos in &walk.order {
         let pos = pos as usize;
         let user = index.record_ids[pos];
-        for e in edges_of(pos) {
+        for e in walk.edges_of(index, pos) {
             slice.data_edges.push(DataEdge {
                 user,
                 def: index.record_ids[e.def as usize],
@@ -512,7 +546,7 @@ pub fn compute_slice_indexed(index: &DepIndex, criterion: Criterion) -> Slice {
         // Control edges are a pure function of the included set: emit
         // (dependent, parent) whenever both ends made it in.
         let cd = index.cd_parent_pos[pos];
-        if cd != NONE && visited[cd as usize] {
+        if cd != NONE && walk.visited[cd as usize] {
             slice
                 .control_edges
                 .push((user, index.record_ids[cd as usize]));
@@ -526,15 +560,35 @@ pub fn compute_slice_indexed(index: &DepIndex, criterion: Criterion) -> Slice {
     // Deterministic advisory stats: the BFS touches exactly the slice
     // members, so scanned = |slice| - 1; every block at or below the
     // criterion's that holds no slice member counts as skipped.
-    slice.stats.records_scanned = (order.len() - 1) as u64;
-    let blocks: HashSet<usize> = order
+    slice.stats.records_scanned = (walk.order.len() - 1) as u64;
+    let blocks: HashSet<usize> = walk
+        .order
         .iter()
         .skip(1)
         .map(|&p| p as usize / index.block_size)
         .collect();
     slice.stats.blocks_visited = blocks.len();
-    slice.stats.blocks_skipped = (crit_pos / index.block_size + 1) - blocks.len();
+    slice.stats.blocks_skipped = (walk.crit_pos / index.block_size + 1) - blocks.len();
     slice
+}
+
+/// The records of the slice of `criterion`, as a dense bitmap over record
+/// ids (`true` at every slice member) — the walk of
+/// [`compute_slice_indexed`] with nothing materialized: no id set, no
+/// edges, no sorts. This is all a relog needs of the slice
+/// ([`emit_slice_pinball`](crate::regions::emit_slice_pinball)), and it
+/// holds exactly the records of `compute_slice_indexed(index, criterion)`.
+///
+/// # Panics
+///
+/// As [`compute_slice_indexed`].
+pub fn slice_members_indexed(index: &DepIndex, criterion: Criterion) -> Vec<bool> {
+    let walk = Walk::run(index, criterion);
+    let mut members = vec![false; index.len()];
+    for &pos in &walk.order {
+        members[index.record_ids[pos as usize] as usize] = true;
+    }
+    members
 }
 
 #[cfg(test)]

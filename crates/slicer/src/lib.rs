@@ -21,9 +21,11 @@
 //!   (§5.1's precision fix);
 //! * [`pairs`] — save/restore pair detection and the §5.2 spurious-
 //!   dependence bypass;
-//! * [`regions`] — the slice → code-exclusion-region builder feeding
-//!   PinPlay-style relogging, which yields the *slice pinball* whose replay
-//!   skips everything outside the slice (§4).
+//! * [`regions`] — the slice → code-exclusion-region builder, and the
+//!   emitter that writes the *slice pinball*, whose replay skips
+//!   everything outside the slice (§4), straight from the collected trace:
+//!   the same pinball PinPlay-style relogging ([`pinplay::relog()`])
+//!   produces by replaying the region, without the replay.
 //!
 //! Three traversals answer a slice, one job each:
 //! [`compute_slice_lp`] (the paper's LP scan) for a one-shot slice,
@@ -80,10 +82,12 @@ pub mod trace;
 pub use collect::{SliceSession, SlicerOptions};
 pub use control::ControlTracker;
 pub use global::{is_valid_topological_order, BlockSummary, GlobalTrace, DEFAULT_BLOCK_SIZE};
-pub use index::{compute_slice_indexed, DepIndex, IndexBuildStats};
+pub use index::{compute_slice_indexed, slice_members_indexed, DepIndex, IndexBuildStats};
 pub use metrics::{SliceMetrics, StageMetrics};
 pub use pairs::{PairCandidates, PairDetector};
-pub use regions::{exclusion_regions, is_force_included, ExclusionStats, OPEN_END_PC};
+pub use regions::{
+    emit_slice_pinball, exclusion_regions, is_force_included, ExclusionStats, OPEN_END_PC,
+};
 pub use slice::{
     compute_slice_lp, compute_slice_naive, Criterion, DataEdge, Slice, SliceOptions, SliceStats,
 };

@@ -113,6 +113,19 @@ impl Slice {
         self.records.is_empty()
     }
 
+    /// The slice as a dense bitmap over the record ids `0..len` of its
+    /// trace: `true` at every included record. Ids at or past `len` are
+    /// left out.
+    pub fn members(&self, len: usize) -> Vec<bool> {
+        let mut members = vec![false; len];
+        for &id in &self.records {
+            if let Some(m) = usize::try_from(id).ok().and_then(|i| members.get_mut(i)) {
+                *m = true;
+            }
+        }
+        members
+    }
+
     /// Whether the slice contains the dynamic instance `(tid, pc, instance)`.
     pub fn contains_instance(&self, trace: &GlobalTrace, tid: Tid, pc: Pc, instance: u64) -> bool {
         self.records.iter().any(|&id| {

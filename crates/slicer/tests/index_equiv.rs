@@ -14,6 +14,13 @@
 //! must agree exactly on records, data edges, and control edges. One
 //! index instance serves all criteria and all records, which is the
 //! reuse the tentpole optimization depends on.
+//!
+//! Programs also read `rand` syscalls, and some end in a trap: an
+//! `assert` in main or in the workers on a value that is zero about half
+//! the time. Every slice is then relogged both ways — emitted from the
+//! trace by [`SliceSession::make_slice_pinball`], and by the replaying
+//! [`relog`] under the slice's [`exclusion_regions`] — and the two slice
+//! pinballs and their statistics must be equal.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -23,10 +30,10 @@ use proptest::collection::vec as prop_vec;
 use proptest::prelude::*;
 
 use minivm::{assemble, LiveEnv, RandomSched, Reg};
-use pinplay::record_whole_program;
+use pinplay::{record_whole_program, relog};
 use slicer::{
-    compute_slice_indexed, compute_slice_lp, compute_slice_naive, Criterion, DepIndex, LocKey,
-    RecordId, Slice, SliceOptions, SliceSession, SlicerOptions,
+    compute_slice_indexed, compute_slice_lp, compute_slice_naive, exclusion_regions, Criterion,
+    DepIndex, LocKey, RecordId, Slice, SliceOptions, SliceSession, SlicerOptions,
 };
 
 /// One generated operation. Registers r1–r6 are data registers; r8 holds
@@ -69,6 +76,10 @@ enum Op {
     },
     /// Call the push/pop helper, producing save/restore pairs.
     CallHelper,
+    /// Read a `rand` syscall.
+    Rand {
+        dst: u8,
+    },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -88,6 +99,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (r(), r()).prop_map(|(dst, val)| Op::XAdd { dst, val }),
         (r(), -4i8..5, 1u8..6).prop_map(|(a, imm, len)| Op::Guard { a, imm, len }),
         Just(Op::CallHelper),
+        r().prop_map(|dst| Op::Rand { dst }),
     ]
 }
 
@@ -111,6 +123,7 @@ fn emit_body(out: &mut String, fname: &str, ops: &[Op]) {
                 continue; // the guard is not a unit of any enclosing guard
             }
             Op::CallHelper => writeln!(out, "    call helper").unwrap(),
+            Op::Rand { dst } => writeln!(out, "    rand r{dst}").unwrap(),
         }
         for (left, _) in pending.iter_mut() {
             *left -= 1;
@@ -127,9 +140,31 @@ fn emit_body(out: &mut String, fname: &str, ops: &[Op]) {
     }
 }
 
+/// Where a program may trap: after main's body or after each worker's,
+/// on an `assert` of `r9 = r{reg} & 1`, which fails for an even value.
+#[derive(Debug, Clone, Copy)]
+enum Trap {
+    None,
+    Main { reg: u8 },
+    Workers { reg: u8 },
+}
+
+fn trap_strategy() -> impl Strategy<Value = Trap> {
+    prop_oneof![
+        Just(Trap::None),
+        (1u8..7).prop_map(|reg| Trap::Main { reg }),
+        (1u8..7).prop_map(|reg| Trap::Workers { reg }),
+    ]
+}
+
+fn emit_assert(out: &mut String, reg: u8) {
+    writeln!(out, "    andi r9, r{reg}, 1\n    assert r9").unwrap();
+}
+
 /// Assembles a random program: `main` seeds r1–r6, spawns `workers`
-/// threads over a shared 8-word buffer, runs its own body, joins, halts.
-fn program_source(workers: usize, main_ops: &[Op], worker_ops: &[Op]) -> String {
+/// threads over a shared 8-word buffer, runs its own body, joins, halts
+/// — unless `trap` makes main or the workers assert first.
+fn program_source(workers: usize, main_ops: &[Op], worker_ops: &[Op], trap: Trap) -> String {
     let mut src = String::new();
     src.push_str(".data\nbuf: .word 0, 0, 0, 0, 0, 0, 0, 0\n.text\n.func main\n");
     src.push_str("    la r8, buf\n");
@@ -140,6 +175,9 @@ fn program_source(workers: usize, main_ops: &[Op], worker_ops: &[Op]) -> String 
         writeln!(src, "    spawn r1{w}, worker, r1").unwrap();
     }
     emit_body(&mut src, "main", main_ops);
+    if let Trap::Main { reg } = trap {
+        emit_assert(&mut src, reg);
+    }
     for w in 0..workers {
         writeln!(src, "    join r1{w}").unwrap();
     }
@@ -148,6 +186,9 @@ fn program_source(workers: usize, main_ops: &[Op], worker_ops: &[Op]) -> String 
         writeln!(src, "    movi r{r}, {}", 7 - r).unwrap();
     }
     emit_body(&mut src, "worker", worker_ops);
+    if let Trap::Workers { reg } = trap {
+        emit_assert(&mut src, reg);
+    }
     src.push_str("    halt\n.endfunc\n");
     // Save/restore idiom: the helper saves r1/r2, clobbers them, restores.
     src.push_str(
@@ -194,8 +235,9 @@ proptest! {
         block_small in any::<bool>(),
         crit_picks in prop_vec(any::<usize>(), 3..4),
         prune_reg in 1u8..7,
+        trap in trap_strategy(),
     ) {
-        let src = program_source(workers, &main_ops, &worker_ops);
+        let src = program_source(workers, &main_ops, &worker_ops, trap);
         let program = Arc::new(assemble(&src).unwrap_or_else(|e| panic!("{e}\n{src}")));
         let rec = record_whole_program(
             &program,
@@ -270,6 +312,17 @@ proptest! {
                     canon(&lp),
                     canon(&naive),
                     "LP vs naive: criterion {:?}, options {:?}\n{}",
+                    criterion,
+                    opts,
+                    src
+                );
+                // The emitted slice pinball is the replaying relogger's.
+                let (regions, excl_stats) = exclusion_regions(trace, &indexed);
+                let (relogged, relog_stats) = relog(Arc::clone(&program), &rec.pinball, &regions);
+                prop_assert_eq!(
+                    session.make_slice_pinball(&rec.pinball, &indexed),
+                    (relogged, relog_stats, excl_stats),
+                    "emitted vs relogged: criterion {:?}, options {:?}\n{}",
                     criterion,
                     opts,
                     src
