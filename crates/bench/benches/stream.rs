@@ -31,11 +31,7 @@ const CHUNKS: usize = 16;
 const INCREMENTAL_SAMPLES: usize = 5;
 
 fn bench_stream(c: &mut Bencher) {
-    let collect = SlicerOptions {
-        cluster: false,
-        ..SlicerOptions::default()
-    };
-    let (pinball, session, criterion) = churn_parts(ITERS, collect);
+    let (pinball, session, criterion) = churn_parts(ITERS, SlicerOptions::default());
     let program = Arc::clone(session.program());
     // A dense checkpoint interval guarantees enough chunk groups to
     // actually split 16 ways at this trace size.
@@ -71,7 +67,7 @@ fn bench_stream(c: &mut Bencher) {
     });
     group.bench_function("rebuild-index-and-slice", |b| {
         b.iter(|| {
-            let trace = GlobalTrace::build_with(records.to_vec(), block, false, false);
+            let trace = GlobalTrace::build(records.to_vec(), block, false);
             let index = DepIndex::build(&trace, session.pairs(), &opts);
             assert!(!compute_slice_indexed(&index, criterion).records.is_empty());
         })
@@ -84,15 +80,18 @@ fn bench_stream(c: &mut Bencher) {
         reader.absorb(piece).expect("prefix chunk absorbs");
     }
     let prefix = reader.partial_container().expect("prefix collects");
-    let psession = SliceSession::collect(Arc::clone(&program), &prefix.pinball, collect);
+    let psession = SliceSession::collect(
+        Arc::clone(&program),
+        &prefix.pinball,
+        SlicerOptions::default(),
+    );
     let done = psession.trace().records().len();
 
     // Fresh prefix state per sample (untimed); the timed region is what a
     // streaming server pays per arriving chunk: extend + append + slice.
     let mut samples = Vec::new();
     for _ in 0..INCREMENTAL_SAMPLES {
-        let mut trace =
-            GlobalTrace::build_with(psession.trace().records().to_vec(), block, false, false);
+        let mut trace = GlobalTrace::build(psession.trace().records().to_vec(), block, false);
         let mut index = DepIndex::build(&trace, psession.pairs(), &opts);
         let started = Instant::now();
         trace.extend(records[done..].to_vec());

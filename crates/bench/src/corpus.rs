@@ -72,16 +72,15 @@ pub fn replay_state(program: &Arc<Program>, container: &PinballContainer) -> (u6
     (replayer.state_digest(), replayer.replayed_instructions())
 }
 
-/// The canonical failure-slice bytes for a container: collect with
-/// clustering off (the stream path's stable-position options), index,
+/// The canonical failure-slice bytes for a container: collect, index,
 /// slice at the failure record, and encode canonically. An empty trace
 /// yields empty bytes.
 pub fn expected_slice_bytes(program: &Arc<Program>, container: &PinballContainer) -> Vec<u8> {
-    let collect_opts = SlicerOptions {
-        cluster: false,
-        ..SlicerOptions::default()
-    };
-    let session = SliceSession::collect(Arc::clone(program), &container.pinball, collect_opts);
+    let session = SliceSession::collect(
+        Arc::clone(program),
+        &container.pinball,
+        SlicerOptions::default(),
+    );
     let Some(id) = session.failure_record().map(|r| r.id) else {
         return Vec::new();
     };

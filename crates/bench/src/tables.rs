@@ -319,9 +319,9 @@ fn format_len(l: u64) -> String {
     }
 }
 
-/// Design-choice ablations called out in DESIGN.md: CFG refinement (§5.1),
-/// thread clustering (§3), and LP block skipping, measured on the x264
-/// analog (the one with indirect-jump dispatch).
+/// Design-choice ablations called out in DESIGN.md: CFG refinement (§5.1)
+/// and LP block skipping, measured on the x264 analog (the one with
+/// indirect-jump dispatch).
 pub fn ablations(region_length: u64) {
     use crate::timed;
 
@@ -358,28 +358,7 @@ pub fn ablations(region_length: u64) {
         );
     }
 
-    // 2. Clustering on/off: LP skip effectiveness and slice time.
-    for cluster in [true, false] {
-        let (session, _) = collect_session(
-            &rr.program,
-            &rr.recording.pinball,
-            SlicerOptions {
-                cluster,
-                block_size: 256,
-                ..SlicerOptions::default()
-            },
-        );
-        let criterion = crate::exp::last_read_of_addr(&session, encoded).expect("encoded is read");
-        let (slice, slice_t) = slice_timed(&session, criterion);
-        println!(
-            "cluster={cluster:<5}           slice size {:>8}  blocks skipped {:>6}  slice {:>8}s",
-            slice.len(),
-            slice.stats.blocks_skipped,
-            crate::secs(slice_t),
-        );
-    }
-
-    // 3. LP vs naive traversal.
+    // 2. LP vs naive traversal.
     {
         let (session, _) =
             collect_session(&rr.program, &rr.recording.pinball, SlicerOptions::default());

@@ -10,8 +10,8 @@
 //!
 //! The inputs cover what the emitter derives rather than replays:
 //!
-//! * both committed corpus fixtures, over clustered and unclustered
-//!   traces — fig8 retires `read` syscalls, pbzip2 traps;
+//! * both committed corpus fixtures — fig8 retires `read` syscalls,
+//!   pbzip2 traps;
 //! * the Table 1 bug exposures (Aget, pbzip2, mozilla), whose traps land
 //!   on tid 0 or tid 1, over their buggy and whole-program regions;
 //! * PARSEC skip/length regions, which start from a mid-execution
@@ -130,13 +130,6 @@ fn check_recording(
     );
 }
 
-fn unclustered() -> SlicerOptions {
-    SlicerOptions {
-        cluster: false,
-        ..SlicerOptions::default()
-    }
-}
-
 #[test]
 fn emitted_slice_pinballs_equal_the_replaying_relogger() {
     let mut tally = Tally::default();
@@ -153,10 +146,14 @@ fn emitted_slice_pinballs_equal_the_replaying_relogger() {
         let pinball = PinballContainer::from_bytes(&bytes)
             .expect("fixture parses")
             .pinball;
-        for options in [SlicerOptions::default(), unclustered()] {
-            let label = format!("corpus {name}, cluster {}", options.cluster);
-            check_recording(&mut tally, &label, &program, &pinball, options, &[]);
-        }
+        check_recording(
+            &mut tally,
+            &format!("corpus {name}"),
+            &program,
+            &pinball,
+            SlicerOptions::default(),
+            &[],
+        );
     }
 
     for case in workloads::all_bugs() {
@@ -177,7 +174,7 @@ fn emitted_slice_pinballs_equal_the_replaying_relogger() {
                 &name,
                 &case.program,
                 pinball,
-                unclustered(),
+                SlicerOptions::default(),
                 &[],
             );
         }

@@ -26,15 +26,6 @@ const ITERS: u64 = 4_000;
 const CHUNKS: usize = 16;
 const REQUIRED_SPEEDUP: f64 = 5.0;
 
-/// Streaming collection options: clustering off so record positions are
-/// stable under append — the same options drserve's `SliceStream` uses.
-fn collect_opts() -> SlicerOptions {
-    SlicerOptions {
-        cluster: false,
-        ..SlicerOptions::default()
-    }
-}
-
 /// The slice's content — criterion, records, and both edge sets in
 /// canonical order — as bytes. Stats are advisory and excluded.
 fn canonical_content(slice: &Slice) -> Vec<u8> {
@@ -59,7 +50,7 @@ fn best(samples: Vec<Duration>) -> Duration {
 
 #[test]
 fn first_slice_after_the_final_chunk_is_5x_faster_incrementally() {
-    let (pinball, session, criterion) = churn_parts(ITERS, collect_opts());
+    let (pinball, session, criterion) = churn_parts(ITERS, SlicerOptions::default());
     let program = Arc::clone(session.program());
     let records = session.trace().records();
     let block = session.trace().block_size();
@@ -83,7 +74,11 @@ fn first_slice_after_the_final_chunk_is_5x_faster_incrementally() {
         reader.absorb(piece).expect("prefix chunk absorbs");
     }
     let prefix = reader.partial_container().expect("prefix is collectible");
-    let psession = SliceSession::collect(Arc::clone(&program), &prefix.pinball, collect_opts());
+    let psession = SliceSession::collect(
+        Arc::clone(&program),
+        &prefix.pinball,
+        SlicerOptions::default(),
+    );
     let done = psession.trace().records().len();
     assert!(
         done < total && done > total / 2,
@@ -103,7 +98,7 @@ fn first_slice_after_the_final_chunk_is_5x_faster_incrementally() {
     let mut scratch_index = None;
     for _ in 0..4 {
         let started = Instant::now();
-        let trace = GlobalTrace::build_with(records.to_vec(), block, false, false);
+        let trace = GlobalTrace::build(records.to_vec(), block, false);
         let index = DepIndex::build(&trace, session.pairs(), &opts);
         let slice = compute_slice_indexed(&index, criterion);
         scratch_samples.push(started.elapsed());
@@ -122,9 +117,12 @@ fn first_slice_after_the_final_chunk_is_5x_faster_incrementally() {
     let mut incremental_slice = None;
     let mut incremental_index = None;
     for _ in 0..4 {
-        let (mut trace, prefix_pairs) =
-            SliceSession::collect(Arc::clone(&program), &prefix.pinball, collect_opts())
-                .into_trace_and_pairs();
+        let (mut trace, prefix_pairs) = SliceSession::collect(
+            Arc::clone(&program),
+            &prefix.pinball,
+            SlicerOptions::default(),
+        )
+        .into_trace_and_pairs();
         let mut index = DepIndex::build(&trace, &prefix_pairs, &opts);
         let started = Instant::now();
         trace.extend(records[done..].to_vec());
@@ -167,7 +165,7 @@ fn first_slice_after_the_final_chunk_is_5x_faster_incrementally() {
 
 #[test]
 fn quarter_prefix_slices_correctly_while_the_rest_is_still_uploading() {
-    let (pinball, session, _) = churn_parts(ITERS, collect_opts());
+    let (pinball, session, _) = churn_parts(ITERS, SlicerOptions::default());
     let program = Arc::clone(session.program());
     let total = session.trace().records().len();
     let container =
@@ -194,7 +192,11 @@ fn quarter_prefix_slices_correctly_while_the_rest_is_still_uploading() {
         mirror.absorb(piece).expect("mirror absorbs");
     }
     let prefix = mirror.partial_container().expect("quarter is collectible");
-    let qsession = SliceSession::collect(Arc::clone(&program), &prefix.pinball, collect_opts());
+    let qsession = SliceSession::collect(
+        Arc::clone(&program),
+        &prefix.pinball,
+        SlicerOptions::default(),
+    );
     let qrecords = qsession.trace().records().len();
     assert!(
         qrecords > total / 8 && qrecords < total / 2,

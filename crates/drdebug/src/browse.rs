@@ -66,10 +66,11 @@ impl<'a> SliceBrowser<'a> {
         }
     }
 
-    /// Statement instances in the slice, in execution (global) order.
+    /// Statement instances in the slice, in execution (retire, ascending
+    /// id) order.
     pub fn statements(&self) -> Vec<RecordId> {
         let mut v: Vec<RecordId> = self.slice.records.iter().copied().collect();
-        v.sort_by_key(|&id| self.trace.position(id));
+        v.sort_unstable();
         v
     }
 
@@ -224,11 +225,8 @@ mod tests {
         let slice = session.slice(Criterion::Record { id: crit });
         let browser = SliceBrowser::new(&slice, session.trace());
         let stmts = browser.statements();
-        let positions: Vec<usize> = stmts
-            .iter()
-            .map(|&id| session.trace().position(id).unwrap())
-            .collect();
-        assert!(positions.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(stmts.len(), slice.len());
+        assert!(stmts.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

@@ -913,9 +913,17 @@ impl DebugSession {
         Some(self.slice_criterion(criterion, self.slice_options()))
     }
 
+    /// The record id of the failure point: the last instruction the
+    /// pinball's replay retires, the same record as
+    /// [`SliceSession::failure_record`], known without collecting the
+    /// trace. `None` for a pinball that retires nothing.
+    pub fn failure_record_id(&self) -> Option<slicer::RecordId> {
+        self.container.pinball.logged_instructions().checked_sub(1)
+    }
+
     /// Computes a slice at the failure point (last record of the trace).
     pub fn slice_failure(&mut self) -> Option<Slice> {
-        let id = self.slicer().failure_record()?.id;
+        let id = self.failure_record_id()?;
         Some(self.slice_criterion(Criterion::Record { id }, self.slice_options()))
     }
 

@@ -68,11 +68,9 @@ impl SliceStepper {
     pub fn new(session: &SliceSession, slice: &Slice, slice_pinball: &Pinball) -> SliceStepper {
         let program = Arc::clone(session.program());
         let mut kept: HashMap<(Tid, Pc), Vec<(RecordId, bool)>> = HashMap::new();
-        // Region records in execution order per thread (ids are retire
-        // order, so a simple sort suffices).
-        let mut records: Vec<&slicer::TraceRecord> = session.trace().records().iter().collect();
-        records.sort_unstable_by_key(|r| r.id);
-        for r in records {
+        // Region records in execution order per thread: the trace is the
+        // retire order.
+        for r in session.trace().records() {
             let in_slice = slice.records.contains(&r.id);
             if in_slice || is_force_included(r) {
                 kept.entry((r.tid, r.pc))

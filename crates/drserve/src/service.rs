@@ -979,54 +979,54 @@ fn try_execute(
                     reason: "stream has no replay events yet; nothing to slice".to_string(),
                 });
             }
-            // Replay the absorbed prefix — or, once sealed, the store's
-            // container — to collect its records. Replay is
-            // deterministic, so the records seen on earlier requests come
-            // back unchanged and the cached trace/index below only pay
-            // for the new suffix.
-            let container = match &st.phase {
-                StreamPhase::Open { reader, .. } => Arc::new(reader.partial_container()?),
-                StreamPhase::Sealed { container, .. } => Arc::clone(container),
+            let program = Arc::clone(&st.program);
+            let collect = |container: &PinballContainer| {
+                SliceSession::collect(
+                    Arc::clone(&program),
+                    &container.pinball,
+                    SlicerOptions::default(),
+                )
             };
-            let collect_opts = SlicerOptions {
-                // Appends must keep prefix positions stable.
-                cluster: false,
-                ..SlicerOptions::default()
-            };
-            let session =
-                SliceSession::collect(Arc::clone(&st.program), &container.pinball, collect_opts);
-            let criterion = match at {
-                SliceAt::Criterion { criterion } => criterion,
-                SliceAt::Failure => Criterion::Record {
-                    id: session
-                        .failure_record()
-                        .map(|r| r.id)
-                        .ok_or(ServeError::BadRequest {
-                            reason: "trace is empty; nothing to slice".to_string(),
-                        })?,
-                },
-                SliceAt::Here { .. } => {
-                    return Err(ServeError::BadRequest {
-                        reason: "SliceAt::Here needs a stopped session; \
-                                 a stream is not stopped anywhere"
-                            .to_string(),
-                    })
-                }
+            let criterion = |container: &PinballContainer| match at {
+                SliceAt::Criterion { criterion } => Ok(criterion),
+                // The last retired instruction, as in
+                // `DebugSession::failure_record_id`.
+                SliceAt::Failure => container
+                    .pinball
+                    .logged_instructions()
+                    .checked_sub(1)
+                    .map(|id| Criterion::Record { id })
+                    .ok_or(ServeError::BadRequest {
+                        reason: "trace is empty; nothing to slice".to_string(),
+                    }),
+                SliceAt::Here { .. } => Err(ServeError::BadRequest {
+                    reason: "SliceAt::Here needs a stopped session; \
+                             a stream is not stopped anywhere"
+                        .to_string(),
+                }),
             };
             let fingerprint = options.fingerprint();
-            let (trace, pairs) = session.into_trace_and_pairs();
             let sealed_index;
-            let index = match &mut st.phase {
-                StreamPhase::Open { slicing, .. } => {
+            let (criterion, index) = match &mut st.phase {
+                // Replay the absorbed prefix to collect its records. Replay
+                // is deterministic, so the records seen on earlier requests
+                // come back unchanged and the cached trace and index only
+                // pay for the new suffix.
+                StreamPhase::Open {
+                    reader, slicing, ..
+                } => {
+                    let container = reader.partial_container()?;
+                    let criterion = criterion(&container)?;
+                    let (trace, pairs) = collect(&container).into_trace_and_pairs();
                     match &mut *slicing {
                         Some(s) if s.fingerprint == fingerprint => {
                             let done = s.trace.records().len();
                             s.trace.extend(trace.records()[done..].to_vec());
                             s.index.append(&s.trace, &pairs, &options);
                         }
-                        // The collection's own unclustered trace becomes
-                        // the cached one: no copy, and its spare capacity
-                        // takes later appends.
+                        // The collection's own trace becomes the cached
+                        // one: no copy, and its spare capacity takes later
+                        // appends.
                         slot => {
                             let index = DepIndex::build(&trace, &pairs, &options);
                             *slot = Some(StreamSlicing {
@@ -1036,14 +1036,28 @@ fn try_execute(
                             });
                         }
                     }
-                    &slicing.as_ref().expect("slicing state installed").index
+                    let state = slicing.as_ref().expect("slicing state installed");
+                    (criterion, &state.index)
                 }
-                StreamPhase::Sealed { .. } => {
-                    sealed_index = DepIndex::build(&trace, &pairs, &options);
-                    &sealed_index
+                // The published container's index is the one sessions on
+                // its digest use: shared through the shard's index cache.
+                StreamPhase::Sealed {
+                    digest, container, ..
+                } => {
+                    let criterion = criterion(container)?;
+                    let key = (*digest, None, fingerprint);
+                    (sealed_index, _) = shard.index_cache.get_or_insert_with(key, || {
+                        let session = collect(container);
+                        Ok::<_, ServeError>(Arc::new(DepIndex::build(
+                            session.trace(),
+                            session.pairs(),
+                            &options,
+                        )))
+                    })?;
+                    (criterion, &*sealed_index)
                 }
             };
-            if index.position(criterion.record_id()).is_none() {
+            if !index.contains(criterion.record_id()) {
                 return Err(ServeError::BadRequest {
                     reason: format!(
                         "criterion record is not in the absorbed prefix \
@@ -1295,7 +1309,7 @@ fn shard_index(
     let (index, _) = shard.index_cache.get_or_insert_with(key, || {
         Ok::<_, ServeError>(slot.lock().expect("session lock").dep_index_for(options))
     })?;
-    if index.position(criterion.record_id()).is_none() {
+    if !index.contains(criterion.record_id()) {
         return Err(ServeError::BadRequest {
             reason: format!(
                 "criterion record {} is not in the trace",
@@ -1353,15 +1367,13 @@ fn resolve_criterion(
     match at {
         SliceAt::Criterion { criterion } => Ok(criterion),
         SliceAt::Failure => {
-            let mut guard = slot.lock().expect("session lock");
-            let id =
-                guard
-                    .slicer()
-                    .failure_record()
-                    .map(|r| r.id)
-                    .ok_or(ServeError::BadRequest {
-                        reason: "trace is empty; nothing to slice".to_string(),
-                    })?;
+            let id = slot
+                .lock()
+                .expect("session lock")
+                .failure_record_id()
+                .ok_or(ServeError::BadRequest {
+                    reason: "trace is empty; nothing to slice".to_string(),
+                })?;
             Ok(Criterion::Record { id })
         }
         SliceAt::Here { key } => {

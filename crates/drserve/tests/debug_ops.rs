@@ -14,9 +14,9 @@ use drserve::{
     Client, ClientError, LoopbackStream, ServeConfig, ServeError, Server, SessionId, SliceAt,
     WireSlice, WireStop,
 };
-use minivm::{assemble, LiveEnv, Program, Reg, RoundRobin};
+use minivm::{assemble, LiveEnv, Loc, Program, Reg, RoundRobin};
 use pinplay::{record_whole_program, PinballContainer};
-use slicer::{Criterion, RecordId, SliceOptions};
+use slicer::{Criterion, LocKey, RecordId, SliceOptions};
 
 const PROG: &str = r"
     .data
@@ -29,6 +29,35 @@ const PROG: &str = r"
         load r3, r2, 0  ; 3
         addi r3, r3, 1  ; 4
         halt            ; 5
+    .endfunc
+    ";
+
+/// A worker stores a counter to the shared word `x` in a loop while
+/// `main` runs a private loop that never touches `x`.
+const SHARED_COUNTER: &str = r"
+    .data
+    x: .word 0
+    .text
+    .func main
+        movi r1, 0
+        spawn r2, worker, r1
+        movi r3, 100
+    spin:
+        subi r3, r3, 1
+        bgti r3, 0, spin
+        join r2
+        halt
+    .endfunc
+    .func worker
+        la r1, x
+        movi r2, 0
+        movi r3, 100
+    again:
+        addi r2, r2, 1
+        store r2, r1, 0
+        subi r3, r3, 1
+        bgti r3, 0, again
+        halt
     .endfunc
     ";
 
@@ -45,12 +74,18 @@ struct Twin {
 
 impl Twin {
     fn new(config: ServeConfig) -> Twin {
-        let program = Arc::new(assemble(PROG).expect("assembles"));
+        Twin::of(PROG, 8, config)
+    }
+
+    /// A twin over a whole-program recording of `src` under round-robin
+    /// with `quantum`.
+    fn of(src: &str, quantum: u64, config: ServeConfig) -> Twin {
+        let program = Arc::new(assemble(src).expect("assembles"));
         let rec = record_whole_program(
             &program,
-            &mut RoundRobin::new(8),
+            &mut RoundRobin::new(quantum),
             &mut LiveEnv::new(0),
-            10_000,
+            100_000,
             "debug-ops",
         )
         .expect("records");
@@ -177,12 +212,60 @@ fn failure_slice_and_slice_pinball_match_a_local_session() {
     assert_eq!(got, want);
     // A slice of a record the trace lacks has no pinball on either side.
     let outside = Criterion::Record { id: RecordId::MAX };
-    assert!(t.local.slicer().trace().position(RecordId::MAX).is_none());
+    assert!(t.local.slicer().trace().record(RecordId::MAX).is_none());
     bad_request(t.client.relog(
         t.session,
         SliceAt::Criterion { criterion: outside },
         SliceOptions::default(),
     ));
+}
+
+#[test]
+fn a_value_slice_here_matches_a_local_session_and_read_mem() {
+    let mut t = Twin::of(SHARED_COUNTER, 3, ServeConfig::default());
+    let x = t.x();
+    // The stop: main's 40th pass through its loop, with the worker
+    // mid-way through its stores to `x`.
+    let spin = t.program.label("spin").expect("main's loop");
+    let mut probe = DebugSession::new(Arc::clone(&t.program), t.local.pinball().clone());
+    probe.add_breakpoint(spin, Some(0));
+    for _ in 0..40 {
+        probe.cont();
+    }
+    let stop = probe.position();
+    t.step(|s| s.seek_to(stop), |c, session| c.seek(session, stop));
+
+    let key = LocKey::Mem(x);
+    let local = t.local.slice_here(key).expect("a local value slice");
+    let reply = t
+        .client
+        .compute_slice(
+            t.session,
+            SliceAt::Here { key: Some(key) },
+            SliceOptions::default(),
+        )
+        .expect("slice");
+    assert_eq!(
+        reply.slice.canonical_bytes(),
+        WireSlice::from_slice(&local).canonical_bytes()
+    );
+    let id = reply.slice.criterion.record_id();
+    let defs: Vec<RecordId> = reply
+        .slice
+        .data_edges
+        .iter()
+        .filter(|&&(user, _, k)| user == id && k == key)
+        .map(|&(_, def, _)| def)
+        .collect();
+    assert_eq!(defs.len(), 1, "one reaching write of x: {defs:?}");
+    let written = t
+        .local
+        .slicer()
+        .trace()
+        .record(defs[0])
+        .and_then(|w| w.defs.value_of(Loc::Mem(x)));
+    let shown = t.client.read_mem(t.session, x).expect("read x");
+    assert_eq!(written, Some(shown), "the reaching write's value is x's");
 }
 
 #[test]

@@ -9,7 +9,9 @@
 
 use std::sync::Arc;
 
-use drserve::{ClientError, ServeConfig, ServeError, Server, SliceAt, WireSlice};
+use drserve::{
+    Client, ClientError, LoopbackStream, ServeConfig, ServeError, Server, SliceAt, WireSlice,
+};
 use minivm::{assemble, LiveEnv, Program, RoundRobin};
 use pinplay::{
     record_whole_program, Pinball, PinballContainer, PinballDigest, StreamReader, StreamWriter,
@@ -62,16 +64,9 @@ fn recorded() -> (Arc<Program>, PinballContainer) {
 
 /// The slice the server must produce for `criterion` over `pinball`,
 /// computed locally with the same configuration the server uses for
-/// streams (clustering off, indexed traversal), in canonical bytes.
+/// streams (indexed traversal), in canonical bytes.
 fn local_slice(program: &Arc<Program>, pinball: &Pinball, criterion: Criterion) -> Vec<u8> {
-    let session = SliceSession::collect(
-        Arc::clone(program),
-        pinball,
-        SlicerOptions {
-            cluster: false,
-            ..SlicerOptions::default()
-        },
-    );
+    let session = SliceSession::collect(Arc::clone(program), pinball, SlicerOptions::default());
     let options = SliceOptions::default();
     let index = DepIndex::build(session.trace(), session.pairs(), &options);
     WireSlice::from_slice(&compute_slice_indexed(&index, criterion)).canonical_bytes()
@@ -83,10 +78,7 @@ fn prefix_failure(program: &Arc<Program>, reader: &StreamReader) -> (Pinball, Cr
     let session = SliceSession::collect(
         Arc::clone(program),
         &partial.pinball,
-        SlicerOptions {
-            cluster: false,
-            ..SlicerOptions::default()
-        },
+        SlicerOptions::default(),
     );
     let id = session.failure_record().expect("non-empty prefix").id;
     (partial.pinball, Criterion::Record { id })
@@ -187,10 +179,7 @@ fn slices_of_a_growing_stream_match_local_prefix_slices() {
     let full_session = SliceSession::collect(
         Arc::clone(&program),
         &container.pinball,
-        SlicerOptions {
-            cluster: false,
-            ..SlicerOptions::default()
-        },
+        SlicerOptions::default(),
     );
     let last_id = full_session.failure_record().expect("records").id;
     let err = client
@@ -248,6 +237,49 @@ fn slices_of_a_growing_stream_match_local_prefix_slices() {
             Criterion::Record { id: last_id }
         ),
     );
+}
+
+#[test]
+fn sealed_stream_slices_answer_from_the_index_cache() {
+    let (program, container) = recorded();
+    let server = Server::new(ServeConfig {
+        shards: 1,
+        ..ServeConfig::default()
+    });
+    let mut client = server.loopback_client();
+    let up = client
+        .upload_streamed(&program, &container, 8)
+        .expect("streamed upload");
+    // `upload_streamed` names the stream by the digest's value.
+    let stream = up.digest.0;
+
+    let before = client.stats().expect("stats").index_cache;
+    let slice = |client: &mut Client<LoopbackStream>| {
+        client
+            .slice_stream(stream, SliceAt::Failure, SliceOptions::default())
+            .expect("sealed stream slices")
+            .slice
+            .canonical_bytes()
+    };
+    let first = slice(&mut client);
+    let second = slice(&mut client);
+    let after = client.stats().expect("stats").index_cache;
+    assert_eq!(
+        (after.misses, after.hits),
+        (before.misses + 1, before.hits + 1),
+        "the first sealed slice builds the digest's index, the second reuses it"
+    );
+    assert_eq!(first, second);
+
+    // A session on the published digest answers from the same index, with
+    // the same bytes.
+    let session = client.open(up.digest).expect("open");
+    let reply = client
+        .compute_slice(session, SliceAt::Failure, SliceOptions::default())
+        .expect("session slice");
+    assert_eq!(reply.slice.canonical_bytes(), first);
+    let last = client.stats().expect("stats").index_cache;
+    assert_eq!((last.misses, last.hits), (after.misses, after.hits + 1));
 }
 
 #[test]

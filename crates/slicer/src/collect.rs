@@ -32,28 +32,25 @@ use crate::regions::{emit_slice_pinball, exclusion_regions, ExclusionStats};
 use crate::slice::{compute_slice_lp, Criterion, Slice, SliceOptions};
 use crate::trace::{LocKey, RecordId, TraceRecord};
 
+/// The `MaxSave` parameter of save/restore detection (§5.2): the value
+/// the paper uses in Fig. 13.
+const MAX_SAVE: usize = 10;
+
 /// Configuration for trace collection and slicing.
 #[derive(Debug, Clone, Copy)]
 pub struct SlicerOptions {
     /// Refine the CFG with observed indirect-jump targets (§5.1). Turning
-    /// this off reproduces the paper's imprecise baseline.
+    /// this off reproduces the paper's imprecise baseline. When on, a
+    /// target-discovery replay runs before the collection pass so
+    /// post-dominators reflect every target the region exercises; it is
+    /// skipped for programs without indirect jumps (`jmpi`/`calli`), where
+    /// it could observe nothing.
     pub refine_indirect: bool,
-    /// Run a target-discovery replay pass before the collection pass so
-    /// post-dominators reflect every target the region exercises. The pass
-    /// is skipped for programs without indirect jumps (`jmpi`/`calli`),
-    /// where it could observe nothing.
-    pub two_pass_discovery: bool,
-    /// The `MaxSave` parameter of save/restore detection (§5.2; paper uses
-    /// 10 in Fig. 13).
-    pub max_save: usize,
     /// Track stack-pointer dataflow (off by default; sp chains carry no
     /// program-value information and bloat every slice).
     pub track_sp: bool,
     /// LP block size (records per block).
     pub block_size: usize,
-    /// Cluster per-thread runs in the global trace for LP locality (§3);
-    /// off = keep the raw replay interleaving (an ablation knob).
-    pub cluster: bool,
     /// Apply save/restore bypass pruning when slicing (§5.2).
     pub prune_save_restore: bool,
 }
@@ -62,11 +59,8 @@ impl Default for SlicerOptions {
     fn default() -> SlicerOptions {
         SlicerOptions {
             refine_indirect: true,
-            two_pass_discovery: true,
-            max_save: 10,
             track_sp: false,
             block_size: DEFAULT_BLOCK_SIZE,
-            cluster: true,
             prune_save_restore: true,
         }
     }
@@ -85,8 +79,8 @@ pub struct SliceSession {
 }
 
 impl SliceSession {
-    /// Replays `pinball` and collects everything slicing needs: per-thread
-    /// def/use traces merged into the global trace, dynamic control
+    /// Replays `pinball` and collects everything slicing needs: the def/use
+    /// trace in retire order (the global trace), dynamic control
     /// dependences over the (refined) CFG, and verified save/restore pairs.
     pub fn collect(
         program: Arc<Program>,
@@ -99,12 +93,12 @@ impl SliceSession {
         let collect_start = Instant::now();
         let mut cfg = Cfg::build(&program);
 
-        // Pass 1 (optional): discover indirect-jump targets so the refined
-        // CFG — and therefore the post-dominators the control-dependence
-        // detection uses — reflects the whole region. A program without
-        // indirect jumps has no target to discover.
+        // Pass 1: discover indirect-jump targets so the refined CFG — and
+        // therefore the post-dominators the control-dependence detection
+        // uses — reflects the whole region. A program without indirect
+        // jumps has no target to discover.
         let has_indirect = program.code.iter().any(minivm::Instr::is_indirect_jump);
-        if options.refine_indirect && options.two_pass_discovery && has_indirect {
+        if options.refine_indirect && has_indirect {
             let mut observe = |ev: &minivm::InsEvent| {
                 if ev.instr.is_indirect_jump() {
                     cfg.observe_indirect(ev.pc, ev.next_pc);
@@ -116,7 +110,7 @@ impl SliceSession {
 
         // Pass 2: full collection.
         let mut tracker = ControlTracker::new(cfg, options.refine_indirect);
-        let mut detector = PairDetector::new(PairCandidates::find(&program, options.max_save));
+        let mut detector = PairDetector::new(PairCandidates::find(&program, MAX_SAVE));
         let mut records: Vec<TraceRecord> = Vec::new();
         let mut collect = |ev: &minivm::InsEvent| {
             let id: RecordId = ev.seq;
@@ -143,12 +137,7 @@ impl SliceSession {
         let n_records = records.len() as u64;
 
         let merge_start = Instant::now();
-        let trace = GlobalTrace::build_with(
-            records,
-            options.block_size,
-            options.track_sp,
-            options.cluster,
-        );
+        let trace = GlobalTrace::build(records, options.block_size, options.track_sp);
         let metrics = SliceMetrics {
             collect: StageMetrics::new(collect_wall, n_records),
             merge: StageMetrics::new(merge_start.elapsed(), n_records),
@@ -169,7 +158,7 @@ impl SliceSession {
         &self.program
     }
 
-    /// Pipeline metrics for this session's collect and merge stages (the
+    /// Pipeline metrics for this session's collect and build stages (the
     /// traverse stage is per-query; fold a query's
     /// [`SliceStats`](crate::SliceStats) in with
     /// [`SliceMetrics::with_traversal`]).
@@ -219,13 +208,9 @@ impl SliceSession {
     }
 
     /// The last *retired* record of the trace — for buggy pinballs this is
-    /// the trapping instruction, i.e. the failure point. (Record ids are
-    /// the dense retire order, so this is the record with id `len - 1`; the
-    /// clustered global order may legally place other threads' independent
-    /// records after the trap, so position is the wrong key here.)
+    /// the trapping instruction, i.e. the failure point.
     pub fn failure_record(&self) -> Option<&TraceRecord> {
-        let last = self.trace.records().len().checked_sub(1)?;
-        self.trace.record(last as RecordId)
+        self.trace.records().last()
     }
 
     /// The last execution of `pc` (any thread), the common interactive
@@ -338,11 +323,10 @@ mod failure_record_tests {
     use minivm::{assemble, LiveEnv, RoundRobin};
     use pinplay::record_whole_program;
 
-    /// The failure record must be the trapping instruction even when the
-    /// clustered global order places another thread's independent records
-    /// after it.
+    /// The failure record is the trapping instruction, while another
+    /// thread is still running.
     #[test]
-    fn failure_record_is_last_retired_not_last_clustered() {
+    fn failure_record_is_the_trapping_instruction() {
         let program = Arc::new(
             assemble(
                 r"
@@ -356,7 +340,7 @@ mod failure_record_tests {
                 .func busy
                     movi r4, 50
                 spin:
-                    subi r4, r4, 1   ; independent of main: clusterable
+                    subi r4, r4, 1   ; independent of main
                     bgti r4, 0, spin
                     halt
                 .endfunc
@@ -380,13 +364,13 @@ mod failure_record_tests {
             "failure record must be the assert, got {}",
             failure.describe()
         );
-        // And the busy thread genuinely has records after the trap in
-        // clustered order (otherwise this test proves nothing).
-        let trap_pos = session.trace().position(failure.id).unwrap();
-        let after = session.trace().records().len() - 1 - trap_pos;
         assert!(
-            after > 0,
-            "clustering placed {after} records after the trap"
+            !session
+                .trace()
+                .records()
+                .iter()
+                .any(|r| r.tid == 1 && matches!(r.instr, minivm::Instr::Halt)),
+            "`busy` is still running at the trap"
         );
     }
 }

@@ -24,12 +24,14 @@
 //!
 //! One serial forward sweep over the trace builds the index, and the index
 //! is the trace's only per-key definition table. For each record in
-//! position order, every key is interned once; every non-pruned use
+//! retire order, every key is interned once; every non-pruned use
 //! resolves in O(1) from its key's latest definition slot, which already
 //! holds the bypass-resolved target; only then are the record's own
-//! definitions pushed, so a use at position `p` sees only definitions below
-//! `p`. [`DepIndex::build`] runs the sweep over the whole trace, and
-//! [`DepIndex::append`] continues it over a streamed suffix.
+//! definitions pushed, so a use by record `p` sees only definitions by
+//! records below `p`. The trace's positions are its record ids, so every
+//! array here is indexed by id. [`DepIndex::build`] runs the sweep over
+//! the whole trace, and [`DepIndex::append`] continues it over a streamed
+//! suffix.
 //!
 //! Traversal statistics on an indexed slice are a deterministic function of
 //! the index and the criterion, but they are *advisory* relative to the
@@ -49,7 +51,7 @@ use crate::global::GlobalTrace;
 use crate::slice::{Criterion, DataEdge, Slice, SliceOptions, SliceStats};
 use crate::trace::{LocKey, RecordId};
 
-/// Sentinel for "no position" in the u32-packed arrays.
+/// Sentinel for "no record" in the u32-packed arrays.
 const NONE: u32 = u32::MAX;
 
 /// Timings and sizes from one [`DepIndex::build`] or [`DepIndex::append`].
@@ -67,11 +69,11 @@ pub struct IndexBuildStats {
 }
 
 /// One resolved data dependence of a record: a use of key `key` whose
-/// reaching definition is at position `def`.
+/// reaching definition is record `def`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Edge {
-    /// Position of the reaching definition, with §5.2 bypass chains
-    /// already chased.
+    /// Id of the reaching definition, with §5.2 bypass chains already
+    /// chased.
     def: u32,
     /// Interned key id the value flowed through.
     key: u32,
@@ -82,33 +84,28 @@ struct Edge {
 /// One definition of a key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct DefSlot {
-    /// Position of the defining record.
-    pos: u32,
-    /// Where a use this definition reaches resolves to: `pos` itself, or,
+    /// Id of the defining record.
+    id: u32,
+    /// Where a use this definition reaches resolves to: `id` itself, or,
     /// for a bypassed restore, the definition below its save ([`NONE`] when
     /// the bypass chain falls off the start of the trace).
     resolved: u32,
-    /// Bypass links chased to get from `pos` to `resolved`.
+    /// Bypass links chased to get from `id` to `resolved`.
     hops: u32,
 }
 
 /// The precomputed dynamic dependence graph of one `(GlobalTrace,
 /// SliceOptions)` pair.
 ///
-/// Positions are u32 indices into the global trace order; keys are u32
-/// indices into the interned key table. Per-record data lives in
+/// Records are u32 ids, which are also their positions in the trace; keys
+/// are u32 indices into the interned key table. Per-record data lives in
 /// struct-of-arrays CSR form so a slice query is pointer-chasing over flat
 /// memory.
 #[derive(Debug)]
 pub struct DepIndex {
-    /// Position -> record id, in global trace order.
-    record_ids: Vec<RecordId>,
-    /// Record id -> position (ids are dense `0..n`): the query-time
-    /// criterion lookup.
-    pos_of: Vec<u32>,
-    /// Position -> position of the record's dynamic control parent
-    /// ([`NONE`] when absent or not in the trace).
-    cd_parent_pos: Vec<u32>,
+    /// Record id -> id of the record's dynamic control parent ([`NONE`]
+    /// when absent or not in the trace).
+    cd_parent: Vec<u32>,
     /// Interned key table (key id -> key).
     keys: Vec<LocKey>,
     /// Reverse interning map.
@@ -116,9 +113,9 @@ pub struct DepIndex {
     /// Key id -> whether the options prune the key's uses (the Fig. 9
     /// "Prune Vars" set).
     key_pruned: Vec<bool>,
-    /// Key id -> the key's definitions in ascending position.
+    /// Key id -> the key's definitions in ascending record id.
     key_defs: Vec<Vec<DefSlot>>,
-    /// CSR row offsets into `edges`, one row per record position (length
+    /// CSR row offsets into `edges`, one row per record (length
     /// `records + 1`).
     edge_offsets: Vec<u32>,
     /// Every record's resolved (non-pruned) uses, row by row.
@@ -153,9 +150,7 @@ impl DepIndex {
     ) -> DepIndex {
         let started = Instant::now();
         let mut index = DepIndex {
-            record_ids: Vec::new(),
-            pos_of: Vec::new(),
-            cd_parent_pos: Vec::new(),
+            cd_parent: Vec::new(),
             keys: Vec::new(),
             key_ids: HashMap::new(),
             key_pruned: Vec::new(),
@@ -184,19 +179,19 @@ impl DepIndex {
     /// recording that is still streaming in.
     ///
     /// `trace` must be the old trace grown in place by
-    /// [`GlobalTrace::extend`] (prefix positions unchanged — built with
-    /// clustering off), under the *same* options the index was built with,
-    /// and `pairs` must cover the full trace. The sweep then picks up where
-    /// it stopped, and the result is identical in every array to a batch
-    /// [`DepIndex::build`] over the full trace. Only [`DepIndex::stats`]
-    /// differs from the batch build (it reports the append, not a full
-    /// build); [`DepIndex::same_graph`] checks exactly this equivalence.
+    /// [`GlobalTrace::extend`], under the *same* options the index was
+    /// built with, and `pairs` must cover the full trace. The sweep then
+    /// picks up where it stopped, and the result is identical in every
+    /// array to a batch [`DepIndex::build`] over the full trace. Only
+    /// [`DepIndex::stats`] differs from the batch build (it reports the
+    /// append, not a full build); [`DepIndex::same_graph`] checks exactly
+    /// this equivalence.
     ///
     /// # Panics
     ///
     /// Panics if `trace` is shorter than the index, its block size or the
     /// options fingerprint disagree with the build, or the full trace no
-    /// longer fits u32 positions.
+    /// longer fits u32 ids.
     pub fn append(
         &mut self,
         trace: &GlobalTrace,
@@ -204,7 +199,7 @@ impl DepIndex {
         options: &SliceOptions,
     ) {
         let records = trace.records();
-        let old_n = self.record_ids.len();
+        let old_n = self.len();
         assert!(records.len() >= old_n, "trace shrank under the index");
         assert_eq!(
             options.fingerprint(),
@@ -215,13 +210,6 @@ impl DepIndex {
             trace.block_size(),
             self.block_size,
             "append under a different block size than the build"
-        );
-        debug_assert!(
-            records[..old_n]
-                .iter()
-                .zip(&self.record_ids)
-                .all(|(r, &id)| r.id == id),
-            "trace prefix changed under the index"
         );
         if records.len() > old_n {
             self.sweep(trace, pairs, options);
@@ -238,33 +226,28 @@ impl DepIndex {
     ) {
         let started = Instant::now();
         let records = trace.records();
-        let old_n = self.record_ids.len();
+        let old_n = self.len();
         let n = records.len();
         assert!(
             (n as u64) < NONE as u64,
             "trace too large for a u32-packed index"
         );
         let track_sp = trace.track_sp();
-        self.record_ids.reserve(n - old_n);
-        self.cd_parent_pos.reserve(n - old_n);
+        self.cd_parent.reserve(n - old_n);
         self.edge_offsets.reserve(n - old_n);
-        // The trace's ids are dense, so every slot up to `n` is filled below.
-        self.pos_of.resize(n, NONE);
         let mut bypass_links = 0u64;
 
-        for (pos, r) in records.iter().enumerate().skip(old_n) {
-            self.record_ids.push(r.id);
-            self.pos_of[r.id as usize] = pos as u32;
+        for (id, r) in records.iter().enumerate().skip(old_n) {
             // A control parent retires before its dependent, so a row never
             // needs a parent from a later append.
-            self.cd_parent_pos.push(
+            self.cd_parent.push(
                 r.cd_parent
-                    .and_then(|cd| trace.position(cd))
-                    .map_or(NONE, |p| p as u32),
+                    .filter(|&cd| cd < n as RecordId)
+                    .map_or(NONE, |cd| cd as u32),
             );
 
             // Uses first: each resolves against the latest definition of
-            // its key, which lies strictly below `pos`.
+            // its key, which lies strictly below `id`.
             for (k, _) in r.use_keys(track_sp) {
                 let kid = self.intern(k, options);
                 if self.key_pruned[kid as usize] {
@@ -285,33 +268,33 @@ impl DepIndex {
             // Then the record's own definitions. A restore of a verified
             // pair bypasses to the definition below its save, exactly as
             // the LP scan defers it: the greatest definition below
-            // `save_pos.saturating_sub(1) + 1`, whose slot is already
-            // resolved (chains move strictly downward).
-            let save_pos = if options.prune_save_restore {
+            // `save.saturating_sub(1) + 1`, whose slot is already resolved
+            // (chains move strictly downward).
+            let save = if options.prune_save_restore {
                 pairs
                     .get(&r.id)
-                    .and_then(|&save| trace.position(save))
-                    .filter(|&sp| sp < pos)
+                    .and_then(|&save| usize::try_from(save).ok())
+                    .filter(|&save| save < id)
             } else {
                 None
             };
             for (k, _) in r.def_keys(track_sp) {
                 let kid = self.intern(k, options);
                 let row = &mut self.key_defs[kid as usize];
-                let slot = match save_pos {
-                    Some(save_pos) if matches!(k, LocKey::Reg(..)) => {
+                let slot = match save {
+                    Some(save) if matches!(k, LocKey::Reg(..)) => {
                         bypass_links += 1;
-                        let limit = save_pos.saturating_sub(1) + 1;
-                        let below = row[..row.partition_point(|d| (d.pos as usize) < limit)].last();
+                        let limit = save.saturating_sub(1) + 1;
+                        let below = row[..row.partition_point(|d| (d.id as usize) < limit)].last();
                         DefSlot {
-                            pos: pos as u32,
+                            id: id as u32,
                             resolved: below.map_or(NONE, |d| d.resolved),
                             hops: 1 + below.map_or(0, |d| d.hops),
                         }
                     }
                     _ => DefSlot {
-                        pos: pos as u32,
-                        resolved: pos as u32,
+                        id: id as u32,
+                        resolved: id as u32,
                         hops: 0,
                     },
                 };
@@ -343,9 +326,7 @@ impl DepIndex {
     /// the differential check that an [`DepIndex::append`]-grown index
     /// equals a batch [`DepIndex::build`].
     pub fn same_graph(&self, other: &DepIndex) -> bool {
-        self.record_ids == other.record_ids
-            && self.pos_of == other.pos_of
-            && self.cd_parent_pos == other.cd_parent_pos
+        self.cd_parent == other.cd_parent
             && self.keys == other.keys
             && self.key_ids == other.key_ids
             && self.key_pruned == other.key_pruned
@@ -356,13 +337,13 @@ impl DepIndex {
             && self.options_fingerprint == other.options_fingerprint
     }
 
-    /// The reaching definition of `key` strictly below position `limit`,
+    /// The reaching definition of `key` strictly below record `limit`,
     /// with bypass chains applied, as an edge — or `None` when no
     /// definition reaches.
     fn resolve(&self, key: &LocKey, limit: usize) -> Option<Edge> {
         let &kid = self.key_ids.get(key)?;
         let row = &self.key_defs[kid as usize];
-        let below = row[..row.partition_point(|d| (d.pos as usize) < limit)].last()?;
+        let below = row[..row.partition_point(|d| (d.id as usize) < limit)].last()?;
         (below.resolved != NONE).then_some(Edge {
             def: below.resolved,
             key: kid,
@@ -370,26 +351,24 @@ impl DepIndex {
         })
     }
 
-    /// The resolved data dependences of the record at `pos`.
-    fn row(&self, pos: usize) -> &[Edge] {
-        &self.edges[self.edge_offsets[pos] as usize..self.edge_offsets[pos + 1] as usize]
+    /// The resolved data dependences of record `id`.
+    fn row(&self, id: usize) -> &[Edge] {
+        &self.edges[self.edge_offsets[id] as usize..self.edge_offsets[id + 1] as usize]
     }
 
-    /// Position of a record id in the indexed trace order, or `None` when
-    /// the index does not cover the record.
-    pub fn position(&self, id: RecordId) -> Option<usize> {
-        let slot = usize::try_from(id).ok()?;
-        self.pos_of.get(slot).map(|&p| p as usize)
+    /// Whether the index covers the record with this id.
+    pub fn contains(&self, id: RecordId) -> bool {
+        id < self.len() as RecordId
     }
 
     /// Number of records the index covers.
     pub fn len(&self) -> usize {
-        self.record_ids.len()
+        self.cd_parent.len()
     }
 
     /// Whether the index covers an empty trace.
     pub fn is_empty(&self) -> bool {
-        self.record_ids.is_empty()
+        self.cd_parent.is_empty()
     }
 
     /// The [`SliceOptions::fingerprint`] the index was built for. A query
@@ -411,9 +390,7 @@ impl DepIndex {
         fn held<T>(v: &Vec<T>) -> usize {
             v.capacity() * size_of::<T>()
         }
-        let flat = held(&self.record_ids)
-            + held(&self.pos_of)
-            + held(&self.cd_parent_pos)
+        let flat = held(&self.cd_parent)
             + held(&self.keys)
             + held(&self.key_pruned)
             + held(&self.key_defs)
@@ -425,18 +402,18 @@ impl DepIndex {
     }
 }
 
-/// The backward walk over the index from one criterion: the positions the
+/// The backward walk over the index from one criterion: the records the
 /// slice reaches, found without materializing a single edge. Both
 /// [`compute_slice_indexed`] and [`slice_members_indexed`] run it.
 struct Walk {
-    /// Position of the criterion's record.
-    crit_pos: usize,
+    /// The criterion's record.
+    crit: usize,
     /// The criterion's own dependences: its record's row, or, for a
     /// `Value` criterion, the one resolved definition of its key.
     crit_edges: Vec<Edge>,
-    /// Position -> whether the slice holds the record there.
+    /// Record id -> whether the slice holds the record.
     visited: Vec<bool>,
-    /// The slice's positions, in visit order (the criterion first).
+    /// The slice's records, in visit order (the criterion first).
     order: Vec<u32>,
     /// Data edges out of the slice's records, counted during the walk.
     n_edges: usize,
@@ -450,33 +427,28 @@ impl Walk {
     /// Panics if the criterion's record id is not present in the index.
     fn run(index: &DepIndex, criterion: Criterion) -> Walk {
         // The documented panic: every caller passes an id taken from the
-        // trace or checked with `DepIndex::position` first.
-        #[allow(clippy::expect_used)]
-        let crit_pos = index
-            .position(criterion.record_id())
-            .expect("criterion record not in trace");
+        // trace or checked with `DepIndex::contains` first.
+        let id = criterion.record_id();
+        assert!(index.contains(id), "criterion record not in trace");
+        let crit = id as usize;
         // An explicit criterion key overrides user pruning, so it resolves
         // through the key's definitions rather than the (pruned) row.
         let crit_edges = match criterion {
-            Criterion::Record { .. } => index.row(crit_pos).to_vec(),
-            Criterion::Value { key, .. } => index.resolve(&key, crit_pos).into_iter().collect(),
+            Criterion::Record { .. } => index.row(crit).to_vec(),
+            Criterion::Value { key, .. } => index.resolve(&key, crit).into_iter().collect(),
         };
         let mut visited = vec![false; index.len()];
         let mut order: Vec<u32> = Vec::new();
-        let mut stack: Vec<u32> = vec![crit_pos as u32];
+        let mut stack: Vec<u32> = vec![crit as u32];
         let mut n_edges = 0;
-        visited[crit_pos] = true;
+        visited[crit] = true;
         while let Some(next) = stack.pop() {
             order.push(next);
-            let pos = next as usize;
-            let edges = if pos == crit_pos {
-                &crit_edges
-            } else {
-                index.row(pos)
-            };
+            let r = next as usize;
+            let edges = if r == crit { &crit_edges } else { index.row(r) };
             n_edges += edges.len();
-            let cd = index.cd_parent_pos[pos];
-            let parent = (cd != NONE && (cd as usize) < pos).then_some(cd);
+            let cd = index.cd_parent[r];
+            let parent = (cd != NONE && (cd as usize) < r).then_some(cd);
             for p in edges.iter().map(|e| e.def).chain(parent) {
                 if !visited[p as usize] {
                     visited[p as usize] = true;
@@ -485,7 +457,7 @@ impl Walk {
             }
         }
         Walk {
-            crit_pos,
+            crit,
             crit_edges,
             visited,
             order,
@@ -493,12 +465,12 @@ impl Walk {
         }
     }
 
-    /// The data dependences the walk follows out of position `pos`.
-    fn edges_of<'a>(&'a self, index: &'a DepIndex, pos: usize) -> &'a [Edge] {
-        if pos == self.crit_pos {
+    /// The data dependences the walk follows out of record `id`.
+    fn edges_of<'a>(&'a self, index: &'a DepIndex, id: usize) -> &'a [Edge] {
+        if id == self.crit {
             &self.crit_edges
         } else {
-            index.row(pos)
+            index.row(id)
         }
     }
 }
@@ -516,40 +488,32 @@ impl Walk {
 /// # Panics
 ///
 /// Panics if the criterion's record id is not present in the index; check
-/// untrusted criteria with [`DepIndex::position`] first.
+/// untrusted criteria with [`DepIndex::contains`] first.
 pub fn compute_slice_indexed(index: &DepIndex, criterion: Criterion) -> Slice {
-    // Walk first, collecting the slice's positions and counting its edges,
+    // Walk first, collecting the slice's records and counting its edges,
     // so that the output is allocated once, at its final size.
     let walk = Walk::run(index, criterion);
     let mut slice = Slice {
         criterion,
-        records: walk
-            .order
-            .iter()
-            .map(|&p| index.record_ids[p as usize])
-            .collect(),
+        records: walk.order.iter().map(|&id| RecordId::from(id)).collect(),
         data_edges: Vec::with_capacity(walk.n_edges),
         control_edges: Vec::new(),
         stats: SliceStats::default(),
     };
-    for &pos in &walk.order {
-        let pos = pos as usize;
-        let user = index.record_ids[pos];
-        for e in walk.edges_of(index, pos) {
+    for &user in &walk.order {
+        for e in walk.edges_of(index, user as usize) {
             slice.data_edges.push(DataEdge {
-                user,
-                def: index.record_ids[e.def as usize],
+                user: user.into(),
+                def: e.def.into(),
                 key: index.keys[e.key as usize],
             });
             slice.stats.bypasses += e.hops as u64;
         }
         // Control edges are a pure function of the included set: emit
         // (dependent, parent) whenever both ends made it in.
-        let cd = index.cd_parent_pos[pos];
+        let cd = index.cd_parent[user as usize];
         if cd != NONE && walk.visited[cd as usize] {
-            slice
-                .control_edges
-                .push((user, index.record_ids[cd as usize]));
+            slice.control_edges.push((user.into(), cd.into()));
         }
     }
     slice.control_edges.sort_unstable();
@@ -565,10 +529,10 @@ pub fn compute_slice_indexed(index: &DepIndex, criterion: Criterion) -> Slice {
         .order
         .iter()
         .skip(1)
-        .map(|&p| p as usize / index.block_size)
+        .map(|&id| id as usize / index.block_size)
         .collect();
     slice.stats.blocks_visited = blocks.len();
-    slice.stats.blocks_skipped = (walk.crit_pos / index.block_size + 1) - blocks.len();
+    slice.stats.blocks_skipped = (walk.crit / index.block_size + 1) - blocks.len();
     slice
 }
 
@@ -583,12 +547,7 @@ pub fn compute_slice_indexed(index: &DepIndex, criterion: Criterion) -> Slice {
 ///
 /// As [`compute_slice_indexed`].
 pub fn slice_members_indexed(index: &DepIndex, criterion: Criterion) -> Vec<bool> {
-    let walk = Walk::run(index, criterion);
-    let mut members = vec![false; index.len()];
-    for &pos in &walk.order {
-        members[index.record_ids[pos as usize] as usize] = true;
-    }
-    members
+    Walk::run(index, criterion).visited
 }
 
 #[cfg(test)]
@@ -632,27 +591,27 @@ mod tests {
     }
 
     #[test]
-    fn ids_at_or_past_the_end_have_no_position() {
+    fn ids_at_or_past_the_end_are_not_covered() {
         let records = trace_records(40);
         let pairs = HashMap::new();
         let opts = SliceOptions::new();
-        let mut trace = GlobalTrace::build_with(records[..25].to_vec(), 8, false, false);
+        let mut trace = GlobalTrace::build(records[..25].to_vec(), 8, false);
         let mut index = DepIndex::build(&trace, &pairs, &opts);
         for id in [25, u64::MAX] {
-            assert_eq!(index.position(id), None, "id {id} before append");
+            assert!(!index.contains(id), "id {id} before append");
         }
         trace.extend(records[25..].to_vec());
         index.append(&trace, &pairs, &opts);
         for id in [40, u64::MAX] {
-            assert_eq!(index.position(id), None, "id {id} after append");
+            assert!(!index.contains(id), "id {id} after append");
         }
         for r in &records {
-            assert_eq!(index.position(r.id), trace.position(r.id));
+            assert!(index.contains(r.id));
         }
     }
 
     /// A `Value` criterion resolves its key's greatest definition below the
-    /// criterion's position — pruned or not, clustered or not.
+    /// criterion, pruned or not.
     #[test]
     fn value_criterion_resolves_the_greatest_earlier_definition() {
         let records = trace_records(60);
@@ -664,34 +623,32 @@ mod tests {
             LocKey::Reg(1, Reg(1)),
             LocKey::Mem(0x9999),
         ];
-        for cluster in [true, false] {
-            let trace = GlobalTrace::build_with(records.clone(), 8, false, cluster);
-            for opts in [
-                SliceOptions::new(),
-                SliceOptions::new().prune_key(LocKey::Mem(0x1000)),
-            ] {
-                let index = DepIndex::build(&trace, &HashMap::new(), &opts);
-                for (pos, r) in trace.records().iter().enumerate() {
-                    for key in keys {
-                        let expected = trace.records()[..pos]
-                            .iter()
-                            .rev()
-                            .find(|d| d.def_keys(false).any(|(k, _)| k == key))
-                            .map(|d| d.id);
-                        let slice =
-                            compute_slice_indexed(&index, Criterion::Value { id: r.id, key });
-                        let resolved: Vec<RecordId> = slice
-                            .data_edges
-                            .iter()
-                            .filter(|e| e.user == r.id && e.key == key)
-                            .map(|e| e.def)
-                            .collect();
-                        assert_eq!(
-                            resolved,
-                            expected.into_iter().collect::<Vec<_>>(),
-                            "{key} at position {pos}, cluster {cluster}"
-                        );
-                    }
+        let trace = GlobalTrace::build(records, 8, false);
+        for opts in [
+            SliceOptions::new(),
+            SliceOptions::new().prune_key(LocKey::Mem(0x1000)),
+        ] {
+            let index = DepIndex::build(&trace, &HashMap::new(), &opts);
+            for r in trace.records() {
+                for key in keys {
+                    let expected = trace.records()[..r.id as usize]
+                        .iter()
+                        .rev()
+                        .find(|d| d.def_keys(false).any(|(k, _)| k == key))
+                        .map(|d| d.id);
+                    let slice = compute_slice_indexed(&index, Criterion::Value { id: r.id, key });
+                    let resolved: Vec<RecordId> = slice
+                        .data_edges
+                        .iter()
+                        .filter(|e| e.user == r.id && e.key == key)
+                        .map(|e| e.def)
+                        .collect();
+                    assert_eq!(
+                        resolved,
+                        expected.into_iter().collect::<Vec<_>>(),
+                        "{key} at record {}",
+                        r.id
+                    );
                 }
             }
         }
@@ -707,7 +664,7 @@ mod tests {
         for row in &index.key_defs {
             assert_eq!(row.capacity(), row.len());
         }
-        assert_eq!(index.record_ids.capacity(), trace.records().len());
+        assert_eq!(index.cd_parent.capacity(), trace.records().len());
         assert_eq!(index.edge_offsets.capacity(), trace.records().len() + 1);
     }
 }

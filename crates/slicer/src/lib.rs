@@ -4,10 +4,10 @@
 //! the mini-VM substrate:
 //!
 //! * [`collect`] — replays a region pinball and gathers per-thread def/use
-//!   traces (paper §3 step i), merging them into a fully ordered
-//!   [`global::GlobalTrace`] that honours program order and
-//!   shared-memory access order (step ii), with thread clustering for LP
-//!   locality;
+//!   traces (paper §3 step i) in the replay's retire order, which is the
+//!   fully ordered [`global::GlobalTrace`]: it honours program order,
+//!   spawn order and shared-memory access order by construction (step
+//!   ii), and a record's position is its id;
 //! * [`slice`](mod@slice) — backward traversal of the global trace with Limited
 //!   Preprocessing block skipping (step iii), over block summaries the
 //!   trace builds on the first such traversal, producing the dynamic
@@ -81,7 +81,7 @@ pub mod trace;
 
 pub use collect::{SliceSession, SlicerOptions};
 pub use control::ControlTracker;
-pub use global::{is_valid_topological_order, BlockSummary, GlobalTrace, DEFAULT_BLOCK_SIZE};
+pub use global::{BlockSummary, GlobalTrace, DEFAULT_BLOCK_SIZE};
 pub use index::{compute_slice_indexed, slice_members_indexed, DepIndex, IndexBuildStats};
 pub use metrics::{SliceMetrics, StageMetrics};
 pub use pairs::{PairCandidates, PairDetector};

@@ -1,10 +1,10 @@
 //! Pipeline stage metrics for the slicing pipeline.
 //!
 //! The slicing pipeline has four stages — *collect* (one serial replay of
-//! the region pinball, gathering per-thread def/use traces), *merge* (the
-//! topological cluster merge into the global trace), *index* (the
-//! dependence index, one forward sweep over the trace), and *traverse* (one
-//! backward slice query). [`SliceMetrics`] carries per-stage wall time and
+//! the region pinball, gathering the def/use trace in retire order),
+//! *merge* (building the global trace, which keeps the collected records
+//! as they are), *index* (the dependence index, one forward sweep over the
+//! trace), and *traverse* (one backward slice query). [`SliceMetrics`] carries per-stage wall time and
 //! work counters through `collect → global → slice` so the debugger's
 //! `metrics` command and `drdebug_cli` can report where time went and how
 //! much work the LP skipping and save/restore pruning avoided.
@@ -39,7 +39,9 @@ impl StageMetrics {
 pub struct SliceMetrics {
     /// Replay + per-thread def/use trace collection.
     pub collect: StageMetrics,
-    /// Topological merge into the global trace.
+    /// [`GlobalTrace::build`](crate::GlobalTrace::build) over the collected
+    /// records, which become the global trace as they are. The name is the
+    /// paper's merge stage, which a serial replay makes unnecessary.
     pub merge: StageMetrics,
     /// LP block summaries. Zero from
     /// [`SliceSession::collect`](crate::SliceSession::collect): the

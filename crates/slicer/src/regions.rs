@@ -18,9 +18,9 @@
 //!
 //! One keep rule decides every record: it stays when the slice holds it,
 //! or else when [`is_force_included`] holds. The slice arrives as a dense
-//! bitmap over record ids, and both walks here visit the ids `0..n` in
-//! retire order with per-thread state in a `Vec` indexed by tid — no
-//! hashing and no sort:
+//! bitmap over record ids, and both walks here visit the trace's records,
+//! which are in retire order, with per-thread state in a `Vec` indexed by
+//! tid — no hashing and no sort:
 //!
 //! * [`exclusion_regions`] writes the runs out as regions, for slice
 //!   files (the debugger's `save-slice-file`);
@@ -38,7 +38,7 @@ use pinplay::{ExclusionRegion, Pinball, PinballMeta, RecordedExit, RelogStats, S
 
 use crate::global::GlobalTrace;
 use crate::slice::Slice;
-use crate::trace::{RecordId, TraceRecord};
+use crate::trace::TraceRecord;
 
 /// End marker for a span that stays open to the end of the region; the
 /// relogger flushes such spans with a final `Skip`.
@@ -90,12 +90,6 @@ impl ExclusionStats {
     }
 }
 
-/// The trace's records in retire order (ascending id): the order a replay
-/// of the region pinball retires them in.
-fn retire_order(trace: &GlobalTrace) -> impl Iterator<Item = &TraceRecord> {
-    (0..trace.records().len() as RecordId).filter_map(|id| trace.record(id))
-}
-
 /// `tid`'s entry in a table indexed by tid, grown on first sight.
 fn slot<T: Default>(table: &mut Vec<T>, tid: Tid) -> &mut T {
     let t = tid as usize;
@@ -119,7 +113,7 @@ pub fn exclusion_regions(
     let mut stats = ExclusionStats::default();
     // Per tid: where the open span started, and the spans closed so far.
     let mut threads: Vec<(Option<(Pc, u64)>, Vec<_>)> = Vec::new();
-    for r in retire_order(trace) {
+    for r in trace.records() {
         let (open, closed) = slot(&mut threads, r.tid);
         if !stats.keep(&in_slice, r) {
             open.get_or_insert((r.pc, r.instance));
@@ -215,7 +209,7 @@ pub fn emit_slice_pinball(
         RecordedExit::AllHalted | RecordedExit::RegionEnd => None,
     };
 
-    for r in retire_order(trace) {
+    for r in trace.records() {
         let th = slot(&mut threads, r.tid);
         if trapped != Some(r.id as usize) {
             th.pc = r.next_pc;
@@ -488,13 +482,11 @@ mod tests {
 
         /// On synthetic traces — 1–6 threads with sparse tids, random
         /// membership, force-included instructions and spin retries — the
-        /// one-pass walk equals the regroup-and-sort reference, clustered
-        /// or not.
+        /// one-pass walk equals the regroup-and-sort reference.
         #[test]
         fn one_pass_regions_match_the_reference(
             tid_pool in prop_vec(0u32..40, 1..7),
             steps in prop_vec((any::<usize>(), 0u32..6, instr_strategy(), any::<bool>()), 0..120),
-            cluster in any::<bool>(),
         ) {
             let mut instances: HashMap<(Tid, Pc), u64> = HashMap::new();
             let mut records = Vec::new();
@@ -512,7 +504,7 @@ mod tests {
                     members.push(id as u64);
                 }
             }
-            let trace = GlobalTrace::build_with(records, 8, false, cluster);
+            let trace = GlobalTrace::build(records, 8, false);
             let slice = slice_of(&members);
             prop_assert_eq!(
                 exclusion_regions(&trace, &slice),

@@ -236,6 +236,18 @@ impl SliceOptions {
 /// of a key.
 type LiveSet = HashMap<LocKey, Vec<RecordId>>;
 
+/// The criterion record's position in a trace of `len` records: its id.
+///
+/// # Panics
+///
+/// Panics if the trace holds no record with the criterion's id.
+fn criterion_position(len: usize, criterion: Criterion) -> usize {
+    usize::try_from(criterion.record_id())
+        .ok()
+        .filter(|&id| id < len)
+        .expect("criterion record not in trace")
+}
+
 /// Computes the backward dynamic slice of `criterion` over `trace` with the
 /// paper's Limited Preprocessing traversal: a backward block-by-block scan
 /// skipping blocks whose definition summary intersects neither the live set
@@ -256,10 +268,8 @@ pub fn compute_slice_lp(
     pairs: &HashMap<RecordId, RecordId>,
     options: SliceOptions,
 ) -> Slice {
-    let crit_pos = trace
-        .position(criterion.record_id())
-        .expect("criterion record not in trace");
     let records = trace.records();
+    let crit_pos = criterion_position(records.len(), criterion);
     let track_sp = trace.track_sp();
 
     let mut slice = Slice {
@@ -271,8 +281,9 @@ pub fn compute_slice_lp(
     };
 
     let mut live: LiveSet = HashMap::new();
-    // Record ids needed for control dependences, keyed by their position.
-    let mut needed: HashMap<usize, RecordId> = HashMap::new();
+    // Records needed for control dependences (a record's position is its
+    // id).
+    let mut needed: HashSet<usize> = HashSet::new();
     // Deferred queries from save/restore bypasses: activate once the scan
     // position is <= the key position (the save's position).
     let mut deferred: Vec<(usize, LocKey, Vec<RecordId>)> = Vec::new();
@@ -295,10 +306,8 @@ pub fn compute_slice_lp(
             }
         }
         if let Some(cd) = crit.cd_parent {
-            if let Some(p) = trace.position(cd) {
-                if p <= crit_pos {
-                    needed.insert(p, cd);
-                }
+            if cd as usize <= crit_pos {
+                needed.insert(cd as usize);
             }
         }
     }
@@ -315,7 +324,7 @@ pub fn compute_slice_lp(
         // LP skip check: nothing live defined here, nothing needed here,
         // nothing deferred activates here.
         let has_live = live.keys().any(|k| block.defs.contains(k));
-        let has_needed = needed.keys().any(|&p| p >= lo && p < hi);
+        let has_needed = needed.iter().any(|&p| p >= lo && p < hi);
         let has_deferred = deferred.iter().any(|&(p, _, _)| p >= lo);
         if !has_live && !has_needed && !has_deferred {
             slice.stats.blocks_skipped += 1;
@@ -347,8 +356,7 @@ pub fn compute_slice_lp(
             let mut admit_r = false;
 
             // Control dependence resolution.
-            if let Some(id) = needed.remove(&pos) {
-                debug_assert_eq!(id, r.id);
+            if needed.remove(&pos) {
                 admit_r = true;
             }
 
@@ -364,7 +372,7 @@ pub fn compute_slice_lp(
                 let save_pos = if options.prune_save_restore && matches!(k, LocKey::Reg(..)) {
                     pairs
                         .get(&r.id)
-                        .and_then(|&save| trace.position(save))
+                        .map(|&save| save as usize)
                         .filter(|&sp| sp < pos)
                 } else {
                     None
@@ -393,10 +401,8 @@ pub fn compute_slice_lp(
                     }
                 }
                 if let Some(cd) = r.cd_parent {
-                    if let Some(p) = trace.position(cd) {
-                        if p < pos && !slice.records.contains(&cd) {
-                            needed.insert(p, cd);
-                        }
+                    if (cd as usize) < pos && !slice.records.contains(&cd) {
+                        needed.insert(cd as usize);
                     }
                 }
             }
@@ -431,10 +437,8 @@ pub fn compute_slice_naive(
     pairs: &HashMap<RecordId, RecordId>,
     options: SliceOptions,
 ) -> Slice {
-    let crit_pos = trace
-        .position(criterion.record_id())
-        .expect("criterion record not in trace");
     let records = trace.records();
+    let crit_pos = criterion_position(records.len(), criterion);
     let track_sp = trace.track_sp();
 
     let mut slice = Slice {
@@ -445,7 +449,7 @@ pub fn compute_slice_naive(
         stats: SliceStats::default(),
     };
     let mut live: LiveSet = HashMap::new();
-    let mut needed: HashMap<usize, RecordId> = HashMap::new();
+    let mut needed: HashSet<usize> = HashSet::new();
     // (activation position, key, users)
     let mut deferred: Vec<(usize, LocKey, Vec<RecordId>)> = Vec::new();
 
@@ -464,10 +468,8 @@ pub fn compute_slice_naive(
         }
     }
     if let Some(cd) = crit.cd_parent {
-        if let Some(p) = trace.position(cd) {
-            if p <= crit_pos {
-                needed.insert(p, cd);
-            }
+        if cd as usize <= crit_pos {
+            needed.insert(cd as usize);
         }
     }
 
@@ -486,7 +488,7 @@ pub fn compute_slice_naive(
         let r = &records[pos];
         slice.stats.records_scanned += 1;
         let mut admit_r = false;
-        if needed.remove(&pos).is_some() {
+        if needed.remove(&pos) {
             admit_r = true;
         }
         for (k, _) in r.def_keys(track_sp) {
@@ -495,11 +497,10 @@ pub fn compute_slice_naive(
             };
             let bypass = options.prune_save_restore
                 && matches!(k, LocKey::Reg(..))
-                && pairs.contains_key(&r.id)
-                && trace.position(pairs[&r.id]).is_some_and(|sp| sp < pos);
+                && pairs.get(&r.id).is_some_and(|&sp| (sp as usize) < pos);
             if bypass {
                 slice.stats.bypasses += 1;
-                let save_pos = trace.position(pairs[&r.id]).expect("checked above");
+                let save_pos = pairs[&r.id] as usize;
                 deferred.push((save_pos.saturating_sub(1), k, users));
             } else {
                 for &u in &users {
@@ -520,10 +521,8 @@ pub fn compute_slice_naive(
                 live.entry(k).or_default().push(r.id);
             }
             if let Some(cd) = r.cd_parent {
-                if let Some(p) = trace.position(cd) {
-                    if p < pos && !slice.records.contains(&cd) {
-                        needed.insert(p, cd);
-                    }
+                if (cd as usize) < pos && !slice.records.contains(&cd) {
+                    needed.insert(cd as usize);
                 }
             }
         }

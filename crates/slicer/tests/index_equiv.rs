@@ -231,7 +231,6 @@ proptest! {
         sched_seed in any::<u64>(),
         switch_period in 1u32..8,
         refine_indirect in any::<bool>(),
-        cluster in any::<bool>(),
         block_small in any::<bool>(),
         crit_picks in prop_vec(any::<usize>(), 3..4),
         prune_reg in 1u8..7,
@@ -252,7 +251,6 @@ proptest! {
             &rec.pinball,
             SlicerOptions {
                 refine_indirect,
-                cluster,
                 block_size: if block_small { 4 } else { 64 },
                 ..SlicerOptions::default()
             },

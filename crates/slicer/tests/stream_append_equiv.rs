@@ -1,14 +1,13 @@
 //! Differential property test for the incremental dependence index.
 //!
 //! Random multi-threaded minivm programs (same generator family as
-//! `index_equiv`) are recorded under random schedules and collected with
-//! clustering off (the streaming configuration: appends preserve prefix
-//! positions). The record list is then split at a random chunk schedule
-//! and grown two ways:
+//! `index_equiv`) are recorded under random schedules and collected. The
+//! record list is then split at a random chunk schedule and grown two
+//! ways:
 //!
 //! * incrementally — [`GlobalTrace::extend`] + [`DepIndex::append`] per
 //!   chunk;
-//! * batch — [`GlobalTrace::build_with`] + [`DepIndex::build`] over the
+//! * batch — [`GlobalTrace::build`] + [`DepIndex::build`] over the
 //!   full prefix, from scratch.
 //!
 //! After every chunk the two must agree exactly: [`DepIndex::same_graph`]
@@ -107,13 +106,10 @@ proptest! {
         )
         .expect("records");
         let block_size = if block_small { 8 } else { 64 };
-        // Streaming configuration: clustering off keeps prefix positions
-        // stable under appends.
         let session = SliceSession::collect(
             Arc::clone(&program),
             &rec.pinball,
             SlicerOptions {
-                cluster: false,
                 block_size,
                 ..SlicerOptions::default()
             },
@@ -133,7 +129,7 @@ proptest! {
         splits.sort_unstable();
         splits.dedup();
 
-        let mut grown_trace = GlobalTrace::build_with(Vec::new(), block_size, false, false);
+        let mut grown_trace = GlobalTrace::build(Vec::new(), block_size, false);
         let mut grown_index = DepIndex::build(&grown_trace, pairs, &opts);
         let mut done = 0usize;
         for &split in &splits {
@@ -141,8 +137,7 @@ proptest! {
             grown_index.append(&grown_trace, pairs, &opts);
             done = split;
 
-            let batch_trace =
-                GlobalTrace::build_with(records[..split].to_vec(), block_size, false, false);
+            let batch_trace = GlobalTrace::build(records[..split].to_vec(), block_size, false);
             let batch_index = DepIndex::build(&batch_trace, pairs, &opts);
             prop_assert_eq!(grown_trace.records(), batch_trace.records());
             prop_assert_eq!(grown_trace.blocks(), batch_trace.blocks());

@@ -6,8 +6,10 @@
 //!    bit-identical final state (PinPlay's repeatability guarantee);
 //! 2. **Replay fidelity** — the replay retires exactly the logged number
 //!    of instructions and reproduces the live run's output;
-//! 3. **Global-trace validity** — the clustered merge is a topological
-//!    order of program order, conflict order, and spawn order;
+//! 3. **Global-trace validity** — the global trace is the replay's retire
+//!    order (record `i` has id `i` and is the `i`-th instruction an
+//!    independent replay retires), which honours program order, conflict
+//!    order and spawn order by construction;
 //! 4. **LP ≡ naive** — block skipping never changes the slice;
 //! 5. **Slice faithfulness** — replaying only the slice reproduces the
 //!    criterion's value.
@@ -17,11 +19,12 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use minivm::builder::ProgramBuilder;
-use minivm::{BinOp, Cond, Instr, LiveEnv, NullTool, Program, RandomSched, Reg};
+use minivm::{
+    BinOp, Cond, InsEvent, Instr, LiveEnv, NullTool, Program, RandomSched, Reg, ToolControl,
+};
 use pinplay::{record_whole_program, Replayer};
 use slicer::{
-    compute_slice_lp, compute_slice_naive, is_valid_topological_order, Criterion, SliceOptions,
-    SliceSession, SlicerOptions,
+    compute_slice_lp, compute_slice_naive, Criterion, SliceOptions, SliceSession, SlicerOptions,
 };
 
 /// One operation of a generated worker body.
@@ -250,16 +253,20 @@ proptest! {
             &rec.pinball,
             SlicerOptions { block_size: 64, ..SlicerOptions::default() },
         );
-        // Reconstruct collection order (ids ascend with retire order).
-        let mut by_id: Vec<_> = session.trace().records().to_vec();
-        by_id.sort_unstable_by_key(|r| r.id);
-        let order: Vec<usize> = session
-            .trace()
-            .records()
-            .iter()
-            .map(|r| by_id.binary_search_by_key(&r.id, |x| x.id).expect("present"))
-            .collect();
-        prop_assert!(is_valid_topological_order(&by_id, &order));
+        // An independent replay's retire order: (tid, pc) of each retired
+        // instruction.
+        let mut retired = Vec::new();
+        let mut rep = Replayer::new(Arc::clone(&program), &rec.pinball);
+        rep.run(&mut |ev: &InsEvent| {
+            retired.push((ev.tid, ev.pc));
+            ToolControl::Continue
+        });
+        let records = session.trace().records();
+        prop_assert_eq!(records.len(), retired.len());
+        for (i, (r, &(tid, pc))) in records.iter().zip(&retired).enumerate() {
+            prop_assert_eq!(r.id, i as u64, "record {} has id {}", i, r.id);
+            prop_assert_eq!((r.tid, r.pc), (tid, pc), "record {} is the {}-th retired", i, i);
+        }
     }
 
     #[test]
