@@ -10,9 +10,10 @@
 //! * **rebuild** — time to first slice after the final chunk when the
 //!   trace and dependence index are rebuilt from scratch;
 //! * **incremental** — the same first slice when the 15-chunk index
-//!   already exists and the final chunk pays only `extend` + `append`.
-//!   Each sample rebuilds that prefix state untimed first, which the
-//!   criterion closure cannot express, so this step is timed by hand.
+//!   already exists and the final chunk pays only `append` over the
+//!   fresh collection's trace. Each sample rebuilds that prefix index
+//!   untimed first, which the criterion closure cannot express, so this
+//!   step is timed by hand.
 //!
 //! [`four_thread_churn`]: bench::exp::four_thread_churn
 
@@ -44,7 +45,6 @@ fn bench_stream(c: &mut Bencher) {
         "churn recording has >= 16 chunk groups"
     );
     let records = session.trace().records();
-    let block = session.trace().block_size();
     let opts = SliceOptions::default();
     println!(
         "stream: {} records, {CHUNKS} chunks, {} container bytes",
@@ -67,7 +67,7 @@ fn bench_stream(c: &mut Bencher) {
     });
     group.bench_function("rebuild-index-and-slice", |b| {
         b.iter(|| {
-            let trace = GlobalTrace::build(records.to_vec(), block, false);
+            let trace = GlobalTrace::build(records.to_vec());
             let index = DepIndex::build(&trace, session.pairs(), &opts);
             assert!(!compute_slice_indexed(&index, criterion).records.is_empty());
         })
@@ -85,24 +85,22 @@ fn bench_stream(c: &mut Bencher) {
         &prefix.pinball,
         SlicerOptions::default(),
     );
-    let done = psession.trace().records().len();
 
-    // Fresh prefix state per sample (untimed); the timed region is what a
-    // streaming server pays per arriving chunk: extend + append + slice.
+    // Fresh prefix index per sample (untimed); the timed region is what a
+    // streaming server pays per arriving chunk after collecting it:
+    // append over the fresh trace + slice.
     let mut samples = Vec::new();
     for _ in 0..INCREMENTAL_SAMPLES {
-        let mut trace = GlobalTrace::build(psession.trace().records().to_vec(), block, false);
-        let mut index = DepIndex::build(&trace, psession.pairs(), &opts);
+        let mut index = DepIndex::build(psession.trace(), psession.pairs(), &opts);
         let started = Instant::now();
-        trace.extend(records[done..].to_vec());
-        index.append(&trace, session.pairs(), &opts);
+        index.append(session.trace(), session.pairs(), &opts);
         assert!(!compute_slice_indexed(&index, criterion).records.is_empty());
         samples.push(started.elapsed());
     }
     samples.sort_unstable();
     println!(
         "{:<50} median {:>12?}  ({INCREMENTAL_SAMPLES} samples, prefix rebuilt untimed)",
-        "stream/incremental-extend-append-and-slice",
+        "stream/incremental-append-and-slice",
         samples[samples.len() / 2],
     );
 }

@@ -6,7 +6,9 @@ use std::time::Duration;
 use maple::ActiveScheduler;
 use minivm::{assemble, LiveEnv, NullTool, Program, RoundRobin};
 use pinplay::{record_region, record_whole_program, Pinball, Recording, RegionSpec, Replayer};
-use slicer::{Criterion, Slice, SliceSession, SlicerOptions};
+use slicer::{
+    compute_slice_indexed, Criterion, DepIndex, Slice, SliceOptions, SliceSession, SlicerOptions,
+};
 use workloads::{BugCase, ParsecProgram};
 
 use crate::timed;
@@ -103,19 +105,13 @@ pub fn replay_time(program: &Arc<Program>, pinball: &Pinball) -> Duration {
 }
 
 /// Collects the slicing session for a pinball, returning the collection
-/// (dynamic-information tracing) time. That time includes the LP block
-/// summaries — the preprocessing LP does while tracing — which the trace
-/// otherwise builds on the first LP slice.
+/// (dynamic-information tracing) time.
 pub fn collect_session(
     program: &Arc<Program>,
     pinball: &Pinball,
     options: SlicerOptions,
 ) -> (SliceSession, Duration) {
-    timed(|| {
-        let session = SliceSession::collect(Arc::clone(program), pinball, options);
-        session.trace().blocks();
-        session
-    })
+    timed(|| SliceSession::collect(Arc::clone(program), pinball, options))
 }
 
 /// Criteria for "the last `n` read instructions (spread across threads)"
@@ -160,16 +156,28 @@ pub fn last_read_of_addr(session: &SliceSession, addr: minivm::Addr) -> Option<C
         .map(|r| Criterion::Record { id: r.id })
 }
 
-/// Computes a slice and the time it took.
+/// Computes a lone one-shot slice — an index build plus one walk — and
+/// the time it took.
 pub fn slice_timed(session: &SliceSession, criterion: Criterion) -> (Slice, Duration) {
     timed(|| session.slice(criterion))
+}
+
+/// Builds the dependence index of a session's trace under `options`, and
+/// the time it took: the one build every slice of that trace then walks.
+pub fn index_timed(session: &SliceSession, options: &SliceOptions) -> (DepIndex, Duration) {
+    timed(|| DepIndex::build(session.trace(), session.pairs(), options))
+}
+
+/// Walks `index` from one criterion, returning the slice and the walk
+/// time.
+pub fn walk_timed(index: &DepIndex, criterion: Criterion) -> (Slice, Duration) {
+    timed(|| compute_slice_indexed(index, criterion))
 }
 
 /// A four-thread "needle" workload: every thread spins `iters` iterations
 /// of private arithmetic, while a six-record def chain threads a value
 /// through the `needle` word to the final instruction. The backward slice
-/// at the end touches a handful of records out of hundreds of thousands —
-/// LP's worst case (it scans every block).
+/// at the end touches a handful of records out of hundreds of thousands.
 pub fn four_thread_needle(iters: u64) -> Arc<Program> {
     Arc::new(
         assemble(&format!(

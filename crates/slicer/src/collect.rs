@@ -25,18 +25,20 @@ use pinplay::{ExclusionRegion, Pinball, RelogStats, Replayer};
 use repro_cfg::Cfg;
 
 use crate::control::ControlTracker;
-use crate::global::{GlobalTrace, DEFAULT_BLOCK_SIZE};
+use crate::global::GlobalTrace;
+use crate::index::{compute_slice_indexed, DepIndex};
 use crate::metrics::{SliceMetrics, StageMetrics};
 use crate::pairs::{PairCandidates, PairDetector};
 use crate::regions::{emit_slice_pinball, exclusion_regions, ExclusionStats};
-use crate::slice::{compute_slice_lp, Criterion, Slice, SliceOptions};
-use crate::trace::{LocKey, RecordId, TraceRecord};
+use crate::slice::{Criterion, Slice, SliceOptions};
+use crate::trace::{RecordId, TraceRecord};
 
 /// The `MaxSave` parameter of save/restore detection (§5.2): the value
 /// the paper uses in Fig. 13.
 const MAX_SAVE: usize = 10;
 
-/// Configuration for trace collection and slicing.
+/// Configuration for trace collection. How a slice traverses the trace
+/// is a per-query [`SliceOptions`].
 #[derive(Debug, Clone, Copy)]
 pub struct SlicerOptions {
     /// Refine the CFG with observed indirect-jump targets (§5.1). Turning
@@ -46,22 +48,12 @@ pub struct SlicerOptions {
     /// skipped for programs without indirect jumps (`jmpi`/`calli`), where
     /// it could observe nothing.
     pub refine_indirect: bool,
-    /// Track stack-pointer dataflow (off by default; sp chains carry no
-    /// program-value information and bloat every slice).
-    pub track_sp: bool,
-    /// LP block size (records per block).
-    pub block_size: usize,
-    /// Apply save/restore bypass pruning when slicing (§5.2).
-    pub prune_save_restore: bool,
 }
 
 impl Default for SlicerOptions {
     fn default() -> SlicerOptions {
         SlicerOptions {
             refine_indirect: true,
-            track_sp: false,
-            block_size: DEFAULT_BLOCK_SIZE,
-            prune_save_restore: true,
         }
     }
 }
@@ -74,7 +66,6 @@ pub struct SliceSession {
     trace: GlobalTrace,
     pairs: HashMap<RecordId, RecordId>,
     cfg: Cfg,
-    options: SlicerOptions,
     metrics: SliceMetrics,
 }
 
@@ -137,7 +128,7 @@ impl SliceSession {
         let n_records = records.len() as u64;
 
         let merge_start = Instant::now();
-        let trace = GlobalTrace::build(records, options.block_size, options.track_sp);
+        let trace = GlobalTrace::build(records);
         let metrics = SliceMetrics {
             collect: StageMetrics::new(collect_wall, n_records),
             merge: StageMetrics::new(merge_start.elapsed(), n_records),
@@ -148,7 +139,6 @@ impl SliceSession {
             trace,
             pairs,
             cfg,
-            options,
             metrics,
         }
     }
@@ -181,30 +171,23 @@ impl SliceSession {
         &self.pairs
     }
 
-    /// Consumes the session, handing over its global trace and pairs — for
-    /// a caller that keeps the trace and grows it with
-    /// [`GlobalTrace::extend`], instead of rebuilding one from a copy of
-    /// the records.
-    pub fn into_trace_and_pairs(self) -> (GlobalTrace, HashMap<RecordId, RecordId>) {
-        (self.trace, self.pairs)
-    }
-
-    /// Computes a one-shot backward dynamic slice with the paper's LP
-    /// traversal ([`compute_slice_lp`]). Nothing is kept between calls: a
-    /// trace sliced again and again is cheaper to query through a
-    /// [`DepIndex`](crate::DepIndex), as the debugger does.
+    /// Computes a one-shot backward dynamic slice under the default
+    /// [`SliceOptions`]: a [`DepIndex`] of the trace, built and walked
+    /// once. Nothing is kept between calls; a caller that slices one trace
+    /// again and again builds the index once and walks it per criterion,
+    /// as the debugger does.
     pub fn slice(&self, criterion: Criterion) -> Slice {
-        let opts = SliceOptions {
-            prune_save_restore: self.options.prune_save_restore,
-            ..SliceOptions::new()
-        };
-        self.slice_with(criterion, opts)
+        self.slice_with(criterion, SliceOptions::new())
     }
 
-    /// Computes a slice with explicit per-call options (for the pruning
-    /// ablation of Fig. 13).
+    /// As [`SliceSession::slice`], under explicit options.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the criterion's record id is not present in the trace.
     pub fn slice_with(&self, criterion: Criterion, opts: SliceOptions) -> Slice {
-        compute_slice_lp(&self.trace, criterion, &self.pairs, opts)
+        let index = DepIndex::build(&self.trace, &self.pairs, &opts);
+        compute_slice_indexed(&index, criterion)
     }
 
     /// The last *retired* record of the trace — for buggy pinballs this is
@@ -217,13 +200,6 @@ impl SliceSession {
     /// criterion "slice at this statement".
     pub fn last_at_pc(&self, pc: minivm::Pc) -> Option<&TraceRecord> {
         self.trace.rfind(|r| r.pc == pc)
-    }
-
-    /// Convenience: slice for the value of `key` at the last execution of
-    /// `pc`.
-    pub fn slice_value_at(&self, pc: minivm::Pc, key: LocKey) -> Option<Slice> {
-        let id = self.last_at_pc(pc)?.id;
-        Some(self.slice(Criterion::Value { id, key }))
     }
 
     /// Computes the exclusion regions for everything outside `slice`
@@ -308,7 +284,7 @@ mod collection_tests {
         assert_eq!(
             m.summarize,
             StageMetrics::default(),
-            "summaries wait for LP"
+            "no stage summarizes the trace"
         );
         let fail = session.failure_record().unwrap().id;
         let slice = session.slice(Criterion::Record { id: fail });

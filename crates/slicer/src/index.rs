@@ -11,16 +11,17 @@
 //! ids), struct-of-arrays record storage, and the immediate data/control
 //! dependence edges in CSR form, with §5.2 save/restore bypass chains baked
 //! into the edge targets. [`compute_slice_indexed`] is then a pure BFS over
-//! the CSR arrays — no `HashMap` probes, no live-set bookkeeping, no block
+//! the CSR arrays — no `HashMap` probes, no live-set bookkeeping, no
 //! rescan — and produces slices byte-identical (criterion, records, data
-//! edges, control edges) to the LP scan, [`compute_slice_lp`].
+//! edges, control edges) to the naive backward scan,
+//! [`compute_slice_naive`], its oracle.
 //!
-//! The index pays for itself only when a trace is sliced more than once:
-//! on the 112k-record churn trace, building it costs about as much as two
-//! one-shot LP slices, each on a fresh trace (where an LP slice also
-//! builds the block summaries), and each query after that is several
-//! hundred times faster than an LP traversal. A one-shot slice therefore
-//! stays on LP.
+//! This is Zhang, Gupta and Zhang's full-preprocessing algorithm, from the
+//! paper that also gives the Limited Preprocessing scan DrDebug cites. It
+//! is the one traversal every slice takes: one collected trace serves many
+//! slices (paper §7), and a one-shot slice
+//! ([`SliceSession::slice`](crate::SliceSession::slice)) is a build plus
+//! one walk.
 //!
 //! One serial forward sweep over the trace builds the index, and the index
 //! is the trace's only per-key definition table. For each record in
@@ -35,16 +36,17 @@
 //!
 //! Traversal statistics on an indexed slice are a deterministic function of
 //! the index and the criterion, but they are *advisory* relative to the
-//! scanning traversals: the BFS touches only slice members, so
-//! `records_scanned` equals the slice size minus the criterion, and
-//! `bypasses` counts the bypass links baked into the edges the query
-//! actually crossed.
+//! naive scan: the BFS touches only slice members, so `records_scanned`
+//! equals the slice size minus the criterion, and `bypasses` counts the
+//! bypass links baked into the edges the query actually crossed, once per
+//! record and key (a record that reads one register twice, as `add r2,
+//! r1, r1` does, crosses its bypass once, as in the naive scan).
 //!
-//! [`compute_slice_lp`]: crate::slice::compute_slice_lp
+//! [`compute_slice_naive`]: crate::slice::compute_slice_naive
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use crate::global::GlobalTrace;
@@ -120,8 +122,6 @@ pub struct DepIndex {
     edge_offsets: Vec<u32>,
     /// Every record's resolved (non-pruned) uses, row by row.
     edges: Vec<Edge>,
-    /// LP block size of the source trace (kept for stats parity).
-    block_size: usize,
     /// [`SliceOptions::fingerprint`] of the options the index was built
     /// for — the cache-invalidation key.
     options_fingerprint: u64,
@@ -136,7 +136,7 @@ impl DepIndex {
     /// no spare capacity.
     ///
     /// `pairs` maps verified restore record ids to their save record ids
-    /// (as for [`crate::slice::compute_slice_lp`]); with §5.2 pruning
+    /// (as for [`crate::slice::compute_slice_naive`]); with §5.2 pruning
     /// enabled the save/restore bypass chains are chased here, once,
     /// instead of on every traversal.
     ///
@@ -157,7 +157,6 @@ impl DepIndex {
             key_defs: Vec::new(),
             edge_offsets: vec![0],
             edges: Vec::new(),
-            block_size: trace.block_size(),
             options_fingerprint: options.fingerprint(),
             stats: IndexBuildStats::default(),
         };
@@ -178,20 +177,21 @@ impl DepIndex {
     /// without recomputing the prefix — the incremental path for a
     /// recording that is still streaming in.
     ///
-    /// `trace` must be the old trace grown in place by
-    /// [`GlobalTrace::extend`], under the *same* options the index was
-    /// built with, and `pairs` must cover the full trace. The sweep then
-    /// picks up where it stopped, and the result is identical in every
-    /// array to a batch [`DepIndex::build`] over the full trace. Only
-    /// [`DepIndex::stats`] differs from the batch build (it reports the
-    /// append, not a full build); [`DepIndex::same_graph`] checks exactly
-    /// this equivalence.
+    /// `trace` must be a trace whose first [`DepIndex::len`] records are
+    /// the ones the index covers — a fresh collection of the grown
+    /// recording holds them as its prefix, since replay is deterministic —
+    /// under the *same* options the index was built with, and `pairs` must
+    /// cover the full trace. The sweep then picks up where it stopped, and
+    /// the result is identical in every array to a batch
+    /// [`DepIndex::build`] over the full trace. Only [`DepIndex::stats`]
+    /// differs from the batch build (it reports the append, not a full
+    /// build); [`DepIndex::same_graph`] checks exactly this equivalence.
     ///
     /// # Panics
     ///
-    /// Panics if `trace` is shorter than the index, its block size or the
-    /// options fingerprint disagree with the build, or the full trace no
-    /// longer fits u32 ids.
+    /// Panics if `trace` is shorter than the index, the options
+    /// fingerprint disagrees with the build, or the full trace no longer
+    /// fits u32 ids.
     pub fn append(
         &mut self,
         trace: &GlobalTrace,
@@ -205,11 +205,6 @@ impl DepIndex {
             options.fingerprint(),
             self.options_fingerprint,
             "append under different options than the build"
-        );
-        assert_eq!(
-            trace.block_size(),
-            self.block_size,
-            "append under a different block size than the build"
         );
         if records.len() > old_n {
             self.sweep(trace, pairs, options);
@@ -232,7 +227,6 @@ impl DepIndex {
             (n as u64) < NONE as u64,
             "trace too large for a u32-packed index"
         );
-        let track_sp = trace.track_sp();
         self.cd_parent.reserve(n - old_n);
         self.edge_offsets.reserve(n - old_n);
         let mut bypass_links = 0u64;
@@ -248,7 +242,7 @@ impl DepIndex {
 
             // Uses first: each resolves against the latest definition of
             // its key, which lies strictly below `id`.
-            for (k, _) in r.use_keys(track_sp) {
+            for (k, _) in r.use_keys(false) {
                 let kid = self.intern(k, options);
                 if self.key_pruned[kid as usize] {
                     continue;
@@ -267,7 +261,7 @@ impl DepIndex {
 
             // Then the record's own definitions. A restore of a verified
             // pair bypasses to the definition below its save, exactly as
-            // the LP scan defers it: the greatest definition below
+            // the naive scan defers it: the greatest definition below
             // `save.saturating_sub(1) + 1`, whose slot is already resolved
             // (chains move strictly downward).
             let save = if options.prune_save_restore {
@@ -278,7 +272,7 @@ impl DepIndex {
             } else {
                 None
             };
-            for (k, _) in r.def_keys(track_sp) {
+            for (k, _) in r.def_keys(false) {
                 let kid = self.intern(k, options);
                 let row = &mut self.key_defs[kid as usize];
                 let slot = match save {
@@ -333,7 +327,6 @@ impl DepIndex {
             && self.key_defs == other.key_defs
             && self.edge_offsets == other.edge_offsets
             && self.edges == other.edges
-            && self.block_size == other.block_size
             && self.options_fingerprint == other.options_fingerprint
     }
 
@@ -480,10 +473,10 @@ impl Walk {
 ///
 /// The result is byte-identical — criterion, record set, data edges,
 /// control edges, including edge order and duplicate multiplicity — to
-/// [`compute_slice_lp`](crate::slice::compute_slice_lp) run with the
+/// [`compute_slice_naive`](crate::slice::compute_slice_naive) run with the
 /// options the index was built for. The traversal statistics are a
 /// deterministic function of the index and the criterion (see the module
-/// docs for how they relate to the scanning traversals' stats).
+/// docs for how they relate to the naive scan's stats).
 ///
 /// # Panics
 ///
@@ -501,13 +494,16 @@ pub fn compute_slice_indexed(index: &DepIndex, criterion: Criterion) -> Slice {
         stats: SliceStats::default(),
     };
     for &user in &walk.order {
-        for e in walk.edges_of(index, user as usize) {
+        let edges = walk.edges_of(index, user as usize);
+        for (i, e) in edges.iter().enumerate() {
             slice.data_edges.push(DataEdge {
                 user: user.into(),
                 def: e.def.into(),
                 key: index.keys[e.key as usize],
             });
-            slice.stats.bypasses += e.hops as u64;
+            if edges[..i].iter().all(|d| d.key != e.key) {
+                slice.stats.bypasses += e.hops as u64;
+            }
         }
         // Control edges are a pure function of the included set: emit
         // (dependent, parent) whenever both ends made it in.
@@ -522,17 +518,8 @@ pub fn compute_slice_indexed(index: &DepIndex, criterion: Criterion) -> Slice {
         .sort_unstable_by_key(|e| (e.user, e.def, e.key));
 
     // Deterministic advisory stats: the BFS touches exactly the slice
-    // members, so scanned = |slice| - 1; every block at or below the
-    // criterion's that holds no slice member counts as skipped.
+    // members, so scanned = |slice| - 1.
     slice.stats.records_scanned = (walk.order.len() - 1) as u64;
-    let blocks: HashSet<usize> = walk
-        .order
-        .iter()
-        .skip(1)
-        .map(|&id| id as usize / index.block_size)
-        .collect();
-    slice.stats.blocks_visited = blocks.len();
-    slice.stats.blocks_skipped = (walk.crit / index.block_size + 1) - blocks.len();
     slice
 }
 
@@ -595,13 +582,12 @@ mod tests {
         let records = trace_records(40);
         let pairs = HashMap::new();
         let opts = SliceOptions::new();
-        let mut trace = GlobalTrace::build(records[..25].to_vec(), 8, false);
-        let mut index = DepIndex::build(&trace, &pairs, &opts);
+        let prefix = GlobalTrace::build(records[..25].to_vec());
+        let mut index = DepIndex::build(&prefix, &pairs, &opts);
         for id in [25, u64::MAX] {
             assert!(!index.contains(id), "id {id} before append");
         }
-        trace.extend(records[25..].to_vec());
-        index.append(&trace, &pairs, &opts);
+        index.append(&GlobalTrace::build(records.clone()), &pairs, &opts);
         for id in [40, u64::MAX] {
             assert!(!index.contains(id), "id {id} after append");
         }
@@ -623,7 +609,7 @@ mod tests {
             LocKey::Reg(1, Reg(1)),
             LocKey::Mem(0x9999),
         ];
-        let trace = GlobalTrace::build(records, 8, false);
+        let trace = GlobalTrace::build(records);
         for opts in [
             SliceOptions::new(),
             SliceOptions::new().prune_key(LocKey::Mem(0x1000)),
@@ -656,7 +642,7 @@ mod tests {
 
     #[test]
     fn a_built_index_holds_no_spare_capacity() {
-        let trace = GlobalTrace::build(trace_records(300), 8, false);
+        let trace = GlobalTrace::build(trace_records(300));
         let index = DepIndex::build(&trace, &HashMap::new(), &SliceOptions::new());
         assert!(!index.edges.is_empty());
         assert_eq!(index.edges.capacity(), index.edges.len());

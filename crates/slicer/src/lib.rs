@@ -8,14 +8,13 @@
 //!   fully ordered [`global::GlobalTrace`]: it honours program order,
 //!   spawn order and shared-memory access order by construction (step
 //!   ii), and a record's position is its id;
-//! * [`slice`](mod@slice) — backward traversal of the global trace with Limited
-//!   Preprocessing block skipping (step iii), over block summaries the
-//!   trace builds on the first such traversal, producing the dynamic
-//!   dependence graph the DrDebug GUI lets users navigate;
-//! * [`index`] — the reusable dependence index: the full dependence graph
-//!   built once per `(GlobalTrace, SliceOptions)` in one forward sweep,
-//!   answering every subsequent slice criterion with a pure BFS (the
-//!   cyclic-debugging hot path);
+//! * [`slice`](mod@slice) — the slice types and the naive backward
+//!   traversal of the global trace (step iii), the oracle the index is
+//!   tested against;
+//! * [`index`] — the dependence index: the full dynamic dependence graph
+//!   the DrDebug GUI lets users navigate, built once per `(GlobalTrace,
+//!   SliceOptions)` in one forward sweep, answering every slice criterion
+//!   with a pure BFS (the cyclic-debugging hot path);
 //! * [`control`] — dynamic control dependences via the Xin–Zhang online
 //!   algorithm over a CFG refined with observed indirect-jump targets
 //!   (§5.1's precision fix);
@@ -27,11 +26,12 @@
 //!   the same pinball PinPlay-style relogging ([`pinplay::relog()`])
 //!   produces by replaying the region, without the replay.
 //!
-//! Three traversals answer a slice, one job each:
-//! [`compute_slice_lp`] (the paper's LP scan) for a one-shot slice,
-//! [`DepIndex`] + [`compute_slice_indexed`] for repeated slices of one
-//! trace, and [`compute_slice_naive`] as the test oracle. All three return
-//! identical slices.
+//! One traversal answers every slice: [`DepIndex`] +
+//! [`compute_slice_indexed`], Zhang et al.'s full-preprocessing algorithm.
+//! [`compute_slice_naive`], a full backward scan, is its oracle and
+//! returns identical slices. The paper's Limited Preprocessing scan is
+//! not reproduced: in retire order every one of its blocks holds every
+//! thread's records, so it skipped no block and did the oracle's work.
 //!
 //! # Example: slice a failing assertion
 //!
@@ -81,15 +81,13 @@ pub mod trace;
 
 pub use collect::{SliceSession, SlicerOptions};
 pub use control::ControlTracker;
-pub use global::{BlockSummary, GlobalTrace, DEFAULT_BLOCK_SIZE};
+pub use global::GlobalTrace;
 pub use index::{compute_slice_indexed, slice_members_indexed, DepIndex, IndexBuildStats};
 pub use metrics::{SliceMetrics, StageMetrics};
 pub use pairs::{PairCandidates, PairDetector};
 pub use regions::{
     emit_slice_pinball, exclusion_regions, is_force_included, ExclusionStats, OPEN_END_PC,
 };
-pub use slice::{
-    compute_slice_lp, compute_slice_naive, Criterion, DataEdge, Slice, SliceOptions, SliceStats,
-};
+pub use slice::{compute_slice_naive, Criterion, DataEdge, Slice, SliceOptions, SliceStats};
 pub use slicefile::{SliceFile, SliceFileError, SliceStatement, SLICE_MAGIC};
 pub use trace::{LocKey, RecordId, TraceRecord};

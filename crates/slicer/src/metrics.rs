@@ -4,10 +4,11 @@
 //! the region pinball, gathering the def/use trace in retire order),
 //! *merge* (building the global trace, which keeps the collected records
 //! as they are), *index* (the dependence index, one forward sweep over the
-//! trace), and *traverse* (one backward slice query). [`SliceMetrics`] carries per-stage wall time and
-//! work counters through `collect → global → slice` so the debugger's
-//! `metrics` command and `drdebug_cli` can report where time went and how
-//! much work the LP skipping and save/restore pruning avoided.
+//! trace), and *traverse* (one backward slice query). [`SliceMetrics`]
+//! carries per-stage wall time and work counters through `collect →
+//! global → index → slice` so the debugger's `metrics` command and
+//! `drdebug_cli` can report where time went and how many dependences
+//! save/restore pruning bypassed.
 
 use std::fmt;
 use std::time::Duration;
@@ -17,8 +18,8 @@ use std::time::Duration;
 pub struct StageMetrics {
     /// Wall-clock time the stage took.
     pub wall: Duration,
-    /// Records the stage processed (trace records for collect/merge/
-    /// summarize; records examined for traverse).
+    /// Records the stage processed (trace records for collect/merge;
+    /// records examined for traverse).
     pub records: u64,
 }
 
@@ -43,11 +44,8 @@ pub struct SliceMetrics {
     /// records, which become the global trace as they are. The name is the
     /// paper's merge stage, which a serial replay makes unnecessary.
     pub merge: StageMetrics,
-    /// LP block summaries. Zero from
-    /// [`SliceSession::collect`](crate::SliceSession::collect): the
-    /// summaries are built on first LP use
-    /// ([`GlobalTrace::blocks`](crate::GlobalTrace::blocks)), and the
-    /// debugger's indexed slices never make it.
+    /// Always zero: no stage summarizes the trace. Kept only because
+    /// drbench reports it as `slicer.summarize.ms`.
     pub summarize: StageMetrics,
     /// Dependence-index construction for the most recent slice (zero when
     /// the query was answered from a warm index — the build cost is paid at
@@ -58,10 +56,6 @@ pub struct SliceMetrics {
     pub warm_index: bool,
     /// The most recent backward traversal (zero until a slice is computed).
     pub traverse: StageMetrics,
-    /// Blocks scanned record by record in the last traversal.
-    pub blocks_visited: usize,
-    /// Blocks skipped via summaries in the last traversal.
-    pub blocks_skipped: usize,
     /// Save/restore dependences pruned (§5.2 bypasses) in the last
     /// traversal.
     pub bypasses: u64,
@@ -76,8 +70,6 @@ impl SliceMetrics {
         wall: Duration,
     ) -> SliceMetrics {
         self.traverse = StageMetrics::new(wall, stats.records_scanned);
-        self.blocks_visited = stats.blocks_visited;
-        self.blocks_skipped = stats.blocks_skipped;
         self.bypasses = stats.bypasses;
         self
     }
@@ -106,11 +98,6 @@ impl fmt::Display for SliceMetrics {
         )?;
         writeln!(
             f,
-            "summarize  {:>12?}  {:>10} records",
-            self.summarize.wall, self.summarize.records
-        )?;
-        writeln!(
-            f,
             "index      {:>12?}  {:>10} edges  {}",
             self.index_build.wall,
             self.index_build.records,
@@ -125,11 +112,7 @@ impl fmt::Display for SliceMetrics {
             "traverse   {:>12?}  {:>10} scanned",
             self.traverse.wall, self.traverse.records
         )?;
-        write!(
-            f,
-            "           blocks visited {}, skipped {}, dependences pruned {}",
-            self.blocks_visited, self.blocks_skipped, self.bypasses
-        )
+        write!(f, "           dependences pruned {}", self.bypasses)
     }
 }
 
@@ -145,15 +128,12 @@ mod tests {
             ..SliceMetrics::default()
         };
         let stats = SliceStats {
-            blocks_visited: 3,
-            blocks_skipped: 7,
             records_scanned: 42,
             bypasses: 1,
         };
         let m = base.with_traversal(&stats, Duration::from_micros(9));
         assert_eq!(m.traverse.records, 42);
         assert_eq!(m.traverse.wall, Duration::from_micros(9));
-        assert_eq!(m.blocks_skipped, 7);
         assert_eq!(m.bypasses, 1);
         assert_eq!(m.collect.records, 100, "pipeline stages preserved");
         let text = m.to_string();

@@ -368,7 +368,7 @@ mod tests {
             rec(2, 0, 2, 1, Instr::Nop), // excluded
             rec(3, 0, 3, 1, Instr::Nop), // in slice
         ];
-        let trace = crate::global::GlobalTrace::build(recs, 16, false);
+        let trace = crate::global::GlobalTrace::build(recs);
         let (regions, stats) = exclusion_regions(&trace, &slice_of(&[0, 3]));
         assert_eq!(
             regions,
@@ -391,7 +391,7 @@ mod tests {
             rec(1, 0, 1, 1, Instr::Nop), // excluded to the end
             rec(2, 0, 2, 1, Instr::Nop),
         ];
-        let trace = crate::global::GlobalTrace::build(recs, 16, false);
+        let trace = crate::global::GlobalTrace::build(recs);
         let (regions, _) = exclusion_regions(&trace, &slice_of(&[0]));
         assert_eq!(regions.len(), 1);
         assert_eq!(regions[0].end_pc, OPEN_END_PC);
@@ -407,7 +407,7 @@ mod tests {
             rec(3, 0, 3, 1, Instr::Nop),                   // excluded
             rec(4, 0, 4, 1, Instr::Halt),                  // forced keep
         ];
-        let trace = crate::global::GlobalTrace::build(recs, 16, false);
+        let trace = crate::global::GlobalTrace::build(recs);
         let (regions, stats) = exclusion_regions(&trace, &slice_of(&[0]));
         assert_eq!(regions.len(), 2, "lock splits the exclusion run");
         assert_eq!(regions[0].end_pc, 2);
@@ -424,7 +424,7 @@ mod tests {
             rec(2, 0, 1, 1, Instr::Nop), // t0 excluded
             rec(3, 1, 1, 1, Instr::Nop), // t1 in slice
         ];
-        let trace = crate::global::GlobalTrace::build(recs, 16, false);
+        let trace = crate::global::GlobalTrace::build(recs);
         let (regions, _) = exclusion_regions(&trace, &slice_of(&[0, 3]));
         assert_eq!(regions.len(), 2);
         assert!(regions.iter().any(|r| r.tid == 0 && r.start_pc == 1));
@@ -504,7 +504,7 @@ mod tests {
                     members.push(id as u64);
                 }
             }
-            let trace = GlobalTrace::build(records, 8, false);
+            let trace = GlobalTrace::build(records);
             let slice = slice_of(&members);
             prop_assert_eq!(
                 exclusion_regions(&trace, &slice),

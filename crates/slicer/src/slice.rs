@@ -1,19 +1,21 @@
 //! Backward dynamic slicing over the global trace (paper §3, step iii).
 //!
 //! "A backward traversal of the global trace is carried out to recover the
-//! dynamic dependences that form the dynamic slice. We adopted the Limited
-//! Preprocessing (LP) algorithm proposed by Zhang et al. to speed up the
-//! traversal of the trace. This algorithm divides the trace into blocks and
-//! by maintaining summar\[ies\] of downward exposed values, it allows skipping
-//! of irrelevant blocks."
+//! dynamic dependences that form the dynamic slice." The paper speeds this
+//! scan up with Zhang et al.'s Limited Preprocessing (LP), which skips
+//! trace blocks whose definition summary holds nothing live. In the
+//! replay's retire order every block holds every thread's records, so LP
+//! skipped none; this reproduction instead answers every slice through
+//! the full-preprocessing dependence index of the same paper
+//! ([`DepIndex`](crate::DepIndex)), which one collected trace builds once
+//! for all its slices. This module holds the slice types and
+//! [`compute_slice_naive`], the index's oracle.
 //!
-//! The traversal keeps a *live set*: locations whose reaching definition is
-//! still being sought, each with the records waiting on it (so the
+//! The naive scan keeps a *live set*: locations whose reaching definition
+//! is still being sought, each with the records waiting on it (so the
 //! dependence graph gets per-user edges). Scanning backward, a record that
-//! defines a live location is added to the slice, its own uses become live,
-//! and its dynamic control parent becomes *needed*. A block is skipped
-//! outright when its definition summary intersects neither the live set nor
-//! any needed/deferred position (the LP skip).
+//! defines a live location is added to the slice, its own uses become
+//! live, and its dynamic control parent becomes *needed*.
 //!
 //! Save/restore pruning (paper §5.2) hooks in here: when the reaching
 //! definition of a live register turns out to be the *restore* half of a
@@ -76,10 +78,6 @@ pub struct DataEdge {
 /// Statistics from one slicing traversal.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SliceStats {
-    /// Blocks visited (scanned record by record).
-    pub blocks_visited: usize,
-    /// Blocks skipped by the LP summary check.
-    pub blocks_skipped: usize,
     /// Records examined.
     pub records_scanned: u64,
     /// Save/restore bypasses applied.
@@ -248,12 +246,9 @@ fn criterion_position(len: usize, criterion: Criterion) -> usize {
         .expect("criterion record not in trace")
 }
 
-/// Computes the backward dynamic slice of `criterion` over `trace` with the
-/// paper's Limited Preprocessing traversal: a backward block-by-block scan
-/// skipping blocks whose definition summary intersects neither the live set
-/// nor any needed/deferred position. This is the one-shot path; a trace
-/// that will be sliced repeatedly is cheaper to query through a
-/// [`DepIndex`](crate::DepIndex).
+/// Computes the slice with a naive full backward scan — an independent
+/// implementation, used as the oracle in the differential tests (indexed
+/// ≡ naive), by drbench's answer checks and by the ablation benchmark.
 ///
 /// `pairs` maps verified restore record ids to their save record ids (from
 /// [`PairDetector`](crate::pairs::PairDetector)); pass an empty map to
@@ -262,175 +257,6 @@ fn criterion_position(len: usize, criterion: Criterion) -> usize {
 /// # Panics
 ///
 /// Panics if the criterion's record id is not present in the trace.
-pub fn compute_slice_lp(
-    trace: &GlobalTrace,
-    criterion: Criterion,
-    pairs: &HashMap<RecordId, RecordId>,
-    options: SliceOptions,
-) -> Slice {
-    let records = trace.records();
-    let crit_pos = criterion_position(records.len(), criterion);
-    let track_sp = trace.track_sp();
-
-    let mut slice = Slice {
-        criterion,
-        records: HashSet::new(),
-        data_edges: Vec::new(),
-        control_edges: Vec::new(),
-        stats: SliceStats::default(),
-    };
-
-    let mut live: LiveSet = HashMap::new();
-    // Records needed for control dependences (a record's position is its
-    // id).
-    let mut needed: HashSet<usize> = HashSet::new();
-    // Deferred queries from save/restore bypasses: activate once the scan
-    // position is <= the key position (the save's position).
-    let mut deferred: Vec<(usize, LocKey, Vec<RecordId>)> = Vec::new();
-
-    // Seed with the criterion record.
-    {
-        let crit = &records[crit_pos];
-        slice.records.insert(crit.id);
-        match criterion {
-            Criterion::Record { .. } => {
-                for (k, _) in crit.use_keys(track_sp) {
-                    if !options.prune_keys.contains(&k) {
-                        live.entry(k).or_default().push(crit.id);
-                    }
-                }
-            }
-            Criterion::Value { key, .. } => {
-                // An explicit criterion key overrides user pruning.
-                live.entry(key).or_default().push(crit.id);
-            }
-        }
-        if let Some(cd) = crit.cd_parent {
-            if cd as usize <= crit_pos {
-                needed.insert(cd as usize);
-            }
-        }
-    }
-
-    // Blocks from the criterion's block downward.
-    let blocks = trace.blocks();
-    let mut bi = blocks.partition_point(|b| b.start <= crit_pos);
-    while bi > 0 {
-        bi -= 1;
-        let block = &blocks[bi];
-        let lo = block.start;
-        let hi = block.end.min(crit_pos + 1);
-
-        // LP skip check: nothing live defined here, nothing needed here,
-        // nothing deferred activates here.
-        let has_live = live.keys().any(|k| block.defs.contains(k));
-        let has_needed = needed.iter().any(|&p| p >= lo && p < hi);
-        let has_deferred = deferred.iter().any(|&(p, _, _)| p >= lo);
-        if !has_live && !has_needed && !has_deferred {
-            slice.stats.blocks_skipped += 1;
-            continue;
-        }
-        slice.stats.blocks_visited += 1;
-
-        let mut pos = hi;
-        while pos > lo {
-            pos -= 1;
-            // Activate deferred queries whose save position we have reached.
-            if !deferred.is_empty() {
-                let mut i = 0;
-                while i < deferred.len() {
-                    if deferred[i].0 >= pos {
-                        let (_, key, users) = deferred.swap_remove(i);
-                        live.entry(key).or_default().extend(users);
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
-            let r = &records[pos];
-            if pos == crit_pos {
-                continue; // seeded above
-            }
-            slice.stats.records_scanned += 1;
-
-            let mut admit_r = false;
-
-            // Control dependence resolution.
-            if needed.remove(&pos) {
-                admit_r = true;
-            }
-
-            // Data dependence resolution.
-            for (k, _) in r.def_keys(track_sp) {
-                let Some(users) = live.remove(&k) else {
-                    continue;
-                };
-                // `r` is the restore of a verified pair: bypass it, and
-                // resume the query strictly below the matching save (the
-                // save itself defines only the stack slot). A malformed
-                // pair (save missing or after the restore) resolves here.
-                let save_pos = if options.prune_save_restore && matches!(k, LocKey::Reg(..)) {
-                    pairs
-                        .get(&r.id)
-                        .map(|&save| save as usize)
-                        .filter(|&sp| sp < pos)
-                } else {
-                    None
-                };
-                if let Some(save_pos) = save_pos {
-                    slice.stats.bypasses += 1;
-                    deferred.push((save_pos.saturating_sub(1), k, users));
-                    continue;
-                }
-                for &u in &users {
-                    slice.data_edges.push(DataEdge {
-                        user: u,
-                        def: r.id,
-                        key: k,
-                    });
-                }
-                admit_r = true;
-            }
-
-            // An admitted record's (non-pruned) uses go live and its
-            // control parent becomes needed.
-            if admit_r && slice.records.insert(r.id) {
-                for (k, _) in r.use_keys(track_sp) {
-                    if !options.prune_keys.contains(&k) {
-                        live.entry(k).or_default().push(r.id);
-                    }
-                }
-                if let Some(cd) = r.cd_parent {
-                    if (cd as usize) < pos && !slice.records.contains(&cd) {
-                        needed.insert(cd as usize);
-                    }
-                }
-            }
-        }
-    }
-
-    // Emit control edges for every included record whose parent is included.
-    for &id in &slice.records {
-        if let Some(r) = trace.record(id) {
-            if let Some(cd) = r.cd_parent {
-                if slice.records.contains(&cd) {
-                    slice.control_edges.push((id, cd));
-                }
-            }
-        }
-    }
-    slice.control_edges.sort_unstable();
-    slice
-        .data_edges
-        .sort_unstable_by_key(|e| (e.user, e.def, e.key));
-
-    slice
-}
-
-/// Computes the slice with a naive full backward scan — an independent
-/// implementation with no block skipping, used as the oracle in the
-/// differential tests (LP ≡ indexed ≡ naive) and by the ablation
-/// benchmark.
 pub fn compute_slice_naive(
     trace: &GlobalTrace,
     criterion: Criterion,
@@ -439,7 +265,6 @@ pub fn compute_slice_naive(
 ) -> Slice {
     let records = trace.records();
     let crit_pos = criterion_position(records.len(), criterion);
-    let track_sp = trace.track_sp();
 
     let mut slice = Slice {
         criterion,
@@ -457,7 +282,7 @@ pub fn compute_slice_naive(
     slice.records.insert(crit.id);
     match criterion {
         Criterion::Record { .. } => {
-            for (k, _) in crit.use_keys(track_sp) {
+            for (k, _) in crit.use_keys(false) {
                 if !options.prune_keys.contains(&k) {
                     live.entry(k).or_default().push(crit.id);
                 }
@@ -491,7 +316,7 @@ pub fn compute_slice_naive(
         if needed.remove(&pos) {
             admit_r = true;
         }
-        for (k, _) in r.def_keys(track_sp) {
+        for (k, _) in r.def_keys(false) {
             let Some(users) = live.remove(&k) else {
                 continue;
             };
@@ -514,7 +339,7 @@ pub fn compute_slice_naive(
             }
         }
         if admit_r && slice.records.insert(r.id) {
-            for (k, _) in r.use_keys(track_sp) {
+            for (k, _) in r.use_keys(false) {
                 if options.prune_keys.contains(&k) {
                     continue;
                 }
@@ -554,6 +379,7 @@ mod tests {
 
     use crate::control::ControlTracker;
     use crate::global::GlobalTrace;
+    use crate::index::{compute_slice_indexed, DepIndex};
     use crate::pairs::{PairCandidates, PairDetector};
     use crate::trace::TraceRecord;
 
@@ -612,7 +438,18 @@ mod tests {
                 break;
             }
         }
-        (GlobalTrace::build(recs, 8, false), det.finish())
+        (GlobalTrace::build(recs), det.finish())
+    }
+
+    /// The slice of `criterion` through a fresh dependence index.
+    fn indexed(
+        trace: &GlobalTrace,
+        pairs: &HashMap<RecordId, RecordId>,
+        criterion: Criterion,
+        options: &SliceOptions,
+    ) -> Slice {
+        let index = DepIndex::build(trace, pairs, options);
+        compute_slice_indexed(&index, criterion)
     }
 
     fn slice_at_last(
@@ -625,7 +462,7 @@ mod tests {
             .rfind(|r| r.pc == pc)
             .expect("criterion pc executed")
             .id;
-        compute_slice_lp(trace, Criterion::Record { id: crit }, pairs, options)
+        indexed(trace, pairs, Criterion::Record { id: crit }, &options)
     }
 
     #[test]
@@ -778,53 +615,26 @@ mod tests {
             ",
         );
         let crit = trace.rfind(|r| r.pc == 2).unwrap().id;
-        let s = compute_slice_lp(
+        let s = indexed(
             &trace,
+            &pairs,
             Criterion::Value {
                 id: crit,
                 key: LocKey::Reg(0, Reg(1)),
             },
-            &pairs,
-            SliceOptions::default(),
+            &SliceOptions::default(),
         );
         let pcs = s.pcs(&trace);
         assert!(pcs.contains(&0), "r1's def included");
         assert!(!pcs.contains(&1), "r2's def excluded for a value slice");
     }
 
-    #[test]
-    fn lp_skipping_matches_full_scan() {
-        // A long irrelevant prefix: LP should skip its blocks, and the
-        // slice must equal the naive result.
-        let mut src = String::from("\n.text\n.func main\n");
-        for _ in 0..200 {
-            src.push_str("    movi r9, 1\n");
-        }
-        src.push_str("    movi r1, 2\n    addi r2, r1, 1\n    halt\n.endfunc\n");
-        let (trace, pairs) = collect(&src);
-        let crit = trace
-            .rfind(|r| matches!(r.instr, minivm::Instr::BinI { .. }))
-            .unwrap()
-            .id;
-        let crit = Criterion::Record { id: crit };
-        let s = compute_slice_lp(&trace, crit, &pairs, SliceOptions::default());
-        assert!(
-            s.stats.blocks_skipped > 10,
-            "long irrelevant prefix skipped: {:?}",
-            s.stats
-        );
-        assert_eq!(s.len(), 2, "movi + addi only");
-        let naive = compute_slice_naive(&trace, crit, &pairs, SliceOptions::default());
-        assert_eq!(s.records, naive.records);
-        assert_eq!(s.data_edges, naive.data_edges);
-    }
-
-    /// LP, the dependence index and the naive oracle must agree exactly —
+    /// The dependence index and the naive oracle must agree exactly —
     /// records, edges, and edge order — on every scenario above, including
     /// the save/restore bypass (whose deferral logic is the trickiest part
     /// to keep aligned).
     #[test]
-    fn lp_indexed_and_naive_agree_on_all_scenarios() {
+    fn indexed_and_naive_agree_on_all_scenarios() {
         let scenarios: &[&str] = &[
             r"
             .text
@@ -892,33 +702,30 @@ mod tests {
                     prune_save_restore: prune,
                     ..SliceOptions::new()
                 };
-                let index = crate::index::DepIndex::build(&trace, &pairs, &opts);
+                let index = DepIndex::build(&trace, &pairs, &opts);
                 for r in trace.records() {
                     let crit = Criterion::Record { id: r.id };
-                    let lp = compute_slice_lp(&trace, crit, &pairs, opts.clone());
                     let naive = compute_slice_naive(&trace, crit, &pairs, opts.clone());
-                    let indexed = crate::index::compute_slice_indexed(&index, crit);
-                    for (name, other) in [("naive", &naive), ("indexed", &indexed)] {
-                        assert_eq!(lp.records, other.records, "scenario {i} {name} records");
-                        assert_eq!(
-                            lp.data_edges, other.data_edges,
-                            "scenario {i} {name} data edges"
-                        );
-                        assert_eq!(
-                            lp.control_edges, other.control_edges,
-                            "scenario {i} {name} control edges"
-                        );
-                    }
+                    let indexed = compute_slice_indexed(&index, crit);
+                    assert_eq!(naive.records, indexed.records, "scenario {i} records");
+                    assert_eq!(
+                        naive.data_edges, indexed.data_edges,
+                        "scenario {i} data edges"
+                    );
+                    assert_eq!(
+                        naive.control_edges, indexed.control_edges,
+                        "scenario {i} control edges"
+                    );
                 }
             }
         }
     }
 
-    /// The indexed path agrees with LP on `Value` criteria and pruned keys
-    /// too, and repeated queries against one index are deterministic
-    /// (stats included).
+    /// The indexed path agrees with the naive oracle on `Value` criteria
+    /// and pruned keys too, and repeated queries against one index are
+    /// deterministic (stats included).
     #[test]
-    fn indexed_value_criteria_and_prune_keys_match_lp() {
+    fn indexed_value_criteria_and_prune_keys_match_naive() {
         let (trace, pairs) = collect(
             r"
             .text
@@ -949,7 +756,7 @@ mod tests {
             },
         ];
         for opts in prune_sets {
-            let index = crate::index::DepIndex::build(&trace, &pairs, &opts);
+            let index = DepIndex::build(&trace, &pairs, &opts);
             assert_eq!(index.options_fingerprint(), opts.fingerprint());
             for r in trace.records() {
                 let mut criteria = vec![Criterion::Record { id: r.id }];
@@ -957,15 +764,15 @@ mod tests {
                     criteria.push(Criterion::Value { id: r.id, key: k });
                 }
                 for crit in criteria {
-                    let lp = compute_slice_lp(&trace, crit, &pairs, opts.clone());
-                    let indexed = crate::index::compute_slice_indexed(&index, crit);
-                    assert_eq!(lp.records, indexed.records, "{crit:?} records");
-                    assert_eq!(lp.data_edges, indexed.data_edges, "{crit:?} data edges");
+                    let naive = compute_slice_naive(&trace, crit, &pairs, opts.clone());
+                    let indexed = compute_slice_indexed(&index, crit);
+                    assert_eq!(naive.records, indexed.records, "{crit:?} records");
+                    assert_eq!(naive.data_edges, indexed.data_edges, "{crit:?} data edges");
                     assert_eq!(
-                        lp.control_edges, indexed.control_edges,
+                        naive.control_edges, indexed.control_edges,
                         "{crit:?} control edges"
                     );
-                    let again = crate::index::compute_slice_indexed(&index, crit);
+                    let again = compute_slice_indexed(&index, crit);
                     assert_eq!(indexed.records, again.records);
                     assert_eq!(indexed.stats, again.stats, "indexed stats deterministic");
                 }
@@ -1043,10 +850,8 @@ mod prune_vars_tests {
         let config = program.symbol("config").unwrap();
 
         let full = session.slice(Criterion::Record { id: crit });
-        let pruned = compute_slice_lp(
-            session.trace(),
+        let pruned = session.slice_with(
             Criterion::Record { id: crit },
-            session.pairs(),
             SliceOptions::new().prune_key(LocKey::Mem(config)),
         );
         let fp = full.pcs(session.trace());
@@ -1060,9 +865,10 @@ mod prune_vars_tests {
         assert!(pruned.len() < full.len());
     }
 
-    /// Pruning a register key works the same way, and naive agrees with LP.
+    /// Pruning a register key works the same way, and naive agrees with the
+    /// indexed slice.
     #[test]
-    fn pruned_register_and_lp_naive_agreement() {
+    fn pruned_register_and_indexed_naive_agreement() {
         let program = Arc::new(
             assemble(
                 r"
@@ -1089,20 +895,15 @@ mod prune_vars_tests {
             SliceSession::collect(Arc::clone(&program), &rec.pinball, SlicerOptions::default());
         let crit = session.last_at_pc(2).unwrap().id;
         let opts = SliceOptions::new().prune_key(LocKey::Reg(0, Reg(1)));
-        let lp = compute_slice_lp(
-            session.trace(),
-            Criterion::Record { id: crit },
-            session.pairs(),
-            opts.clone(),
-        );
+        let indexed = session.slice_with(Criterion::Record { id: crit }, opts.clone());
         let naive = compute_slice_naive(
             session.trace(),
             Criterion::Record { id: crit },
             session.pairs(),
             opts,
         );
-        assert_eq!(lp.records, naive.records);
-        let pcs = lp.pcs(session.trace());
+        assert_eq!(indexed.records, naive.records);
+        let pcs = indexed.pcs(session.trace());
         assert!(!pcs.contains(&0), "r1's def pruned");
         assert!(pcs.contains(&1), "r2's def kept");
     }

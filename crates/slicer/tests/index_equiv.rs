@@ -3,14 +3,13 @@
 //! Random multi-threaded minivm programs — straight-line arithmetic,
 //! shared-buffer loads/stores/atomics, forward branches (dynamic control
 //! dependences), and push/pop helper calls (save/restore pairs, §5.2) —
-//! are recorded under random schedules and sliced three ways:
+//! are recorded under random schedules and sliced two ways:
 //!
 //! * [`compute_slice_indexed`] over a prebuilt [`DepIndex`],
-//! * [`compute_slice_lp`] (the paper's index-free LP traversal),
 //! * [`compute_slice_naive`] (the brute-force oracle).
 //!
 //! For every random criterion — record and value form — and every option
-//! combination (defaults, §5.2 pruning off, prune-keys, both) the three
+//! combination (defaults, §5.2 pruning off, prune-keys, both) the two
 //! must agree exactly on records, data edges, and control edges. One
 //! index instance serves all criteria and all records, which is the
 //! reuse the tentpole optimization depends on.
@@ -32,8 +31,8 @@ use proptest::prelude::*;
 use minivm::{assemble, LiveEnv, RandomSched, Reg};
 use pinplay::{record_whole_program, relog};
 use slicer::{
-    compute_slice_indexed, compute_slice_lp, compute_slice_naive, exclusion_regions, Criterion,
-    DepIndex, LocKey, RecordId, Slice, SliceOptions, SliceSession, SlicerOptions,
+    compute_slice_indexed, compute_slice_naive, exclusion_regions, Criterion, DepIndex, LocKey,
+    RecordId, Slice, SliceOptions, SliceSession, SlicerOptions,
 };
 
 /// One generated operation. Registers r1–r6 are data registers; r8 holds
@@ -224,14 +223,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn indexed_matches_lp_and_naive(
+    fn indexed_matches_naive(
         workers in 1usize..4,
         main_ops in prop_vec(op_strategy(), 4..24),
         worker_ops in prop_vec(op_strategy(), 4..24),
         sched_seed in any::<u64>(),
         switch_period in 1u32..8,
         refine_indirect in any::<bool>(),
-        block_small in any::<bool>(),
         crit_picks in prop_vec(any::<usize>(), 3..4),
         prune_reg in 1u8..7,
         trap in trap_strategy(),
@@ -249,11 +247,7 @@ proptest! {
         let session = SliceSession::collect(
             Arc::clone(&program),
             &rec.pinball,
-            SlicerOptions {
-                refine_indirect,
-                block_size: if block_small { 4 } else { 64 },
-                ..SlicerOptions::default()
-            },
+            SlicerOptions { refine_indirect },
         );
         let trace = session.trace();
         let pairs: &HashMap<RecordId, RecordId> = session.pairs();
@@ -296,20 +290,11 @@ proptest! {
             let index = DepIndex::build(trace, pairs, opts);
             for &criterion in &criteria {
                 let indexed = compute_slice_indexed(&index, criterion);
-                let lp = compute_slice_lp(trace, criterion, pairs, opts.clone());
                 let naive = compute_slice_naive(trace, criterion, pairs, opts.clone());
                 prop_assert_eq!(
                     canon(&indexed),
-                    canon(&lp),
-                    "indexed vs LP: criterion {:?}, options {:?}\n{}",
-                    criterion,
-                    opts,
-                    src
-                );
-                prop_assert_eq!(
-                    canon(&lp),
                     canon(&naive),
-                    "LP vs naive: criterion {:?}, options {:?}\n{}",
+                    "indexed vs naive: criterion {:?}, options {:?}\n{}",
                     criterion,
                     opts,
                     src

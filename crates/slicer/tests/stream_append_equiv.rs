@@ -2,17 +2,16 @@
 //!
 //! Random multi-threaded minivm programs (same generator family as
 //! `index_equiv`) are recorded under random schedules and collected. The
-//! record list is then split at a random chunk schedule and grown two
+//! record list is then split at a random chunk schedule and indexed two
 //! ways:
 //!
-//! * incrementally — [`GlobalTrace::extend`] + [`DepIndex::append`] per
-//!   chunk;
-//! * batch — [`GlobalTrace::build`] + [`DepIndex::build`] over the
-//!   full prefix, from scratch.
+//! * incrementally — one index, [`DepIndex::append`]ed per chunk over a
+//!   [`GlobalTrace::build`] of the prefix so far, as a server appends over
+//!   each fresh collection of a growing stream;
+//! * batch — [`DepIndex::build`] over the full prefix, from scratch.
 //!
 //! After every chunk the two must agree exactly: [`DepIndex::same_graph`]
-//! over every internal array, the trace's records/blocks/definition index,
-//! and the slice at the prefix's last record.
+//! over every internal array, and the slice at the prefix's last record.
 
 use std::sync::Arc;
 
@@ -93,7 +92,6 @@ proptest! {
         switch_period in 1u32..8,
         cuts in prop_vec(any::<usize>(), 1..6),
         prune_save_restore in any::<bool>(),
-        block_small in any::<bool>(),
     ) {
         let src = program_source(workers, body_seed);
         let program = Arc::new(assemble(&src).unwrap_or_else(|e| panic!("{e}\n{src}")));
@@ -105,14 +103,10 @@ proptest! {
             "stream-append-equiv",
         )
         .expect("records");
-        let block_size = if block_small { 8 } else { 64 };
         let session = SliceSession::collect(
             Arc::clone(&program),
             &rec.pinball,
-            SlicerOptions {
-                block_size,
-                ..SlicerOptions::default()
-            },
+            SlicerOptions::default(),
         );
         let records = session.trace().records().to_vec();
         let pairs = session.pairs();
@@ -129,18 +123,12 @@ proptest! {
         splits.sort_unstable();
         splits.dedup();
 
-        let mut grown_trace = GlobalTrace::build(Vec::new(), block_size, false);
-        let mut grown_index = DepIndex::build(&grown_trace, pairs, &opts);
-        let mut done = 0usize;
+        let mut grown_index = DepIndex::build(&GlobalTrace::build(Vec::new()), pairs, &opts);
         for &split in &splits {
-            grown_trace.extend(records[done..split].to_vec());
-            grown_index.append(&grown_trace, pairs, &opts);
-            done = split;
+            let prefix = GlobalTrace::build(records[..split].to_vec());
+            grown_index.append(&prefix, pairs, &opts);
 
-            let batch_trace = GlobalTrace::build(records[..split].to_vec(), block_size, false);
-            let batch_index = DepIndex::build(&batch_trace, pairs, &opts);
-            prop_assert_eq!(grown_trace.records(), batch_trace.records());
-            prop_assert_eq!(grown_trace.blocks(), batch_trace.blocks());
+            let batch_index = DepIndex::build(&prefix, pairs, &opts);
             prop_assert!(
                 grown_index.same_graph(&batch_index),
                 "append-grown index diverged from batch at prefix {} of {}\n{}",
@@ -161,6 +149,6 @@ proptest! {
                 );
             }
         }
-        prop_assert_eq!(grown_trace.records().len(), n);
+        prop_assert_eq!(grown_index.len(), n);
     }
 }

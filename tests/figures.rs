@@ -67,7 +67,6 @@ fn fig7_refinement_recovers_switch_control_dependence() {
             &rec.pinball,
             SlicerOptions {
                 refine_indirect: refine,
-                ..SlicerOptions::default()
             },
         );
         let crit = session

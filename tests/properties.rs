@@ -10,7 +10,8 @@
 //!    order (record `i` has id `i` and is the `i`-th instruction an
 //!    independent replay retires), which honours program order, conflict
 //!    order and spawn order by construction;
-//! 4. **LP ≡ naive** — block skipping never changes the slice;
+//! 4. **Indexed ≡ naive** — the dependence index answers every slice
+//!    exactly as the naive backward scan does;
 //! 5. **Slice faithfulness** — replaying only the slice reproduces the
 //!    criterion's value.
 
@@ -24,7 +25,8 @@ use minivm::{
 };
 use pinplay::{record_whole_program, Replayer};
 use slicer::{
-    compute_slice_lp, compute_slice_naive, Criterion, SliceOptions, SliceSession, SlicerOptions,
+    compute_slice_indexed, compute_slice_naive, Criterion, DepIndex, SliceOptions, SliceSession,
+    SlicerOptions,
 };
 
 /// One operation of a generated worker body.
@@ -251,7 +253,7 @@ proptest! {
         let session = SliceSession::collect(
             Arc::clone(&program),
             &rec.pinball,
-            SlicerOptions { block_size: 64, ..SlicerOptions::default() },
+            SlicerOptions::default(),
         );
         // An independent replay's retire order: (tid, pc) of each retired
         // instruction.
@@ -270,7 +272,7 @@ proptest! {
     }
 
     #[test]
-    fn lp_equals_naive_slicing((bodies, sched_seed, env_seed) in scenario()) {
+    fn indexed_equals_naive_slicing((bodies, sched_seed, env_seed) in scenario()) {
         let program = build_program(&bodies);
         let rec = record_whole_program(
             &program,
@@ -282,9 +284,11 @@ proptest! {
         let session = SliceSession::collect(
             Arc::clone(&program),
             &rec.pinball,
-            SlicerOptions { block_size: 32, ..SlicerOptions::default() },
+            SlicerOptions::default(),
         );
-        // Slice at the last few records with both traversals.
+        // Slice at the last few records with both traversals; one index
+        // serves all three.
+        let index = DepIndex::build(session.trace(), session.pairs(), &SliceOptions::default());
         let ids: Vec<u64> = session
             .trace()
             .records()
@@ -293,11 +297,11 @@ proptest! {
             .collect();
         for &id in ids.iter().rev().take(3) {
             let criterion = Criterion::Record { id };
-            let lp = compute_slice_lp(session.trace(), criterion, session.pairs(), SliceOptions::default());
+            let indexed = compute_slice_indexed(&index, criterion);
             let naive = compute_slice_naive(session.trace(), criterion, session.pairs(), SliceOptions::default());
-            prop_assert_eq!(&lp.records, &naive.records, "same slice membership");
-            prop_assert_eq!(&lp.data_edges, &naive.data_edges, "same data edges");
-            prop_assert_eq!(&lp.control_edges, &naive.control_edges, "same control edges");
+            prop_assert_eq!(&indexed.records, &naive.records, "same slice membership");
+            prop_assert_eq!(&indexed.data_edges, &naive.data_edges, "same data edges");
+            prop_assert_eq!(&indexed.control_edges, &naive.control_edges, "same control edges");
         }
     }
 
